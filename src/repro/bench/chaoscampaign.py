@@ -204,11 +204,8 @@ def _recovery_task(mercury: Mercury, watchdog: Watchdog,
                    manager: RecoveryManager, out: dict) -> Generator:
     yield WaitFor(lambda: watchdog.pending_verdict is not None,
                   desc="watchdog verdict")
-    verdict = watchdog.take_verdict()
-    out["verdict"] = verdict
     try:
-        out["record"] = manager.recover(verdict,
-                                        cpu=mercury.machine.boot_cpu)
+        out["record"] = manager.recover(cpu=mercury.machine.boot_cpu)
     finally:
         watchdog.stop()
 
@@ -285,14 +282,11 @@ def run_episode(index: int, site: str, variant: int, trigger_cycles: int,
     if problems:
         raise AssertionError(f"malformed episode trace: {problems[:3]}")
 
-    verdict = rec_out.get("verdict")
-    if verdict is not None:
-        episode.detected = True
-        episode.invariant = verdict.invariant
-        detected = getattr(verdict, "detected_cycles", None)
-        if detected is not None:
-            episode.detect_latency_cycles = detected - injected_at
     record = rec_out.get("record")
+    if record is not None:
+        episode.detected = True
+        episode.invariant = record.invariant
+        episode.detect_latency_cycles = record.detected_at - injected_at
     if record is not None and record.success:
         episode.recovered = True
         episode.mttr_cycles = record.mttr_cycles

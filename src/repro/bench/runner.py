@@ -18,10 +18,6 @@ from repro.workloads.kbuild import run_kbuild
 from repro.workloads.lmbench import LMBENCH_IMAGE_PAGES, LmbenchResults, run_lmbench
 from repro.workloads.osdb import run_osdb_ir
 
-#: application-series row names as Fig. 3/4 lists them
-APP_ROWS = ("OSDB-IR", "dbench", "Linux build", "ping", "iperf-tcp",
-            "iperf-udp")
-
 
 def run_lmbench_suite(num_cpus: int = 1,
                       config: Optional[MachineConfig] = None,

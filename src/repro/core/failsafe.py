@@ -87,7 +87,7 @@ class FailsafeSwitch:
         report = FailsafeReport(committed=False)
 
         # 1. pre-switch validation (in the current, consistent mode)
-        firing = [s for s in self.sensors if s.detect(kernel)]
+        firing = [s for s in self.sensors if s.detect(mercury)]
         report.anomalies_found = [s.name for s in firing]
         if firing:
             if not self.repair:
@@ -96,7 +96,7 @@ class FailsafeSwitch:
             for sensor in firing:
                 cpu.charge(cpu.cost.cyc_refcount_check)
                 sensor.repair(kernel, cpu)
-                if sensor.detect(kernel):
+                if sensor.detect(mercury):
                     self.history.append(report)
                     raise SwitchVetoed([sensor.name])
                 report.repaired.append(sensor.name)

@@ -1,21 +1,56 @@
-"""System-wide consistency invariants.
+"""System-wide consistency invariants: the one registry of laws.
 
-The behaviour-consistency requirements of §4.3, expressed as executable
-checks over a whole Mercury stack.  ``check_all`` returns a list of
-violation descriptions (empty = consistent); the property tests run it
-after randomized workloads interleaved with mode switches, and the
-failure-resistant switch uses the related sensor suite.
+The behaviour-consistency requirements of §4.3, plus the attached VMM's
+structural and liveness laws, as executable checks over a whole Mercury
+stack.  :data:`REGISTRY` holds one :class:`Invariant` per law; every
+``check(mercury)`` yields violation details (nothing = the law holds).
+Three consumers read it:
+
+- :func:`check_all` runs every *structural* entry and returns all
+  violations (empty = consistent); the property tests run it after
+  randomized workloads interleaved with mode switches.  The ``vmm``
+  entries run only while the stack is attached and no recovery is in
+  flight — there is no VMM to judge otherwise.
+- :class:`~repro.watchdog.Watchdog` schedules the ``vmm`` entries in
+  registry order, stopping at the first verdict; *liveness* entries
+  (true mid-operation, e.g. a backend inside ``poll``) only fire after
+  consecutive observations.
+- The §6.2 self-healer's runqueue, fs-metadata and frame-refs sensors
+  detect through the same checks.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.core.mercury import Mode
+from repro.errors import PageValidationError, RingError
 from repro.guestos.process import TaskState
+from repro.vmm.page_info import PageInfoTable
 
 if TYPE_CHECKING:
     from repro.core.mercury import Mercury
+
+#: a law that must hold whenever the stack is at rest
+STRUCTURAL = "structural"
+#: a law that may be legitimately broken mid-operation; only a violation
+#: that persists across consecutive watchdog scans counts
+LIVENESS = "liveness"
+
+#: a healthy VO refcount is 0 at rest and single digits mid-pump; anything
+#: past this is a runaway count that would wedge every future mode switch
+REFCOUNT_SUSPECT_THRESHOLD = 512
+
+
+@dataclass(frozen=True)
+class Invariant:
+    """One law: ``check(mercury)`` yields a detail string per violation."""
+
+    name: str
+    layer: str
+    kind: str
+    check: Callable[["Mercury"], Iterable[str]]
 
 
 def check_mode_coherence(mercury: "Mercury") -> list[str]:
@@ -174,15 +209,185 @@ def check_filesystem(mercury: "Mercury") -> list[str]:
     return out
 
 
-ALL_CHECKS = (check_mode_coherence, check_vo_quiescent,
-              check_frame_ownership, check_frame_refcounts,
-              check_scheduler, check_pinning, check_tlb_coherence,
-              check_lazy_mmu, check_filesystem)
+# ---------------------------------------------------------------------------
+# the attached VMM's laws (read straight from simulator state: a wedged
+# backend or poisoned grant table cannot hang the reader)
+# ---------------------------------------------------------------------------
+
+def check_trap_table(mercury: "Mercury") -> Iterator[str]:
+    """Every gate the kernel registered must still be reachable via the
+    driver domain's trap table, or ``forward_irq`` silently drops it."""
+    if mercury.domain is None:
+        return
+    table = mercury.domain.trap_table
+    for vector in sorted(mercury.kernel.idt.gates):
+        if vector not in table:
+            yield f"vector {vector:#x} missing from driver-domain table"
+
+
+def check_vo_refcounts(mercury: "Mercury") -> Iterator[str]:
+    vos = [("kernel", mercury.kernel.vo)]
+    if (mercury.virtual_vo is not None
+            and mercury.virtual_vo is not mercury.kernel.vo):
+        vos.append(("virtual", mercury.virtual_vo))
+    vos.extend((guest.name, guest.vo) for guest in mercury._guests)
+    for label, vo in vos:
+        if vo.refcount > REFCOUNT_SUSPECT_THRESHOLD:
+            yield f"{label} VO refcount stuck at {vo.refcount}"
+
+
+def backend_rings(mercury: "Mercury") -> Iterator[tuple]:
+    """``(label, ring)`` for every split-driver backend ring."""
+    for idx, back in enumerate(mercury._backends):
+        for attr in ("ring", "tx_ring", "rx_ring"):
+            ring = getattr(back, attr, None)
+            if ring is not None:
+                yield f"{type(back).__name__}[{idx}].{attr}", ring
+
+
+def check_ring_indices(mercury: "Mercury") -> Iterator[str]:
+    for key, ring in backend_rings(mercury):
+        try:
+            ring.check_invariants()
+        except RingError as exc:
+            yield f"{key}: {exc}"
+
+
+def check_grant_refs(mercury: "Mercury") -> Iterator[str]:
+    from repro.vmm.hypervisor import VMM_OWNER
+    mem = mercury.machine.memory
+    entries = mercury.vmm.grants._entries
+    for key in sorted(entries):
+        entry = entries[key]
+        if entry.revoked:
+            continue
+        if entry.active_maps < 0:
+            yield f"grant {key} active_maps={entry.active_maps}"
+            continue
+        owner = mem.owner_of(entry.frame)
+        if owner != entry.granting_domain or owner == VMM_OWNER:
+            yield (f"grant {key} frame {entry.frame} owned by {owner}, "
+                   f"granted by {entry.granting_domain}")
+
+
+class _UnchargedCpu:
+    """Stub CPU for the reference page-info recompute: validation logic
+    runs, cycle accounting doesn't."""
+
+    class _Cost:
+        cyc_pte_validate = 0
+
+    cost = _Cost()
+
+    def charge(self, cycles: int) -> None:
+        pass
+
+
+def check_page_info(mercury: "Mercury") -> Iterator[str]:
+    """Digest check: re-derive the page-info columns from the pinned
+    address spaces into a fresh table and compare semantically."""
+    vmm = mercury.vmm
+    live = vmm.page_info
+    reference = PageInfoTable(mercury.machine.memory)
+    stub = _UnchargedCpu()
+    for domain_id in sorted(vmm.domains):
+        domain = vmm.domains[domain_id]
+        for aspace in domain.aspaces:
+            if not live.pinned_map[aspace.pgd.frame]:
+                continue
+            try:
+                reference.validate_pgd(stub, aspace, domain.domain_id)
+            except PageValidationError as exc:
+                yield (f"reference recompute rejected domain {domain_id}: "
+                       f"{exc}")
+                return
+    if not reference.semantically_equal(live):
+        yield "column digest diverged from reference recompute"
+
+
+def check_channel_masks(mercury: "Mercury") -> Iterator[str]:
+    """A *connected* channel pending while masked delivers nothing,
+    forever — unless someone is about to unmask it (liveness)."""
+    chans = mercury.vmm.events._channels
+    for key in sorted(chans):
+        ch = chans[key]
+        if ch.peer_domain is not None and ch.pending and ch.masked:
+            yield f"channel {key} pending while masked"
+
+
+def check_backend_liveness(mercury: "Mercury") -> Iterator[str]:
+    """A backend that stays inside ``poll`` is dead or spinning;
+    re-entrant kicks silently bounce off ``_in_poll`` (liveness)."""
+    for idx, back in enumerate(mercury._backends):
+        if getattr(back, "_in_poll", False):
+            yield f"{type(back).__name__}[{idx}] wedged in poll"
+
+
+def _balloon_backends(mercury: "Mercury") -> Iterator[tuple]:
+    from repro.vmm.backend import BalloonBack
+    for idx, back in enumerate(mercury._backends):
+        if isinstance(back, BalloonBack):
+            yield idx, back
+
+
+def check_balloon_doorbells(mercury: "Mercury") -> Iterator[str]:
+    """A balloon ring whose advertised wakeup index sits past any
+    reachable producer index has lost its doorbell."""
+    for idx, back in _balloon_backends(mercury):
+        c = back.ring.c
+        if c.req_event > c.req_prod + 1 or c.rsp_event > c.rsp_prod + 1:
+            yield (f"BalloonBack[{idx}] doorbell lost: event indices "
+                   f"(req {c.req_event}, rsp {c.rsp_event}) past any "
+                   f"reachable producer (req {c.req_prod}, rsp {c.rsp_prod})")
+
+
+def check_balloon_drain(mercury: "Mercury") -> Iterator[str]:
+    """Posted extents must drain promptly — the elasticity controller
+    blocks on them (liveness: a scan can land between submit and poll)."""
+    for idx, back in _balloon_backends(mercury):
+        if back.ring.has_requests() and not back._in_poll:
+            yield f"BalloonBack[{idx}] extents posted but never consumed"
+
+
+#: every law, in check order; the ``vmm`` entries are in watchdog scan order
+REGISTRY: tuple[Invariant, ...] = (
+    Invariant("mode-coherence", "core", STRUCTURAL, check_mode_coherence),
+    Invariant("vo-quiescent", "core", STRUCTURAL, check_vo_quiescent),
+    Invariant("frame-ownership", "guestos", STRUCTURAL,
+              check_frame_ownership),
+    Invariant("frame-refs", "guestos", STRUCTURAL, check_frame_refcounts),
+    Invariant("runqueue", "guestos", STRUCTURAL, check_scheduler),
+    Invariant("pinning", "core", STRUCTURAL, check_pinning),
+    Invariant("tlb-coherence", "core", STRUCTURAL, check_tlb_coherence),
+    Invariant("lazy-mmu", "core", STRUCTURAL, check_lazy_mmu),
+    Invariant("fs-metadata", "guestos", STRUCTURAL, check_filesystem),
+    Invariant("trap-table", "vmm", STRUCTURAL, check_trap_table),
+    Invariant("vo-refcount", "vmm", STRUCTURAL, check_vo_refcounts),
+    Invariant("ring-indices", "vmm", STRUCTURAL, check_ring_indices),
+    Invariant("grant-refs", "vmm", STRUCTURAL, check_grant_refs),
+    Invariant("page-info", "vmm", STRUCTURAL, check_page_info),
+    Invariant("channel-masks", "vmm", LIVENESS, check_channel_masks),
+    Invariant("backend-liveness", "vmm", LIVENESS, check_backend_liveness),
+    Invariant("balloon-ring", "vmm", STRUCTURAL, check_balloon_doorbells),
+    Invariant("balloon-ring", "vmm", LIVENESS, check_balloon_drain),
+)
+
+VMM_INVARIANTS = tuple(inv for inv in REGISTRY if inv.layer == "vmm")
+
+
+def vmm_attached(mercury: "Mercury") -> bool:
+    """Is there an attached VMM to judge?  Not while native, and not while
+    a recovery is mid-flight (the stack is deliberately inconsistent)."""
+    recovery = mercury.recovery
+    return (mercury.mode is not Mode.NATIVE
+            and not (recovery is not None and recovery.in_progress))
 
 
 def check_all(mercury: "Mercury") -> list[str]:
-    """Run every invariant; returns all violations found."""
+    """Run every structural invariant; returns all violations found."""
+    attached = vmm_attached(mercury)
     out: list[str] = []
-    for check in ALL_CHECKS:
-        out.extend(check(mercury))
+    for inv in REGISTRY:
+        if inv.kind == STRUCTURAL and (attached or inv.layer != "vmm"):
+            out.extend(inv.check(mercury))
     return out

@@ -92,10 +92,6 @@ class RecoveryRecord:
             return None
         return self.completed_at - self.detected_at
 
-    def mttr_us(self, freq_mhz: int) -> Optional[float]:
-        cycles = self.mttr_cycles
-        return None if cycles is None else cycles / freq_mhz
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RecoveryRecord({self.invariant!r}, "
                 f"mttr={self.mttr_cycles}, success={self.success})")
@@ -104,11 +100,9 @@ class RecoveryRecord:
 class RecoveryManager:
     """Owns the detect → microreboot → resume pipeline for one stack."""
 
-    def __init__(self, mercury: "Mercury", watchdog=None):
+    def __init__(self, mercury: "Mercury"):
         self.mercury = mercury
         self.machine = mercury.machine
-        self.watchdog = (watchdog if watchdog is not None
-                         else getattr(mercury, "watchdog", None))
         self.incidents: list[RecoveryRecord] = []
         self.recoveries = 0
         self.recovery_failures = 0
@@ -126,19 +120,22 @@ class RecoveryManager:
 
     def recover(self, verdict: Optional[VmmCorruption] = None,
                 cpu: Optional["Cpu"] = None) -> Optional[RecoveryRecord]:
-        """Run the whole microreboot pipeline for one corruption verdict.
+        """The one detect → recover step: microreboot for one verdict.
 
-        Returns the incident record, or None when called re-entrantly
-        (a recovery is already running) — the idempotence contract.
+        With no ``verdict``, consumes the watchdog's pending verdict, or
+        runs one scan if none is pending.  Returns the incident record;
+        None on a clean stack, and None when called re-entrantly (a
+        recovery is already running) — the idempotence contract.
         """
         if self._in_progress:
             return None
-        if verdict is None and self.watchdog is not None:
-            verdict = self.watchdog.take_verdict()
-        if verdict is None:
-            verdict = VmmCorruption("operator-request", "no watchdog verdict")
         mercury = self.mercury
+        watchdog = mercury.watchdog
         cpu = cpu or self.machine.boot_cpu
+        if verdict is None and watchdog is not None:
+            verdict = watchdog.take_verdict() or watchdog.scan(cpu)
+        if verdict is None:
+            return None
         detected_at = getattr(verdict, "detected_cycles",
                               self.machine.clock.cycles)
         record = RecoveryRecord(verdict.invariant, verdict.detail, detected_at)
@@ -169,11 +166,11 @@ class RecoveryManager:
             self.recoveries += 1
         finally:
             self._in_progress = False
-            if self.watchdog is not None:
+            if watchdog is not None:
                 # the verdict that triggered us is resolved; stale repeats
                 # must not trigger a second microreboot
-                self.watchdog.pending_verdict = None
-                self.watchdog._suspects.clear()
+                watchdog.pending_verdict = None
+                watchdog._suspects.clear()
         return record
 
     # ------------------------------------------------------------------

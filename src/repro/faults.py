@@ -38,6 +38,10 @@ class FaultSite:
     #: the site is reached during a mode switch (matrix-testable); False
     #: for workload-time seams like the hypercall dispatcher
     during_switch: bool = True
+    #: VMM sites only: the invariant registry entry
+    #: (:data:`repro.core.invariants.REGISTRY`) whose verdict the
+    #: corruption must trigger
+    targets: str = ""
 
 
 # -- the switch-pipeline site catalogue (docs/architecture.md mirrors it) --
@@ -92,9 +96,6 @@ VMM_CHANNEL_WEDGED = "vmm.event-channel-wedged"
 VMM_BACKEND_DEAD = "vmm.backend-dead"
 VMM_GRANT_POISONED = "vmm.grant-poisoned"
 VMM_REFCOUNT_RUNAWAY = "vmm.refcount-runaway"
-#: compat alias — the site predates the balloon *driver* (memory
-#: elasticity); the old name collided with that vocabulary
-VMM_REFCOUNT_BALLOON = VMM_REFCOUNT_RUNAWAY
 VMM_TRAP_VECTOR_DROPPED = "vmm.trap-vector-dropped"
 VMM_BALLOON_WEDGED = "vmm.balloon-ring-wedged"
 
@@ -106,28 +107,32 @@ VMM_SITES: tuple[FaultSite, ...] = (
     FaultSite(VMM_PAGEINFO_CORRUPT,
               "a PageInfoTable column cell (type or type_count) is "
               "silently corrupted, poisoning later validations",
-              during_switch=False),
+              during_switch=False, targets="page-info"),
     FaultSite(VMM_CHANNEL_WEDGED,
               "a connected event channel is left pending+masked forever, "
-              "so its upcall never runs again", during_switch=False),
+              "so its upcall never runs again", during_switch=False,
+              targets="channel-masks"),
     FaultSite(VMM_BACKEND_DEAD,
               "a split-driver backend wedges inside poll (its re-entry "
               "guard sticks), going dead to all future kicks",
-              during_switch=False),
+              during_switch=False, targets="backend-liveness"),
     FaultSite(VMM_GRANT_POISONED,
               "a grant entry is poisoned: retargeted at a VMM-owned frame "
               "or given an impossible negative map count",
-              during_switch=False),
+              during_switch=False, targets="grant-refs"),
     FaultSite(VMM_REFCOUNT_RUNAWAY,
               "the switch-gating VO reference count runs away upward, "
-              "wedging every future mode-switch commit", during_switch=False),
+              "wedging every future mode-switch commit", during_switch=False,
+              targets="vo-refcount"),
     FaultSite(VMM_TRAP_VECTOR_DROPPED,
               "a registered trap-table vector vanishes, so the VMM "
-              "silently drops that interrupt", during_switch=False),
+              "silently drops that interrupt", during_switch=False,
+              targets="trap-table"),
     FaultSite(VMM_BALLOON_WEDGED,
               "a balloon backend's ring wedges: the deflate doorbell is "
               "lost (req_event pushed past any reachable producer index), "
-              "so posted extents are never consumed", during_switch=False),
+              "so posted extents are never consumed", during_switch=False,
+              targets="balloon-ring"),
 )
 
 ALL_SITES: tuple[FaultSite, ...] = SWITCH_SITES + WORKLOAD_SITES + VMM_SITES
@@ -270,7 +275,6 @@ def injected(plan: FaultPlan) -> Iterator[FaultPlan]:
 
 #: how far the runaway refcount jumps (well past the watchdog threshold)
 REFCOUNT_RUNAWAY_AMOUNT = 1000
-REFCOUNT_BALLOON_AMOUNT = REFCOUNT_RUNAWAY_AMOUNT  # compat alias
 
 
 def _record_injection(site_name: str, cpu_id: Optional[int] = None) -> None:

@@ -67,10 +67,6 @@ from repro.watchdog import Watchdog
 #: the measurement phases the percentile report distinguishes
 PHASES = ("steady", "wave", "after")
 
-#: partial-virtual service tax: an attached VMM costs ~10% on the request
-#: path (the paper's fig. 3 band for syscall-heavy work)
-VIRT_TAX_SHIFT = 3  # svc += svc >> 3 would be 12.5%; we use //10 below
-
 #: chaos detection scan cadence inside a service node (1 ms at 3 GHz)
 CHAOS_SCAN_INTERVAL = 3_000_000
 CHAOS_MAX_SCANS = 12
@@ -314,25 +310,20 @@ class ServiceNode(FleetNode):
         clock = self.machine.clock
         if self.mercury.mode is Mode.NATIVE:
             self.mercury.attach()
-        watchdog = Watchdog(self.mercury, suspect_scans=2)
-        manager = RecoveryManager(self.mercury, watchdog)
+        Watchdog(self.mercury, suspect_scans=2)  # installs mercury.watchdog
+        manager = RecoveryManager(self.mercury)
         faults.inject_vmm_fault(site, self.mercury, variant=variant)
         self.faults_injected += 1
         injected_at = clock.cycles
-        verdict = None
-        detected_at = -1
+        record = None
         for _ in range(CHAOS_MAX_SCANS):
             yield Sleep(CHAOS_SCAN_INTERVAL)
-            verdict = watchdog.scan(self.machine.boot_cpu)
-            if verdict is not None:
-                detected_at = clock.cycles
+            record = manager.recover(cpu=self.machine.boot_cpu)
+            if record is not None:
                 break
-        detected = verdict is not None
-        mttr = -1
-        if detected:
-            record = manager.recover(verdict, cpu=self.machine.boot_cpu)
-            mttr = clock.cycles - detected_at
-            self.chaos_recoveries += int(bool(record and record.success))
+        detected = record is not None
+        mttr = record.mttr_cycles if detected else -1
+        self.chaos_recoveries += int(detected and record.success)
         if self.mercury.mode is not Mode.NATIVE and not self.guests:
             self.mercury.detach()
         self.post(0, "chaos.recovered",

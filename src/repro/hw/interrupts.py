@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 VEC_TIMER = 0x20
 VEC_DISK = 0x21
 VEC_NET = 0x22
-VEC_IPI_RESCHED = 0xFD
 #: the dedicated self-virtualization vectors (§5.1.3: two handlers, one per
 #: switch direction)
 VEC_SV_ATTACH = 0xF0

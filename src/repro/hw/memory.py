@@ -25,8 +25,6 @@ from repro.params import PAGE_SIZE
 
 #: owner value for a free frame
 OWNER_FREE = -1
-#: owner value for frames belonging to the hardware/firmware (never allocatable)
-OWNER_RESERVED = -2
 
 
 class PhysicalMemory:

@@ -9,7 +9,9 @@ Backdoors-style healing) and no steady-state overhead.
 A :class:`Sensor` pairs a detector with a repairer.  Built-in sensors cover
 the kinds of state corruption the tests inject: scheduler runqueue damage,
 process-table inconsistencies, filesystem metadata corruption, and frame
-reference-count skew.
+reference-count skew.  The runqueue, fs-metadata and frame-refs sensors
+detect through the invariant registry (:mod:`repro.core.invariants`), so
+the laws ``check_all`` enforces are exactly the ones the healer repairs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.core.invariants import (check_filesystem, check_frame_refcounts,
+                                   check_scheduler)
 from repro.core.mercury import Mercury, Mode
 from repro.errors import HealingError
 from repro.guestos.process import TaskState
@@ -33,11 +37,12 @@ CYC_REPAIR = 60_000
 class Sensor:
     """One anomaly detector + repairer pair.
 
-    ``detect(kernel) -> bool`` (True = anomaly present);
-    ``repair(kernel, cpu)`` fixes the state (runs with the VMM attached)."""
+    ``detect(mercury)`` is truthy while the anomaly is present (a registry
+    check's violation list serves directly); ``repair(kernel, cpu)`` fixes
+    the state (runs with the VMM attached)."""
 
     name: str
-    detect: Callable[["Kernel"], bool]
+    detect: Callable[[Mercury], object]
     repair: Callable[["Kernel", "Cpu"], None]
     fires: int = 0
 
@@ -56,19 +61,14 @@ class SelfHealer:
     One detection loop covers both damage domains: guest-OS anomalies
     (the sensor suite below, repaired *through* the attached VMM) and
     VMM-structure corruption (the VMI watchdog's verdicts, repaired by
-    microrebooting the VMM via :class:`~repro.core.recovery.
-    RecoveryManager`).  Pass ``watchdog``/``recovery`` — or pre-install
-    them on the Mercury instance — to enable the VMM half."""
+    microrebooting the VMM via :meth:`~repro.core.recovery.
+    RecoveryManager.recover`).  Pre-install a watchdog and a recovery
+    manager on the Mercury instance to enable the VMM half."""
 
     def __init__(self, mercury: Mercury,
-                 sensors: Optional[list[Sensor]] = None,
-                 watchdog=None, recovery=None):
+                 sensors: Optional[list[Sensor]] = None):
         self.mercury = mercury
         self.sensors = sensors if sensors is not None else default_sensors()
-        self.watchdog = (watchdog if watchdog is not None
-                         else getattr(mercury, "watchdog", None))
-        self.recovery = (recovery if recovery is not None
-                         else getattr(mercury, "recovery", None))
         self.history: list[HealingRecord] = []
 
     def scan(self, cpu: Optional["Cpu"] = None) -> list[HealingRecord]:
@@ -81,7 +81,7 @@ class SelfHealer:
         cpu = cpu or mercury.machine.boot_cpu
 
         records = self._scan_vmm(cpu)
-        firing = [s for s in self.sensors if s.detect(kernel)]
+        firing = [s for s in self.sensors if s.detect(mercury)]
         if not firing:
             return records
 
@@ -95,7 +95,7 @@ class SelfHealer:
                 t0 = mercury.machine.clock.cycles
                 cpu.charge(CYC_REPAIR)
                 sensor.repair(kernel, cpu)
-                healed = not sensor.detect(kernel)
+                healed = not sensor.detect(mercury)
                 records.append(HealingRecord(
                     sensor_name=sensor.name,
                     detected_at_cycles=t0,
@@ -111,19 +111,10 @@ class SelfHealer:
         return vmm_records + records
 
     def _scan_vmm(self, cpu: "Cpu") -> list[HealingRecord]:
-        """The VMM half of the loop: consume a watchdog verdict (running a
-        fresh scan if none is pending) and heal by microreboot."""
-        watchdog, recovery = self.watchdog, self.recovery
-        if watchdog is None or recovery is None:
-            return []
-        verdict = watchdog.take_verdict()
-        if verdict is None:
-            verdict = watchdog.scan(cpu)
-            watchdog.pending_verdict = None
-        if verdict is None:
-            return []
-        record = recovery.recover(verdict, cpu=cpu)
-        if record is None:  # re-entrant scan during a recovery
+        """The VMM half of the loop: one detect → microreboot step."""
+        recovery = self.mercury.recovery
+        record = recovery.recover(cpu=cpu) if recovery is not None else None
+        if record is None:  # clean stack, or re-entrant during a recovery
             return []
         healing = HealingRecord(
             sensor_name=f"vmm:{record.invariant}",
@@ -142,16 +133,6 @@ class SelfHealer:
 # built-in sensors
 # ---------------------------------------------------------------------------
 
-def _detect_runqueue_damage(kernel: "Kernel") -> bool:
-    """Zombie or duplicate entries on the runqueue."""
-    seen = set()
-    for task in kernel.scheduler.runqueue:
-        if task.state == TaskState.ZOMBIE or task.pid in seen:
-            return True
-        seen.add(task.pid)
-    return False
-
-
 def _repair_runqueue(kernel: "Kernel", cpu: "Cpu") -> None:
     seen = set()
     fixed = []
@@ -163,8 +144,9 @@ def _repair_runqueue(kernel: "Kernel", cpu: "Cpu") -> None:
     kernel.scheduler.runqueue.extend(fixed)
 
 
-def _detect_proc_table_skew(kernel: "Kernel") -> bool:
+def _detect_proc_table_skew(mercury: Mercury) -> bool:
     """A task whose pid key disagrees with the task, or a dangling parent."""
+    kernel = mercury.kernel
     for pid, task in kernel.procs.tasks.items():
         if task.pid != pid:
             return True
@@ -186,50 +168,34 @@ def _repair_proc_table(kernel: "Kernel", cpu: "Cpu") -> None:
     kernel.procs.tasks = fixed
 
 
-def _detect_fs_corruption(kernel: "Kernel") -> bool:
-    """An inode whose size disagrees with its block list, or negative
-    link counts."""
-    from repro.guestos.fs import BLOCK_SIZE
-    for inode in kernel.fs.inodes.values():
-        if inode.nlink < 0:
-            return True
-        if inode.size > len(inode.blocks) * BLOCK_SIZE:
-            return True
-    return False
-
-
 def _repair_fs(kernel: "Kernel", cpu: "Cpu") -> None:
     from repro.guestos.fs import BLOCK_SIZE
     for inode in kernel.fs.inodes.values():
-        if inode.nlink < 0:
+        if inode.nlink < 1:
             inode.nlink = 1
         if inode.size > len(inode.blocks) * BLOCK_SIZE:
             inode.size = len(inode.blocks) * BLOCK_SIZE
 
 
-def _detect_frame_ref_skew(kernel: "Kernel") -> bool:
-    """A COW share count for a frame nobody maps."""
-    mapped = set()
-    for aspace in kernel.aspaces:
-        mapped.update(aspace.mapped_frames())
-    return any(f not in mapped for f in kernel.vmem._frame_refs)
-
-
 def _repair_frame_refs(kernel: "Kernel", cpu: "Cpu") -> None:
-    mapped = set()
+    """Re-derive every COW share count from the live mappings; a frame
+    nobody maps goes back to the allocator."""
+    actual: dict[int, int] = {}
     for aspace in kernel.aspaces:
-        mapped.update(aspace.mapped_frames())
-    for frame in [f for f in kernel.vmem._frame_refs if f not in mapped]:
+        for frame in aspace.mapped_frames():
+            actual[frame] = actual.get(frame, 0) + 1
+    for frame in [f for f in kernel.vmem._frame_refs if f not in actual]:
         del kernel.vmem._frame_refs[frame]
         if kernel.machine.memory.owner_of(frame) == kernel.owner_id:
             kernel.machine.memory.free(frame)
+    kernel.vmem._frame_refs.update(actual)
 
 
 def default_sensors() -> list[Sensor]:
     """The standard sensor suite."""
     return [
-        Sensor("runqueue", _detect_runqueue_damage, _repair_runqueue),
+        Sensor("runqueue", check_scheduler, _repair_runqueue),
         Sensor("proc-table", _detect_proc_table_skew, _repair_proc_table),
-        Sensor("fs-metadata", _detect_fs_corruption, _repair_fs),
-        Sensor("frame-refs", _detect_frame_ref_skew, _repair_frame_refs),
+        Sensor("fs-metadata", check_filesystem, _repair_fs),
+        Sensor("frame-refs", check_frame_refcounts, _repair_frame_refs),
     ]

@@ -165,10 +165,6 @@ class Tracer:
         """Events evicted by ring overflow, across all CPUs."""
         return sum(r.dropped for r in self._rings.values())
 
-    def dropped_on(self, cpu_id: int) -> int:
-        ring = self._rings.get(cpu_id)
-        return ring.dropped if ring is not None else 0
-
     def events(self, cpu_id: Optional[int] = None) -> list[TraceEvent]:
         """Buffered events in emission order (one CPU, or all merged)."""
         if cpu_id is not None:

@@ -66,11 +66,6 @@ class IoStats:
         return (self.ring_batched_entries / self.ring_batches
                 if self.ring_batches else 0.0)
 
-    @property
-    def suppression_ratio(self) -> float:
-        total = self.notifies_sent + self.notifies_suppressed
-        return self.notifies_suppressed / total if total else 0.0
-
 
 class IoRing(Generic[T]):
     """One front/back ring pair of ``size`` slots (power of two)."""

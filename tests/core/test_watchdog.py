@@ -14,6 +14,7 @@ import dataclasses
 import pytest
 
 from repro import Machine, Mercury, faults, small_config
+from repro.core.invariants import backend_rings
 from repro.core.mercury import Mode
 from repro.core.recovery import RecoveryManager
 from repro.errors import VmmCorruption
@@ -31,15 +32,10 @@ def _stack(ncpus: int = 1, guest: bool = True):
     return mercury
 
 
-# site -> invariant the verdict must name
-EXPECTED_INVARIANT = {
-    faults.VMM_PAGEINFO_CORRUPT: "page-info",
-    faults.VMM_CHANNEL_WEDGED: "channel-masks",
-    faults.VMM_BACKEND_DEAD: "backend-liveness",
-    faults.VMM_GRANT_POISONED: "grant-refs",
-    faults.VMM_REFCOUNT_BALLOON: "vo-refcount",
-    faults.VMM_TRAP_VECTOR_DROPPED: "trap-table",
-}
+# every VMM site a plain (non-ballooned) guest can host; the balloon site
+# and all variants are covered by the kill matrix (test_kill_matrix.py)
+SITES = sorted(s.name for s in faults.VMM_SITES
+               if s.name != faults.VMM_BALLOON_WEDGED)
 
 
 def test_healthy_attached_stack_scans_clean():
@@ -62,7 +58,7 @@ def test_scan_skipped_while_native():
     assert watchdog.scans == 0  # skipped, not a clean pass
 
 
-@pytest.mark.parametrize("site", sorted(EXPECTED_INVARIANT))
+@pytest.mark.parametrize("site", SITES)
 def test_each_vmm_site_detected_and_named(site):
     mercury = _stack()
     watchdog = Watchdog(mercury, suspect_scans=1)
@@ -70,7 +66,7 @@ def test_each_vmm_site_detected_and_named(site):
     faults.inject_vmm_fault(site, mercury)
     verdict = watchdog.scan()
     assert isinstance(verdict, VmmCorruption)
-    assert verdict.invariant == EXPECTED_INVARIANT[site]
+    assert verdict.invariant == faults.site(site).targets
     assert watchdog.pending_verdict is verdict
     assert verdict.detected_cycles == mercury.machine.clock.cycles
 
@@ -96,7 +92,7 @@ def test_liveness_checks_use_double_observation(site):
     assert watchdog.scan() is None, "first observation is only a suspicion"
     verdict = watchdog.scan()
     assert verdict is not None
-    assert verdict.invariant == EXPECTED_INVARIANT[site]
+    assert verdict.invariant == faults.site(site).targets
 
 
 def test_suspect_counter_resets_when_condition_clears():
@@ -114,7 +110,7 @@ def test_suspect_counter_resets_when_condition_clears():
 def test_first_verdict_is_kept_and_take_verdict_clears():
     mercury = _stack()
     watchdog = Watchdog(mercury, suspect_scans=1)
-    faults.inject_vmm_fault(faults.VMM_REFCOUNT_BALLOON, mercury)
+    faults.inject_vmm_fault(faults.VMM_REFCOUNT_RUNAWAY, mercury)
     first = watchdog.scan()
     second = watchdog.scan()
     assert second is not None
@@ -182,7 +178,7 @@ def test_rings_check_covers_all_backend_rings():
     mercury = _stack()
     watchdog = Watchdog(mercury, suspect_scans=1)
     # one guest: BlkBack.ring + NetBack.tx_ring/rx_ring
-    assert len(list(watchdog._rings())) == 3
+    assert len(list(backend_rings(mercury))) == 3
     ring = mercury._backends[0].ring
     ring.c.rsp_prod = ring.c.req_cons + 1  # response without a request
     verdict = watchdog.scan()

@@ -40,7 +40,7 @@ def test_rehost_preserves_ballooned_size(squeezed, site):
     rmap_before = dict(front_before._rmap)
 
     watchdog = Watchdog(mercury, suspect_scans=1)
-    manager = RecoveryManager(mercury, watchdog)
+    manager = RecoveryManager(mercury)
     faults.inject_vmm_fault(site, mercury)
     verdict = watchdog.scan(cpu)
     assert verdict is not None
@@ -82,7 +82,7 @@ def test_rehosted_balloon_survives_second_recovery(squeezed):
     machine, mercury, cpu, guest = squeezed
     owner = guest.owner_id
     watchdog = Watchdog(mercury, suspect_scans=1)
-    manager = RecoveryManager(mercury, watchdog)
+    manager = RecoveryManager(mercury)
     for round_no in range(2):
         faults.inject_vmm_fault(faults.VMM_BALLOON_WEDGED, mercury,
                                 variant=round_no)

@@ -86,7 +86,7 @@ def test_healing_from_virtual_mode_stays_attached(mercury):
 def test_custom_sensor(mercury):
     flag = {"bad": True}
     sensor = Sensor("custom",
-                    detect=lambda k: flag["bad"],
+                    detect=lambda m: flag["bad"],
                     repair=lambda k, c: flag.update(bad=False))
     records = SelfHealer(mercury, [sensor]).scan()
     assert records[0].healed

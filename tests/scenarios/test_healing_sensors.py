@@ -17,11 +17,10 @@ from repro.core.mercury import Mode
 from repro.core.recovery import RecoveryManager
 from repro.errors import HealingError
 from repro.guestos.process import TaskState
+from repro.core.invariants import (check_filesystem, check_frame_refcounts,
+                                   check_scheduler)
 from repro.scenarios.healing import (SelfHealer, default_sensors,
-                                     _detect_frame_ref_skew,
-                                     _detect_fs_corruption,
                                      _detect_proc_table_skew,
-                                     _detect_runqueue_damage,
                                      _repair_frame_refs, _repair_fs,
                                      _repair_proc_table, _repair_runqueue)
 from repro.watchdog import Watchdog
@@ -32,41 +31,42 @@ def _sensor(name):
 
 
 # ---------------------------------------------------------------------------
-# the four built-in detect/repair pairs, driven directly
+# the four built-in detect/repair pairs, driven directly (three detect
+# through the invariant registry's checks)
 # ---------------------------------------------------------------------------
 
 def test_runqueue_pair(mercury):
     k = mercury.kernel
     cpu = mercury.machine.boot_cpu
-    assert not _detect_runqueue_damage(k)
+    assert not check_scheduler(mercury)
 
     t = k.scheduler.current
     k.scheduler.runqueue.extend([t, t])  # duplicate pid
-    assert _detect_runqueue_damage(k)
+    assert check_scheduler(mercury)
     _repair_runqueue(k, cpu)
-    assert not _detect_runqueue_damage(k)
+    assert not check_scheduler(mercury)
     assert [x.pid for x in k.scheduler.runqueue].count(t.pid) <= 1
 
     pid = k.syscall(cpu, "fork")
     zombie = k.procs.get(pid)
     zombie.state = TaskState.ZOMBIE
-    assert _detect_runqueue_damage(k)
+    assert check_scheduler(mercury)
     _repair_runqueue(k, cpu)
     assert zombie not in k.scheduler.runqueue
-    assert not _detect_runqueue_damage(k)
+    assert not check_scheduler(mercury)
 
 
 def test_proc_table_pair(mercury):
     k = mercury.kernel
     cpu = mercury.machine.boot_cpu
-    assert not _detect_proc_table_skew(k)
+    assert not _detect_proc_table_skew(mercury)
 
     pid = k.syscall(cpu, "fork")
     child = k.procs.get(pid)
     child.pid = pid + 500  # key/task disagreement
-    assert _detect_proc_table_skew(k)
+    assert _detect_proc_table_skew(mercury)
     _repair_proc_table(k, cpu)
-    assert not _detect_proc_table_skew(k)
+    assert not _detect_proc_table_skew(mercury)
     assert k.procs.tasks[pid].pid == pid
 
 
@@ -74,33 +74,45 @@ def test_fs_metadata_pair(mercury):
     from repro.guestos.fs import BLOCK_SIZE
     k = mercury.kernel
     cpu = mercury.machine.boot_cpu
-    assert not _detect_fs_corruption(k)
+    assert not check_filesystem(mercury)
 
     fd = k.syscall(cpu, "open", "/f", True)
     k.syscall(cpu, "write", fd, "x", 100)
     inode = k.fs.inodes["/f"]
     inode.size = 10_000_000
     inode.nlink = -2
-    assert _detect_fs_corruption(k)
+    assert check_filesystem(mercury)
     _repair_fs(k, cpu)
-    assert not _detect_fs_corruption(k)
+    assert not check_filesystem(mercury)
     assert inode.size <= len(inode.blocks) * BLOCK_SIZE
-    assert inode.nlink >= 0
+    assert inode.nlink == 1
+
+    inode.nlink = 0  # the law is nlink >= 1: zero links must repair too
+    assert check_filesystem(mercury)
+    _repair_fs(k, cpu)
+    assert not check_filesystem(mercury)
+    assert inode.nlink == 1
 
 
 def test_frame_refs_pair(mercury):
     k = mercury.kernel
     cpu = mercury.machine.boot_cpu
-    assert not _detect_frame_ref_skew(k)
+    assert not check_frame_refcounts(mercury)
 
     leaked = k.machine.memory.alloc(k.owner_id)
     k.vmem._frame_refs[leaked] = 3
-    assert _detect_frame_ref_skew(k)
+    assert check_frame_refcounts(mercury)
     _repair_frame_refs(k, cpu)
-    assert not _detect_frame_ref_skew(k)
+    assert not check_frame_refcounts(mercury)
     assert leaked not in k.vmem._frame_refs
     # the repairer also returned the orphaned frame to the allocator
     assert k.machine.memory.owner_of(leaked) != k.owner_id
+
+    mapped = next(iter(k.vmem._frame_refs))
+    k.vmem._frame_refs[mapped] += 2  # skewed count on a mapped frame
+    assert check_frame_refcounts(mercury)
+    _repair_frame_refs(k, cpu)
+    assert not check_frame_refcounts(mercury)
 
 
 def test_each_sensor_ignores_the_other_anomalies(mercury):
@@ -109,9 +121,9 @@ def test_each_sensor_ignores_the_other_anomalies(mercury):
     k = mercury.kernel
     t = k.scheduler.current
     k.scheduler.runqueue.extend([t, t])
-    assert not _detect_proc_table_skew(k)
-    assert not _detect_fs_corruption(k)
-    assert not _detect_frame_ref_skew(k)
+    assert not _detect_proc_table_skew(mercury)
+    assert not check_filesystem(mercury)
+    assert not check_frame_refcounts(mercury)
     _repair_runqueue(k, mercury.machine.boot_cpu)
 
 
@@ -142,7 +154,7 @@ def test_healer_consumes_pending_watchdog_verdict(mercury):
     faults.inject_vmm_fault(faults.VMM_TRAP_VECTOR_DROPPED, mercury)
     assert watchdog.scan() is not None  # verdict now pending
 
-    healer = SelfHealer(mercury)  # picks watchdog/recovery off mercury
+    healer = SelfHealer(mercury)  # recovers through mercury.recovery
     records = healer.scan()
     assert [r.sensor_name for r in records] == ["vmm:trap-table"]
     assert records[0].healed
@@ -155,7 +167,7 @@ def test_healer_consumes_pending_watchdog_verdict(mercury):
 
 def test_healer_runs_its_own_scan_when_none_pending(mercury):
     watchdog, recovery = _vmm_stack(mercury)
-    faults.inject_vmm_fault(faults.VMM_REFCOUNT_BALLOON, mercury)
+    faults.inject_vmm_fault(faults.VMM_REFCOUNT_RUNAWAY, mercury)
     assert watchdog.pending_verdict is None
 
     records = SelfHealer(mercury).scan()

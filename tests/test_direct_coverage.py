@@ -113,5 +113,5 @@ def test_open_check_direct(kernel, cpu):
 
 def test_individual_invariant_checks_run_clean(mercury):
     from repro.core import invariants
-    for check in invariants.ALL_CHECKS:
-        assert check(mercury) == [], check.__name__
+    for inv in invariants.REGISTRY:
+        assert list(inv.check(mercury)) == [], inv.name

@@ -125,10 +125,8 @@ def test_hypervisor_driven_victims_fault_back(hosted, cpu):
 
 
 def test_refcount_site_rename_compat():
-    assert faults.VMM_REFCOUNT_BALLOON == faults.VMM_REFCOUNT_RUNAWAY
     assert faults.VMM_REFCOUNT_RUNAWAY == "vmm.refcount-runaway"
-    assert faults.site(faults.VMM_REFCOUNT_BALLOON).during_switch is False
-    assert faults.REFCOUNT_BALLOON_AMOUNT == faults.REFCOUNT_RUNAWAY_AMOUNT
+    assert faults.site(faults.VMM_REFCOUNT_RUNAWAY).during_switch is False
 
 
 def test_balloon_wedge_requires_backend(mercury, cpu):
@@ -143,7 +141,7 @@ def test_wedged_doorbell_detected_and_recovered(hosted, cpu):
     one scan, and cleared by the microreboot (fresh rings)."""
     mercury, guest, front, back, dom = hosted
     watchdog = Watchdog(mercury, suspect_scans=1)
-    manager = RecoveryManager(mercury, watchdog)
+    manager = RecoveryManager(mercury)
     assert watchdog.scan(cpu) is None
     what = faults.inject_vmm_fault(faults.VMM_BALLOON_WEDGED, mercury)
     assert "doorbell lost" in what
