@@ -184,7 +184,7 @@ def run_ablation(strategy: str, *, mem_kb: int = 16384,
                                          reclaim_step=reclaim_step)
     rounds = 0
     while dom.mem_pages > dom.mem_floor and rounds < 32:
-        if not controller.rebalance(cpu):
+        if not controller.step(cpu):
             break
         rounds += 1
     squeezed = dom.mem_pages
@@ -206,7 +206,7 @@ def run_ablation(strategy: str, *, mem_kb: int = 16384,
     grower = ElasticMemoryController(mercury, strategy,
                                      pressure_fn=lambda owner: 1)
     for _ in range(grant_rounds):
-        grower.rebalance(cpu)
+        grower.step(cpu)
 
     squeeze_summary = controller.summary()
     return {

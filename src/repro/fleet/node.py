@@ -71,6 +71,9 @@ PHASES = ("steady", "wave", "after")
 CHAOS_SCAN_INTERVAL = 3_000_000
 CHAOS_MAX_SCANS = 12
 
+#: requests a guest-hosting node serves between elastic-controller rounds
+ELASTIC_EVERY = 8
+
 #: VMM fault sites injectable on a bare attached stack (the remaining
 #: catalogue sites need hosted-guest state — channels, grants, backends —
 #: that a drained fleet machine does not carry; the chaos *campaign*
@@ -88,17 +91,14 @@ class ServiceNode(FleetNode):
     """One fleet machine: Mercury stack + request server + control ops."""
 
     def __init__(self, index: int, seed: int, *,
-                 mem_kb: int = 4096, image_pages: int = 16,
-                 guest_domains: int = 0, guest_image_pages: int = 8,
+                 guest_domains: int = 0,
                  guest_mem_pages: int = 48, guest_mem_floor: int = 16,
-                 elastic_strategy: str = "guest-delegated",
-                 elastic_every: int = 8,
-                 trace_capacity: int = 4096, **_ignored):
-        machine = Machine(MachineConfig(num_cpus=1, mem_kb=mem_kb))
-        super().__init__(index, machine, trace_capacity=trace_capacity)
+                 elastic_strategy: str = "guest-delegated", **_ignored):
+        machine = Machine(MachineConfig(num_cpus=1, mem_kb=4096))
+        super().__init__(index, machine, trace_capacity=4096)
         self.mercury = Mercury(machine)
         self.kernel = self.mercury.create_kernel(
-            name=f"fleet{index}-linux", image_pages=image_pages)
+            name=f"fleet{index}-linux", image_pages=16)
         self.mercury.engine.max_retries = 64
         self.updater = LiveUpdater(self.mercury)
         self.monitor = HardwareMonitor()
@@ -121,7 +121,6 @@ class ServiceNode(FleetNode):
         # served from the guests, never from one below its memory floor
         self.guests: list = []
         self.elastic: Optional[ElasticMemoryController] = None
-        self.elastic_every = max(1, elastic_every)
         self.guest_served: dict[int, int] = {}
         self.floor_skips = 0
         self._rr = 0
@@ -129,7 +128,7 @@ class ServiceNode(FleetNode):
             self.mercury.attach(machine.boot_cpu)
             for g in range(guest_domains):
                 guest = self.mercury.host_guest(
-                    name=f"m{index}g{g}", image_pages=guest_image_pages,
+                    name=f"m{index}g{g}", image_pages=8,
                     mem_pages=guest_mem_pages, mem_floor=guest_mem_floor)
                 self.guests.append(guest)
                 self.guest_served[guest.owner_id] = 0
@@ -175,7 +174,7 @@ class ServiceNode(FleetNode):
                 if server is not self.kernel:
                     self.guest_served[server.owner_id] += 1
                 if (self.elastic is not None
-                        and self.served % self.elastic_every == 0):
+                        and self.served % ELASTIC_EVERY == 0):
                     self.elastic.step(cpu)
                 self.post(0, "rsp", payload=req_id)
                 yield Yield()  # control ops interleave between requests
@@ -382,10 +381,9 @@ class FrontendNode(FleetNode):
                  state_pages: int = 64,
                  maintenance_cycles: int = 3_000_000,
                  log_requests: bool = False,
-                 trace_capacity: int = 65536,
                  **_ignored):
         machine = Machine(MachineConfig(num_cpus=1, mem_kb=1024))
-        super().__init__(index, machine, trace_capacity=trace_capacity)
+        super().__init__(index, machine, trace_capacity=65536)
         if machines < 2:
             raise ValueError("a fleet needs at least two service machines")
         self.scenario = scenario

@@ -48,9 +48,7 @@ def build_fleet_node(index: int, seed: int, **kwargs):
     machine 0 is the frontend, the rest serve."""
     if index == 0:
         return FrontendNode(index, seed, **kwargs)
-    service = dict(kwargs)
-    service["trace_capacity"] = kwargs.get("service_trace_capacity", 4096)
-    return ServiceNode(index, seed, **service)
+    return ServiceNode(index, seed, **kwargs)
 
 
 @dataclass

@@ -5,12 +5,22 @@ traps emulated, interrupts delivered, TLB hit rates, buffer-cache hit
 rates, ring traffic, mode switches — into one snapshot, diffable across a
 workload run.  The examples and benches use it to explain *why* a
 configuration is slower, not just that it is.
+
+:data:`COUNTERS` is the one catalogue.  Each :class:`Counter` row names
+the layer that owns the counter, its report label, the collector
+attribute it is read from, the reader, and how readings of disjoint
+machines combine.  The snapshot type, :meth:`MetricsCollector.snapshot`,
+the diff, :meth:`MetricsSnapshot.merge` and :func:`format_report` all
+iterate over it, so adding a counter is adding one row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, field, make_dataclass
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+
+from repro import faults, trace
 
 if TYPE_CHECKING:
     from repro.core.mercury import Mercury
@@ -18,108 +28,186 @@ if TYPE_CHECKING:
     from repro.hw.machine import Machine
     from repro.vmm.hypervisor import Hypervisor
 
+#: merge rules: per-machine counts add; ``max`` keeps the furthest reading
+#: (every machine of a sharded fleet has its own clock); ``hist`` is a
+#: ``{bucket: count}`` dict that diffs and adds key-wise
+ADD = "add"
+MAX = "max"
+HIST = "hist"
 
-@dataclass
-class MetricsSnapshot:
-    """One point-in-time reading of every counter."""
 
-    cycles: int = 0
-    # hardware
-    tlb_hits: int = 0
-    tlb_misses: int = 0
-    tlb_flushes: int = 0
-    interrupts_delivered: int = 0
-    ipis_sent: int = 0
-    disk_requests: int = 0
-    nic_tx_packets: int = 0
-    nic_rx_packets: int = 0
-    # kernel
-    syscalls: int = 0
-    forks: int = 0
-    execs: int = 0
-    minor_faults: int = 0
-    cow_breaks: int = 0
-    prot_faults: int = 0
-    context_switches: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    journal_commits: int = 0
-    # vmm
-    hypercalls: int = 0
-    traps_emulated: int = 0
-    page_validations: int = 0
-    world_switches: int = 0
-    mmu_batches: int = 0
-    mmu_batched_updates: int = 0
+@dataclass(frozen=True)
+class Counter:
+    """One counter.  ``read`` — a callable or a dotted attribute path —
+    takes the collector attribute named by ``source`` and is skipped while
+    that attribute is None (the reading keeps its zero default); a
+    ``source=None`` row is filled in by its owner after collection.  An
+    empty ``label`` keeps the row out of :func:`format_report`."""
+
+    name: str
+    #: the ``repro.<package>`` that owns the counter
+    layer: str
+    label: str
+    source: Optional[str]
+    read: Union[Callable[[Any], Any], str, None]
+    merge: str = ADD
+
+    def __post_init__(self):
+        if isinstance(self.read, str):
+            object.__setattr__(self, "read", attrgetter(self.read))
+
+
+#: every counter, grouped by owning layer in report order
+COUNTERS: tuple[Counter, ...] = (
+    Counter("cycles", "hw", "", "machine", "clock.cycles", MAX),
+    Counter("tlb_hits", "hw", "TLB hits", "machine",
+            lambda m: sum(cpu.tlb.hits for cpu in m.cpus)),
+    Counter("tlb_misses", "hw", "TLB misses", "machine",
+            lambda m: sum(cpu.tlb.misses for cpu in m.cpus)),
+    Counter("tlb_flushes", "hw", "TLB flushes", "machine",
+            lambda m: sum(cpu.tlb.flushes for cpu in m.cpus)),
+    Counter("interrupts_delivered", "hw", "interrupts", "machine",
+            "intc.delivered"),
+    Counter("ipis_sent", "hw", "IPIs sent", "machine", "intc.sent_ipis"),
+    Counter("disk_requests", "hw", "disk requests", "machine",
+            "disk.requests_served"),
+    Counter("nic_tx_packets", "hw", "packets tx", "machine", "nic.tx_packets"),
+    Counter("nic_rx_packets", "hw", "packets rx", "machine", "nic.rx_packets"),
+
+    Counter("syscalls", "guestos", "syscalls", "kernel", "syscalls_served"),
+    Counter("forks", "guestos", "forks", "kernel", "procs.forks"),
+    Counter("execs", "guestos", "execs", "kernel", "procs.execs"),
+    Counter("context_switches", "guestos", "context switches", "kernel",
+            "scheduler.switches"),
+    Counter("minor_faults", "guestos", "minor faults", "kernel",
+            "vmem.minor_faults"),
+    Counter("cow_breaks", "guestos", "COW breaks", "kernel",
+            "vmem.cow_breaks"),
+    Counter("prot_faults", "guestos", "protection faults", "kernel",
+            "vmem.prot_faults"),
+    Counter("cache_hits", "guestos", "cache hits", "kernel", "fs.cache.hits"),
+    Counter("cache_misses", "guestos", "cache misses", "kernel",
+            "fs.cache.misses"),
+    Counter("journal_commits", "guestos", "journal commits", "kernel",
+            "fs.journal_commits"),
+
+    Counter("hypercalls", "vmm", "hypercalls", "vmm", "hypercalls_served"),
+    Counter("traps_emulated", "vmm", "traps emulated", "vmm",
+            "traps_emulated"),
+    Counter("page_validations", "vmm", "page validations", "vmm",
+            "page_info.validations"),
+    Counter("world_switches", "vmm", "world switches", "vmm",
+            "scheduler.world_switches"),
+    Counter("mmu_batches", "vmm", "mmu batches", "vmm", "mmu_batches"),
+    Counter("mmu_batched_updates", "vmm", "batched updates", "vmm",
+            "mmu_batched_updates"),
     # split-driver datapath (§5.2 notification avoidance)
-    io_notifies_sent: int = 0
-    io_notifies_suppressed: int = 0
-    io_ring_batches: int = 0
-    io_ring_batched_entries: int = 0
-    io_rx_dropped: int = 0
-    events_coalesced: int = 0
-    # mercury
-    mode_switches: int = 0
-    vo_entries: int = 0
+    Counter("io_notifies_sent", "vmm", "notifies sent", "vmm",
+            "io_stats.notifies_sent"),
+    Counter("io_notifies_suppressed", "vmm", "notifies suppressed", "vmm",
+            "io_stats.notifies_suppressed"),
+    Counter("io_ring_batches", "vmm", "ring batches", "vmm",
+            "io_stats.ring_batches"),
+    Counter("io_ring_batched_entries", "vmm", "ring entries", "vmm",
+            "io_stats.ring_batched_entries"),
+    Counter("io_rx_dropped", "vmm", "rx dropped", "vmm",
+            "io_stats.rx_dropped"),
+    Counter("events_coalesced", "vmm", "events coalesced", "vmm",
+            lambda vmm: vmm.events.total_coalesced()),
+    # memory elasticity: frames the balloon backends moved
+    Counter("balloon_inflated", "vmm", "balloon inflated", "mercury",
+            lambda m: sum(back.inflated for _, back in m.balloons.values())),
+    Counter("balloon_deflated", "vmm", "balloon deflated", "mercury",
+            lambda m: sum(back.deflated for _, back in m.balloons.values())),
+
+    Counter("mode_switches", "core", "mode switches", "mercury",
+            lambda mercury: len(mercury.switch_records)),
+    Counter("vo_entries", "core", "VO entries", "kernel", "vo.entries"),
     # dependability (§8 failure-resistant switching)
-    switch_aborts: int = 0
-    switch_rollbacks: int = 0
-    rollback_steps: int = 0
-    switch_retries: int = 0
-    pending_retries: int = 0
-    failed_attempts: int = 0
-    faults_injected: int = 0
-    # chaos-to-recovery (VMI watchdog + ReHype-style microreboot)
-    watchdog_scans: int = 0
-    watchdog_detections: int = 0
-    recoveries: int = 0
-    recovery_failures: int = 0
-    emergency_detaches: int = 0
-    # tracing (observation-only: both stay 0 unless a tracer is installed)
-    trace_events: int = 0
-    trace_dropped: int = 0
-    #: committed-switch retry distribution: retries-consumed -> #switches
-    retry_histogram: dict = field(default_factory=dict)
-    #: fleet request-latency distribution: log-bucketed cycles -> #requests
-    #: (see :mod:`repro.fleet.latency`; empty outside fleet scenarios)
-    latency_histogram: dict = field(default_factory=dict)
+    Counter("switch_retries", "core", "switch retries", "mercury",
+            "engine.total_retries"),
+    Counter("pending_retries", "core", "pending retries", "mercury",
+            "engine.pending_retries"),
+    Counter("failed_attempts", "core", "busy collisions", "mercury",
+            "engine.failed_attempts"),
+    Counter("switch_rollbacks", "core", "switch rollbacks", "mercury",
+            "engine.switch_rollbacks"),
+    Counter("rollback_steps", "core", "rollback steps", "mercury",
+            "engine.rollback_steps"),
+    Counter("switch_aborts", "core", "switch aborts", "mercury",
+            "engine.switch_aborts"),
+    # committed-switch retry distribution: retries consumed -> #switches
+    Counter("retry_histogram", "core", "retry histogram", "mercury",
+            lambda mercury: dict(mercury.engine.retry_histogram), HIST),
+    Counter("faults_injected", "core", "faults injected", "faults",
+            lambda module: module.injected_total()),
+    # ReHype-style microreboot
+    Counter("recoveries", "core", "recoveries", "recovery", "recoveries"),
+    Counter("recovery_failures", "core", "recovery failures", "recovery",
+            "recovery_failures"),
+    Counter("emergency_detaches", "core", "emergency detaches", "recovery",
+            "emergency_detaches"),
+
+    Counter("watchdog_scans", "watchdog", "watchdog scans", "watchdog",
+            "scans"),
+    Counter("watchdog_detections", "watchdog", "corruptions found",
+            "watchdog", "detections"),
+    # invariant name -> #verdicts
+    Counter("watchdog_verdicts", "watchdog", "verdicts", "watchdog",
+            lambda watchdog: dict(watchdog.verdicts), HIST),
+
+    # observation-only: both stay 0 unless a tracer is installed
+    Counter("trace_events", "trace", "trace events", "tracer", "recorded"),
+    Counter("trace_dropped", "trace", "trace dropped", "tracer", "dropped"),
+
+    # request latency: log-bucketed cycles -> #requests (see
+    # :mod:`repro.fleet.latency`); the fleet frontend fills it in
+    Counter("latency_histogram", "fleet", "", None, None, HIST),
+)
+
+#: derived rates the report appends: (label, property, format type)
+_RATES = (("avg batch size", "avg_batch_size", "f"),
+          ("avg io batch", "avg_io_batch_size", "f"),
+          ("notify suppression", "notify_suppression_ratio", "%"),
+          ("TLB hit rate", "tlb_hit_rate", "%"),
+          ("cache hit rate", "cache_hit_rate", "%"))
+
+
+class _Readings:
+    """What every snapshot can do: diff, merge, and the derived rates.
+    The fields themselves come from :data:`COUNTERS`."""
 
     def __sub__(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        out = MetricsSnapshot()
-        for name in _FIELD_NAMES:
-            setattr(out, name, getattr(self, name) - getattr(other, name))
-        for name in _DICT_FIELDS:
-            mine, theirs = getattr(self, name), getattr(other, name)
-            setattr(out, name, {
-                k: v - theirs.get(k, 0)
-                for k, v in mine.items() if v - theirs.get(k, 0)})
-        return out
+        out = {}
+        for c in COUNTERS:
+            mine, theirs = getattr(self, c.name), getattr(other, c.name)
+            if c.merge == HIST:
+                out[c.name] = {k: v - theirs.get(k, 0) for k, v in mine.items()
+                               if v - theirs.get(k, 0)}
+            else:
+                out[c.name] = mine - theirs
+        return type(self)(**out)
 
     @classmethod
     def merge(cls, snapshots) -> "MetricsSnapshot":
         """Combine snapshots of *disjoint* machine sets into one fleet-wide
-        reading: every counter adds, the histogram fields merge key-wise,
-        and ``cycles`` — each machine has its own clock in a sharded fleet
-        — reports the furthest clock (max).  Associative and commutative,
-        so merging per-shard merges equals merging all per-machine
-        snapshots directly, however the fleet was partitioned."""
+        reading, each counter by its row's merge rule.  Associative and
+        commutative, so merging per-shard merges equals merging all
+        per-machine snapshots directly, however the fleet was
+        partitioned."""
         out = cls()
         for snap in snapshots:
-            for name in _FIELD_NAMES:
-                if name == "cycles":
-                    continue
-                setattr(out, name, getattr(out, name) + getattr(snap, name))
-            if snap.cycles > out.cycles:
-                out.cycles = snap.cycles
-            for name in _DICT_FIELDS:
-                acc = getattr(out, name)
-                for key, value in getattr(snap, name).items():
-                    acc[key] = acc.get(key, 0) + value
+            for c in COUNTERS:
+                value = getattr(snap, c.name)
+                if c.merge == HIST:
+                    acc = getattr(out, c.name)
+                    for key, count in value.items():
+                        acc[key] = acc.get(key, 0) + count
+                else:
+                    mine = getattr(out, c.name)
+                    setattr(out, c.name, max(mine, value)
+                            if c.merge == MAX else mine + value)
         return out
-
-    def merged_with(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Two-snapshot convenience form of :meth:`merge`."""
-        return MetricsSnapshot.merge((self, other))
 
     @property
     def tlb_hit_rate(self) -> float:
@@ -151,18 +239,23 @@ class MetricsSnapshot:
         return self.cycles / 3000.0
 
 
-#: histogram-valued fields: merged/diffed key-wise, not as scalars
-_DICT_FIELDS = ("retry_histogram", "latency_histogram")
+MetricsSnapshot = make_dataclass(
+    "MetricsSnapshot",
+    [(c.name, dict, field(default_factory=dict)) if c.merge == HIST
+     else (c.name, int, 0) for c in COUNTERS],
+    bases=(_Readings,),
+    namespace={"__module__": __name__,
+               "__doc__": "One point-in-time reading of every counter."})
 
-#: diffing a snapshot per-benchmark-iteration is hot; resolve the dataclass
-#: introspection once instead of per __sub__ call (the histogram dicts are
-#: diffed key-wise, not subtracted)
-_FIELD_NAMES = tuple(f.name for f in fields(MetricsSnapshot)
-                     if f.name not in _DICT_FIELDS)
+#: collector attributes the readers take, each resolved once per snapshot
+_SOURCES = tuple(dict.fromkeys(c.source for c in COUNTERS if c.source))
 
 
 class MetricsCollector:
     """Reads the counters of one machine/kernel/VMM/Mercury stack."""
+
+    #: home of the process-wide injected-fault count
+    faults = faults
 
     def __init__(self, machine: "Machine",
                  kernel: Optional["Kernel"] = None,
@@ -170,81 +263,34 @@ class MetricsCollector:
                  mercury: Optional["Mercury"] = None):
         self.machine = machine
         self.kernel = kernel
-        self.vmm = vmm if vmm is not None else (
-            mercury.vmm if mercury is not None else None)
         self.mercury = mercury
+        self._vmm = vmm
+
+    @property
+    def vmm(self) -> Optional["Hypervisor"]:
+        """The ``vmm`` passed in, else the stack's *current* VMM: a
+        microreboot replaces ``mercury.vmm``."""
+        if self._vmm is not None or self.mercury is None:
+            return self._vmm
+        return self.mercury.vmm
+
+    @property
+    def watchdog(self):
+        return self.mercury.watchdog if self.mercury is not None else None
+
+    @property
+    def recovery(self):
+        return self.mercury.recovery if self.mercury is not None else None
+
+    @property
+    def tracer(self) -> Optional["trace.Tracer"]:
+        return trace.active()
 
     def snapshot(self) -> MetricsSnapshot:
-        m = self.machine
-        snap = MetricsSnapshot(cycles=m.clock.cycles)
-        snap.tlb_hits = sum(c.tlb.hits for c in m.cpus)
-        snap.tlb_misses = sum(c.tlb.misses for c in m.cpus)
-        snap.tlb_flushes = sum(c.tlb.flushes for c in m.cpus)
-        snap.interrupts_delivered = m.intc.delivered
-        snap.ipis_sent = m.intc.sent_ipis
-        snap.disk_requests = m.disk.requests_served
-        snap.nic_tx_packets = m.nic.tx_packets
-        snap.nic_rx_packets = m.nic.rx_packets
-
-        k = self.kernel
-        if k is not None:
-            snap.syscalls = k.syscalls_served
-            snap.forks = k.procs.forks
-            snap.execs = k.procs.execs
-            snap.minor_faults = k.vmem.minor_faults
-            snap.cow_breaks = k.vmem.cow_breaks
-            snap.prot_faults = k.vmem.prot_faults
-            snap.context_switches = k.scheduler.switches
-            snap.cache_hits = k.fs.cache.hits
-            snap.cache_misses = k.fs.cache.misses
-            snap.journal_commits = k.fs.journal_commits
-            snap.vo_entries = k.vo.entries
-
-        if self.vmm is not None:
-            snap.hypercalls = self.vmm.hypercalls_served
-            snap.traps_emulated = self.vmm.traps_emulated
-            snap.mmu_batches = self.vmm.mmu_batches
-            snap.mmu_batched_updates = self.vmm.mmu_batched_updates
-            io = getattr(self.vmm, "io_stats", None)
-            if io is not None:
-                snap.io_notifies_sent = io.notifies_sent
-                snap.io_notifies_suppressed = io.notifies_suppressed
-                snap.io_ring_batches = io.ring_batches
-                snap.io_ring_batched_entries = io.ring_batched_entries
-                snap.io_rx_dropped = io.rx_dropped
-            if self.vmm.events is not None:
-                snap.events_coalesced = self.vmm.events.total_coalesced()
-            if self.vmm.page_info is not None:
-                snap.page_validations = self.vmm.page_info.validations
-            if self.vmm.scheduler is not None:
-                snap.world_switches = self.vmm.scheduler.world_switches
-
-        if self.mercury is not None:
-            snap.mode_switches = len(self.mercury.switch_records)
-            engine = self.mercury.engine
-            snap.switch_aborts = engine.switch_aborts
-            snap.switch_rollbacks = engine.switch_rollbacks
-            snap.rollback_steps = engine.rollback_steps
-            snap.switch_retries = engine.total_retries
-            snap.pending_retries = engine.pending_retries
-            snap.failed_attempts = engine.failed_attempts
-            snap.retry_histogram = dict(engine.retry_histogram)
-            watchdog = getattr(self.mercury, "watchdog", None)
-            if watchdog is not None:
-                snap.watchdog_scans = watchdog.scans
-                snap.watchdog_detections = watchdog.detections
-            recovery = getattr(self.mercury, "recovery", None)
-            if recovery is not None:
-                snap.recoveries = recovery.recoveries
-                snap.recovery_failures = recovery.recovery_failures
-                snap.emergency_detaches = recovery.emergency_detaches
-        from repro import faults, trace
-        snap.faults_injected = faults.injected_total()
-        tracer = trace.active()
-        if tracer is not None:
-            snap.trace_events = tracer.recorded
-            snap.trace_dropped = tracer.dropped
-        return snap
+        sources = {name: getattr(self, name) for name in _SOURCES}
+        return MetricsSnapshot(**{
+            c.name: c.read(sources[c.source]) for c in COUNTERS
+            if sources.get(c.source) is not None})
 
     def measure(self, fn, *args, **kwargs):
         """Run ``fn`` and return (result, delta snapshot)."""
@@ -256,7 +302,6 @@ class MetricsCollector:
                       ) -> dict[str, "trace.PhaseStat"]:
         """Per-phase switch-latency breakdown (§7.4 decomposition) from the
         given tracer, or the installed one.  Empty when nothing is traced."""
-        from repro import trace
         tracer = tracer if tracer is not None else trace.active()
         if tracer is None:
             return {}
@@ -265,70 +310,22 @@ class MetricsCollector:
 
 
 def format_report(delta: MetricsSnapshot, title: str = "Metrics") -> str:
-    """Human-readable account of one measured interval."""
-    lines = [title, ""]
-    lines.append(f"  elapsed           {delta.elapsed_us:14.1f} µs")
-    groups = [
-        ("kernel", [("syscalls", delta.syscalls), ("forks", delta.forks),
-                    ("execs", delta.execs),
-                    ("context switches", delta.context_switches),
-                    ("minor faults", delta.minor_faults),
-                    ("COW breaks", delta.cow_breaks)]),
-        ("memory", [("TLB hits", delta.tlb_hits),
-                    ("TLB misses", delta.tlb_misses),
-                    ("TLB flushes", delta.tlb_flushes)]),
-        ("I/O", [("disk requests", delta.disk_requests),
-                 ("packets tx", delta.nic_tx_packets),
-                 ("packets rx", delta.nic_rx_packets),
-                 ("cache hits", delta.cache_hits),
-                 ("cache misses", delta.cache_misses),
-                 ("journal commits", delta.journal_commits),
-                 ("ring batches", delta.io_ring_batches),
-                 ("notifies sent", delta.io_notifies_sent),
-                 ("notifies suppressed", delta.io_notifies_suppressed),
-                 ("events coalesced", delta.events_coalesced),
-                 ("rx dropped", delta.io_rx_dropped)]),
-        ("virtualization", [("hypercalls", delta.hypercalls),
-                            ("traps emulated", delta.traps_emulated),
-                            ("page validations", delta.page_validations),
-                            ("mmu batches", delta.mmu_batches),
-                            ("batched updates", delta.mmu_batched_updates),
-                            ("mode switches", delta.mode_switches),
-                            ("VO entries", delta.vo_entries)]),
-        ("dependability", [("switch retries", delta.switch_retries),
-                           ("busy collisions", delta.failed_attempts),
-                           ("switch rollbacks", delta.switch_rollbacks),
-                           ("rollback steps", delta.rollback_steps),
-                           ("switch aborts", delta.switch_aborts),
-                           ("faults injected", delta.faults_injected),
-                           ("watchdog scans", delta.watchdog_scans),
-                           ("corruptions found", delta.watchdog_detections),
-                           ("recoveries", delta.recoveries),
-                           ("recovery failures", delta.recovery_failures),
-                           ("emergency detaches", delta.emergency_detaches)]),
-        ("tracing", [("trace events", delta.trace_events),
-                     ("trace dropped", delta.trace_dropped)]),
-    ]
-    for name, rows in groups:
-        shown = [(label, v) for label, v in rows if v]
-        if not shown:
+    """Human-readable account of one measured interval: every labelled,
+    non-zero counter grouped by the layer that owns it, then the rates."""
+    lines = [title, "", f"  elapsed           {delta.elapsed_us:14.1f} µs"]
+    groups: dict[str, list[str]] = {}
+    for c in COUNTERS:
+        value = getattr(delta, c.name)
+        if not (c.label and value):
             continue
-        lines.append(f"  {name}:")
-        for label, v in shown:
-            lines.append(f"    {label:<18}{v:>12}")
-    if delta.mmu_batches:
-        lines.append(f"  avg batch size    {delta.avg_batch_size:14.1f}")
-    if delta.io_ring_batches:
-        lines.append(f"  avg io batch      {delta.avg_io_batch_size:14.1f}")
-    if delta.io_notifies_sent + delta.io_notifies_suppressed:
-        lines.append(
-            f"  notify suppression{delta.notify_suppression_ratio:14.1%}")
-    if delta.retry_histogram:
-        dist = ", ".join(f"{k}x{v}"
-                         for k, v in sorted(delta.retry_histogram.items()))
-        lines.append(f"  retry histogram   {dist:>14}")
-    if delta.tlb_hits + delta.tlb_misses:
-        lines.append(f"  TLB hit rate      {delta.tlb_hit_rate:14.1%}")
-    if delta.cache_hits + delta.cache_misses:
-        lines.append(f"  cache hit rate    {delta.cache_hit_rate:14.1%}")
+        if c.merge == HIST:
+            value = ", ".join(f"{k}x{v}" for k, v in sorted(value.items()))
+        groups.setdefault(c.layer, []).append(f"    {c.label:<18}{value:>12}")
+    for layer, rows in groups.items():
+        lines.append(f"  {layer}:")
+        lines.extend(rows)
+    for label, name, kind in _RATES:
+        value = getattr(delta, name)
+        if value:
+            lines.append(f"  {label:<18}{value:14.1{kind}}")
     return "\n".join(lines)

@@ -191,7 +191,6 @@ class FleetResult:
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     #: fleet-wide canonical trace (``m{idx}|``-prefixed lines)
     canonical: list = field(default_factory=list)
-    trace_dropped: int = 0
 
     def canonical_output(self) -> str:
         head = {
@@ -325,7 +324,6 @@ class ShardedSim:
         node_results: dict[int, dict] = {}
         snapshots: dict[int, MetricsSnapshot] = {}
         canonical: dict[int, list] = {}
-        dropped_total = 0
         for handle in handles:
             data = handle.collect()
             node_results.update(data["results"])
@@ -338,7 +336,6 @@ class ShardedSim:
                         f"machine {index} trace ill-formed: "
                         + "; ".join(errors[:3]))
                 canonical[index] = trace.canonical_lines(events)
-                dropped_total += dropped
         merged = MetricsSnapshot.merge(
             snapshots[i] for i in sorted(snapshots))
         return FleetResult(
@@ -348,8 +345,7 @@ class ShardedSim:
             messages=messages,
             node_results=node_results,
             metrics=merged,
-            canonical=trace.merge_canonical(canonical),
-            trace_dropped=dropped_total)
+            canonical=trace.merge_canonical(canonical))
 
 
 # ---------------------------------------------------------------------------

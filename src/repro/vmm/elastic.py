@@ -36,6 +36,9 @@ STRATEGIES = ("hypervisor-driven", "guest-delegated")
 #: must never starve the host's own allocations
 HOST_HEADROOM_FRAMES = 16
 
+#: pressure at or below this samples as idle (a reclaim candidate)
+IDLE_PRESSURE = 0
+
 
 class ElasticMemoryController:
     """Samples pressure and drives balloon targets for every connected
@@ -44,7 +47,6 @@ class ElasticMemoryController:
     def __init__(self, mercury: "Mercury",
                  strategy: str = "guest-delegated", *,
                  reclaim_step: int = 16, grant_step: int = 16,
-                 idle_threshold: int = 0,
                  pressure_fn: Optional[Callable[[int], int]] = None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown elastic strategy {strategy!r}")
@@ -52,8 +54,6 @@ class ElasticMemoryController:
         self.strategy = strategy
         self.reclaim_step = reclaim_step
         self.grant_step = grant_step
-        #: pressure at or below this samples as idle (reclaim candidate)
-        self.idle_threshold = idle_threshold
         #: override pressure source (the fleet feeds queue depth through
         #: this); default is the guest's minor-fault delta per round
         self._pressure_fn = pressure_fn
@@ -89,7 +89,7 @@ class ElasticMemoryController:
     # one policy round
     # ------------------------------------------------------------------
 
-    def rebalance(self, cpu: "Cpu") -> list[tuple]:
+    def step(self, cpu: "Cpu") -> list[tuple]:
         """Sample every domain, then apply reclaims before grants (the
         reclaims stock the host free pool the grants draw from).  Returns
         this round's decision log entries."""
@@ -101,7 +101,7 @@ class ElasticMemoryController:
             dom = back.guest_domain
             if dom.mem_pages == 0:
                 continue
-            if self.pressure(owner) <= self.idle_threshold:
+            if self.pressure(owner) <= IDLE_PRESSURE:
                 target = max(dom.mem_floor,
                              dom.mem_pages - self.reclaim_step)
                 if target < dom.mem_pages:
@@ -147,9 +147,6 @@ class ElasticMemoryController:
 
         self.log.extend(decisions)
         return decisions
-
-    # fleet-facing alias
-    step = rebalance
 
     def summary(self) -> dict:
         lat = sorted(self.reclaim_latencies)

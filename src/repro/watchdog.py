@@ -65,13 +65,18 @@ class Watchdog:
         #: first undelivered verdict; recovery consumes and clears it
         self.pending_verdict: Optional[VmmCorruption] = None
         self.scans = 0
-        self.detections = 0
+        #: verdicts per invariant name
+        self.verdicts: dict[str, int] = {}
         self._timer: Optional["TimerHandle"] = None
         self._interval = DEFAULT_INTERVAL_CYCLES
         #: consecutive-observation counters for the liveness entries:
         #: entry -> {violation detail -> scans it has persisted}
         self._suspects: dict = {}
         mercury.watchdog = self
+
+    @property
+    def detections(self) -> int:
+        return sum(self.verdicts.values())
 
     # -- periodic scheduling ------------------------------------------------
 
@@ -117,7 +122,8 @@ class Watchdog:
             self.machine.clock.advance(CYC_SCAN)
         verdict = self._first_verdict()
         if verdict is not None:
-            self.detections += 1
+            name = verdict.invariant
+            self.verdicts[name] = self.verdicts.get(name, 0) + 1
             verdict.detected_cycles = self.machine.clock.cycles
             if self.pending_verdict is None:
                 self.pending_verdict = verdict

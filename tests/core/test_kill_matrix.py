@@ -26,6 +26,7 @@ from repro import Machine, Mercury, faults, small_config
 from repro.core.invariants import (LIVENESS, REGISTRY, STRUCTURAL,
                                    VMM_INVARIANTS, check_all)
 from repro.hw.machine import isolated_machine_ids
+from repro.metrics import MetricsCollector
 from repro.watchdog import Watchdog
 
 UNTARGETED = {"ring-indices"}
@@ -75,5 +76,7 @@ def test_site_kills_its_target(site, variant, ncpus):
     verdict = watchdog.scan()
     assert verdict is not None, f"{site} variant {variant} went undetected"
     assert verdict.invariant == target
+    snap = MetricsCollector(mercury.machine, mercury=mercury).snapshot()
+    assert snap.watchdog_verdicts == {target: 1}
     if structural:
         assert check_all(mercury), "check_all missed structural damage"

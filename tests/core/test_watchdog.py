@@ -184,3 +184,19 @@ def test_rings_check_covers_all_backend_rings():
     verdict = watchdog.scan()
     assert verdict is not None
     assert verdict.invariant == "ring-indices"
+
+
+def test_collector_follows_the_vmm_a_microreboot_installs():
+    """A collector built before a microreboot reads the fresh VMM, not
+    the discarded one."""
+    mercury = _stack()
+    collector = MetricsCollector(mercury.machine, kernel=mercury.kernel,
+                                 mercury=mercury)
+    Watchdog(mercury, suspect_scans=1)
+    RecoveryManager(mercury)
+    faults.inject_vmm_fault(faults.VMM_PAGEINFO_CORRUPT, mercury)
+    assert mercury.recovery.recover().success
+    mercury.kernel.syscall(mercury.machine.boot_cpu, "fork")
+    served = mercury.vmm.hypercalls_served
+    assert served > 0
+    assert collector.snapshot().hypercalls == served

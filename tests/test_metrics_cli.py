@@ -75,6 +75,17 @@ def test_format_report_mentions_activity(collector, mercury):
     assert "µs" in text
 
 
+def test_format_report_groups_rows_by_layer():
+    snap = MetricsSnapshot(cycles=3000, syscalls=3, hypercalls=5,
+                           cache_hits=3, cache_misses=1,
+                           watchdog_verdicts={"page-info": 2})
+    text = format_report(snap, "run")
+    assert text.index("guestos:") < text.index("vmm:") \
+        < text.index("watchdog:")
+    assert "page-infox2" in text  # histogram rows print bucket x count
+    assert "cache hit rate" in text
+
+
 def test_cli_switch_target(capsys):
     from repro.__main__ import main
     assert main(["switch", "--mem-kb", "16384"]) == 0

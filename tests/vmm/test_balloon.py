@@ -7,6 +7,7 @@ import pytest
 from repro import faults
 from repro.core.recovery import RecoveryManager
 from repro.errors import DomainError, PageValidationError
+from repro.metrics import MetricsCollector
 from repro.vmm.backend import BalloonBack, BalloonRingEntry
 from repro.watchdog import Watchdog
 
@@ -51,6 +52,16 @@ def test_deflate_regrows_reservation(hosted, cpu):
     assert len(front.pool) == pool0 + 16
     assert back.deflated == 16
     assert len(mercury.machine.memory.frames_owned_by(guest.owner_id)) == 80
+
+
+def test_snapshot_counts_balloon_traffic(hosted, cpu):
+    mercury, guest, front, back, dom = hosted
+    collector = MetricsCollector(mercury.machine, mercury=mercury)
+    before = collector.snapshot()
+    back.set_target(cpu, dom.mem_pages - 16)
+    back.set_target(cpu, dom.mem_pages + 8)
+    delta = collector.snapshot() - before
+    assert (delta.balloon_inflated, delta.balloon_deflated) == (16, 8)
 
 
 def test_inflate_deflate_round_trip_conserves(hosted, cpu):

@@ -68,7 +68,7 @@ def test_ownership_conserved_under_any_policy_schedule(data):
     for _ in range(rounds):
         for g in guests:
             pressures[g.owner_id] = data.draw(st.integers(0, 1))
-        controller.rebalance(cpu)
+        controller.step(cpu)
 
         for g in guests:
             dom = mercury.vmm.domains[g.owner_id]
@@ -106,6 +106,6 @@ def test_policy_is_deterministic(seed, strategy):
         controller = ElasticMemoryController(
             mercury, strategy, pressure_fn=lambda owner: owner % 2)
         for _round in range(4):
-            controller.rebalance(cpu)
+            controller.step(cpu)
         logs.append((controller.log, controller.summary()))
     assert logs[0] == logs[1]
