@@ -230,7 +230,7 @@ def check_vo_refcounts(mercury: "Mercury") -> Iterator[str]:
     if (mercury.virtual_vo is not None
             and mercury.virtual_vo is not mercury.kernel.vo):
         vos.append(("virtual", mercury.virtual_vo))
-    vos.extend((guest.name, guest.vo) for guest in mercury._guests)
+    vos.extend((guest.name, guest.vo) for guest in mercury.guests)
     for label, vo in vos:
         if vo.refcount > REFCOUNT_SUSPECT_THRESHOLD:
             yield f"{label} VO refcount stuck at {vo.refcount}"
@@ -238,7 +238,7 @@ def check_vo_refcounts(mercury: "Mercury") -> Iterator[str]:
 
 def backend_rings(mercury: "Mercury") -> Iterator[tuple]:
     """``(label, ring)`` for every split-driver backend ring."""
-    for idx, back in enumerate(mercury._backends):
+    for idx, back in enumerate(mercury.backends):
         for attr in ("ring", "tx_ring", "rx_ring"):
             ring = getattr(back, attr, None)
             if ring is not None:
@@ -318,14 +318,14 @@ def check_channel_masks(mercury: "Mercury") -> Iterator[str]:
 def check_backend_liveness(mercury: "Mercury") -> Iterator[str]:
     """A backend that stays inside ``poll`` is dead or spinning;
     re-entrant kicks silently bounce off ``_in_poll`` (liveness)."""
-    for idx, back in enumerate(mercury._backends):
+    for idx, back in enumerate(mercury.backends):
         if getattr(back, "_in_poll", False):
             yield f"{type(back).__name__}[{idx}] wedged in poll"
 
 
 def _balloon_backends(mercury: "Mercury") -> Iterator[tuple]:
     from repro.vmm.backend import BalloonBack
-    for idx, back in enumerate(mercury._backends):
+    for idx, back in enumerate(mercury.backends):
         if isinstance(back, BalloonBack):
             yield idx, back
 

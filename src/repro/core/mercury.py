@@ -15,6 +15,7 @@ operations the usage scenarios (§6) are built from:
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.accounting import (AccountingStrategy, ActiveAccountant,
@@ -56,6 +57,27 @@ class PagingMode(enum.Enum):
     SHADOW = "shadow"
 
 
+@dataclass(eq=False)
+class GuestWiring:
+    """One domain's split I/O as Mercury records it: what to connect —
+    kept across a VMM microreboot, so the re-host connects the same I/O —
+    and the ``(front, back)`` pairs connected now, in wiring order."""
+
+    kernel: Kernel
+    #: address on the wire; None wires no block/net pair (dom0 ballooning)
+    addr: Optional[str]
+    #: reservation floor the elastic controller must respect
+    mem_floor: int = 0
+    #: wire a balloon pair (always the last pair)
+    balloon: bool = False
+    pairs: list = field(default_factory=list)
+
+    @property
+    def balloon_pair(self) -> Optional[tuple]:
+        """The connected ``(BalloonFront, BalloonBack)``, if any."""
+        return self.pairs[-1] if self.balloon and self.pairs else None
+
+
 class Mercury:
     """Self-virtualization support for one machine + kernel."""
 
@@ -91,18 +113,9 @@ class Mercury:
         self.domain: Optional["Domain"] = None
         self.engine = ModeSwitchEngine(self)
         self.mode = Mode.NATIVE
-        self._guests: list[Kernel] = []
-        #: split-driver backends serving hosted guests (watchdog scan set)
-        self._backends: list = []
-        #: ``owner_id -> (guest_addr, num_vcpus, has_balloon, mem_floor)`` —
-        #: enough to re-host a guest after a VMM microreboot (the old
-        #: Domain dies with the VMM; the *current* reservation is read back
-        #: from the owner column, so a ballooned guest re-hosts at its
-        #: resized footprint, not its original one)
-        self._guest_meta: dict[int, tuple[str, int, bool, int]] = {}
-        #: ``owner_id -> (BalloonFront, BalloonBack)`` for every connected
-        #: balloon (hosted guests and, for dom0 ballooning, the kernel)
-        self._balloons: dict = {}
+        #: ``owner_id -> GuestWiring`` for every hosted guest and, when dom0
+        #: balloons, the kernel itself — in wiring order
+        self._wiring: dict[int, GuestWiring] = {}
         #: installed by repro.watchdog.Watchdog / core.recovery.RecoveryManager
         self.watchdog = None
         self.recovery = None
@@ -177,9 +190,10 @@ class Mercury:
         hardware."""
         if self.mode is Mode.NATIVE:
             raise ModeSwitchError("detach while already native")
-        if self._guests:
+        guests = self.guests
+        if guests:
             raise ModeSwitchError(
-                f"cannot detach while hosting {len(self._guests)} guest(s)")
+                f"cannot detach while hosting {len(guests)} guest(s)")
         before = len(self.engine.records)
         self.engine.request(Direction.TO_NATIVE, cpu)
         if wait:
@@ -221,59 +235,95 @@ class Mercury:
     # hosting unmodified guests (M-U)
     # ------------------------------------------------------------------
 
-    def host_guest(self, name: str = "domU", owner_id: Optional[int] = None,
-                   image_pages: int = 96, num_vcpus: int = 1,
-                   guest_addr: Optional[str] = None,
+    def host_guest(self, name: str = "domU", image_pages: int = 96,
                    mem_pages: Optional[int] = None, mem_floor: int = 0,
-                   balloon: bool = False,
-                   balloon_pool: Optional[list] = None) -> Kernel:
+                   balloon: bool = False) -> Kernel:
         """Create and boot an unmodified Xen-Linux guest on top of the
         self-virtualized OS (which serves as its driver domain).
 
         ``mem_pages`` (or ``balloon=True``) makes the guest's reservation
         elastic: a balloon pair is connected, the reservation is topped up
         to ``mem_pages`` with cold pool frames, and the elastic controller
-        may reclaim it down to ``mem_floor``.  ``balloon_pool`` seeds the
-        frontend pool (the re-host path uses it)."""
+        may reclaim it down to ``mem_floor``."""
         if self.mode is Mode.NATIVE:
             raise ModeSwitchError("host_guest requires an attached VMM")
-        if owner_id is None:
-            owner_id = max([d for d in self.vmm.domains] + [0]) + 1
-        domain = self.vmm.create_domain(name, num_vcpus=num_vcpus,
-                                        domain_id=owner_id)
-        guest_vo = VirtualVO(self.machine, self.vmm, domain)
-        guest = Kernel(self.machine, guest_vo, owner_id=owner_id, name=name,
-                       has_devices=False)
-        domain.guest = guest
-        addr = guest_addr or f"{self.machine.nic.addr}:u{owner_id}"
-        _, blk_back = connect_split_block(guest, self.kernel, self.vmm)
-        _, net_back = connect_split_net(guest, self.kernel, self.vmm, addr)
-        self._backends.extend([blk_back, net_back])
-        has_balloon = balloon or mem_pages is not None
-        self._guest_meta[owner_id] = (addr, num_vcpus, has_balloon, mem_floor)
+        guest = self.guest_shell(name)
+        addr = f"{self.machine.nic.addr}:u{guest.owner_id}"
+        record = GuestWiring(guest, addr, mem_floor,
+                             balloon or mem_pages is not None)
+        self.wire(record)
         guest.boot(image_pages=image_pages)
-        self._guests.append(guest)
-        if has_balloon:
-            self._connect_balloon_for(guest, domain, mem_pages, mem_floor,
-                                      balloon_pool)
+        if record.balloon:
+            self._reserve(record, mem_pages)
         return guest
 
-    def _connect_balloon_for(self, guest: Kernel, domain: "Domain",
-                             mem_pages: Optional[int], mem_floor: int,
-                             pool: Optional[list] = None) -> None:
-        """Wire a balloon pair for ``guest`` and establish its reservation
-        ledger from the frames it actually owns."""
-        mmu_log = self.mmu_log if guest is self.kernel else None
-        front, back = connect_split_balloon(guest, self.kernel, self.vmm,
-                                            mmu_log=mmu_log, pool=pool)
-        self._backends.append(back)
-        self._balloons[guest.owner_id] = (front, back)
-        domain.mem_floor = mem_floor
+    def guest_shell(self, name: str, guest: Optional[Kernel] = None) -> Kernel:
+        """Build a hosted guest's VMM-side shell: a domain and a VirtualVO.
+
+        A new guest (``guest`` None) also gets its Kernel, under the next
+        free domain id.  A surviving guest (the re-host after a VMM
+        microreboot) keeps its kernel and id and moves onto the fresh VO."""
+        owner_id = (guest.owner_id if guest is not None
+                    else max([*self.vmm.domains, 0]) + 1)
+        domain = self.vmm.create_domain(name, domain_id=owner_id)
+        vo = VirtualVO(self.machine, self.vmm, domain)
+        if guest is None:
+            guest = Kernel(self.machine, vo, owner_id=owner_id, name=name,
+                           has_devices=False)
+        else:
+            guest.vo = vo
+        domain.guest = guest
+        return guest
+
+    def wire(self, record: GuestWiring) -> None:
+        """Connect a domain's split-driver pairs to the driver domain and
+        record them: block and net when ``record.addr`` is set, then the
+        balloon.  The one wiring path for hosting, restoring a migrated
+        guest and re-hosting after a microreboot.
+
+        A re-wired balloon adopts the previous frontend's pool and regions,
+        and a running kernel's reservation ledger is re-derived from the
+        frames it owns — a squeezed guest comes back at its resized
+        footprint, not its original one."""
+        guest, driver, vmm = record.kernel, self.kernel, self.vmm
+        old_balloon, record.pairs = record.balloon_pair, []
+        if record.addr is not None:
+            record.pairs.append(connect_split_block(guest, driver, vmm))
+            record.pairs.append(
+                connect_split_net(guest, driver, vmm, record.addr))
+        if record.balloon:
+            mmu_log = self.mmu_log if guest is driver else None
+            front, back = connect_split_balloon(guest, driver, vmm,
+                                                mmu_log=mmu_log)
+            if old_balloon is not None:
+                front.adopt(old_balloon[0])
+            record.pairs.append((front, back))
+        self._wiring[guest.owner_id] = record
+        if record.balloon and guest.booted:
+            self._reserve(record)
+
+    def _reserve(self, record: GuestWiring,
+                 mem_pages: Optional[int] = None) -> None:
+        """Establish a ballooned domain's reservation ledger from the
+        frames it owns, topped up to ``mem_pages`` with cold pool frames."""
+        guest = record.kernel
+        domain = self.vmm.domains[guest.owner_id]
+        domain.mem_floor = record.mem_floor
         owned = len(self.machine.memory.frames_owned_by(guest.owner_id))
         if mem_pages is not None and mem_pages > owned:
-            front.fill_pool(guest.boot_cpu, mem_pages - owned)
+            record.balloon_pair[0].fill_pool(guest.boot_cpu,
+                                             mem_pages - owned)
             owned = mem_pages
         domain.mem_pages = owned
+
+    def unwire(self, guest: Kernel) -> GuestWiring:
+        """Disconnect ``guest``'s split I/O: drop its record (it leaves the
+        guests, backends and balloons views) and the driver domain's route
+        to its address.  Returns the record for a re-host to wire again."""
+        record = self._wiring.pop(guest.owner_id)
+        if record.addr is not None:
+            self.kernel.route_table.pop(record.addr, None)
+        return record
 
     def connect_balloon(self, mem_pages: Optional[int] = None,
                         mem_floor: int = 0):
@@ -283,28 +333,41 @@ class Mercury:
         ``(front, back)`` pair."""
         if self.mode is Mode.NATIVE:
             raise ModeSwitchError("connect_balloon requires an attached VMM")
-        domain = self.ensure_domain()
-        self._connect_balloon_for(self.kernel, domain, mem_pages, mem_floor)
-        return self._balloons[self.kernel.owner_id]
+        self.ensure_domain()
+        record = GuestWiring(self.kernel, None, mem_floor, balloon=True)
+        self.wire(record)
+        if mem_pages is not None:
+            self._reserve(record, mem_pages)
+        return record.balloon_pair
 
     @property
     def balloons(self) -> dict:
-        return dict(self._balloons)
+        """``owner_id -> (BalloonFront, BalloonBack)`` for every connected
+        balloon (hosted guests and, for dom0 ballooning, the kernel)."""
+        return {owner: record.balloon_pair
+                for owner, record in self._wiring.items() if record.balloon}
+
+    @property
+    def backends(self) -> list:
+        """Every split-driver backend, in wiring order (the watchdog's scan
+        set; fault sites pick from it by index)."""
+        return [back for record in self._wiring.values()
+                for _, back in record.pairs]
 
     def shutdown_guest(self, guest: Kernel) -> None:
-        if guest not in self._guests:
+        """Tear a hosted guest down: unwire its split I/O and destroy its
+        domain."""
+        if guest not in self.guests:
             raise ModeSwitchError("unknown guest")
-        self._guests.remove(guest)
-        pair = self._balloons.pop(guest.owner_id, None)
-        if pair is not None and pair[1] in self._backends:
-            self._backends.remove(pair[1])
+        self.unwire(guest)
         domain = self.vmm.domains.get(guest.owner_id)
         if domain is not None:
             self.vmm.destroy_domain(domain)
 
     @property
     def guests(self) -> list[Kernel]:
-        return list(self._guests)
+        return [record.kernel for record in self._wiring.values()
+                if record.kernel is not self.kernel]
 
     # ------------------------------------------------------------------
     # stats

@@ -31,8 +31,9 @@ decomposes into operations the switch pipeline already has:
 4. **Re-host guests**: hosted guest kernels keep their memory image,
    processes and file state (they are never re-booted); each gets a fresh
    domain, a fresh VO, re-registered/re-pinned address spaces, a restored
-   trap table and re-connected split-driver rings, exactly ReHype's
-   "recover hypervisor state from guest state".
+   trap table and its split-driver rings re-connected through Mercury's one
+   wiring path — same address, same balloon — exactly ReHype's "recover
+   hypervisor state from guest state".
 
 Each incident is timed detection → resumed as an MTTR trace span
 (``recovery.microreboot`` wrapping ``recovery.emergency-detach`` /
@@ -56,7 +57,6 @@ from repro.core.reload import _reload_own_registers, reload_control_processor
 from repro.core.switch import Direction
 from repro.core.transfer import (transfer_irq_bindings_to_native,
                                  transfer_segments)
-from repro.core.virtual_vo import VirtualVO
 from repro.errors import RecoveryError, VmmCorruption
 from repro.hw.cpu import PrivilegeLevel
 
@@ -145,7 +145,7 @@ class RecoveryManager:
             with trace.span(cpu.cpu_id, "recovery.microreboot",
                             invariant=verdict.invariant):
                 with trace.span(cpu.cpu_id, "recovery.emergency-detach"):
-                    saved_guests = self.emergency_detach(cpu)
+                    saved = self.emergency_detach(cpu)
                 with trace.span(cpu.cpu_id, "recovery.re-precache"):
                     self._microreboot(cpu)
                 with trace.span(cpu.cpu_id, "recovery.re-attach"):
@@ -153,8 +153,7 @@ class RecoveryManager:
                     if switch is None:
                         raise RecoveryError(
                             "re-attach did not commit after microreboot")
-                record.guests_rehosted = self._rehost_guests(cpu,
-                                                             saved_guests)
+                record.guests_rehosted = self._rehost_guests(cpu, saved)
         except Exception as exc:
             record.error = f"{type(exc).__name__}: {exc}"
             self.recovery_failures += 1
@@ -180,9 +179,10 @@ class RecoveryManager:
     def emergency_detach(self, cpu: Optional["Cpu"] = None) -> list:
         """Force the OS back to native without consulting the VMM.
 
-        Returns the list of hosted guests stripped from the stack (so a
-        full recovery can re-host them).  A no-op returning ``[]`` when
-        the kernel is already on the native VO — calling it twice is safe.
+        Returns the wiring records of the hosted guests stripped from the
+        stack (so a full recovery can re-host them).  A no-op returning
+        ``[]`` when the kernel is already on the native VO — calling it
+        twice is safe.
         """
         mercury = self.mercury
         kernel = mercury.kernel
@@ -199,14 +199,13 @@ class RecoveryManager:
         engine._pending.clear()
 
         # strip hosted guests — their kernels (memory image, processes,
-        # files) survive; their VMM-side shells die with the VMM
-        saved_guests = list(mercury._guests)
-        mercury._guests.clear()
-        mercury._backends = []
-        # balloon pairs die with the VMM too; each guest kernel still holds
-        # its frontend (pool + region bookkeeping), which is guest-owned
-        # state the re-host stage transplants into a fresh pair
-        mercury._balloons.clear()
+        # files) survive; their VMM-side shells and split-driver pairs die
+        # with the VMM.  Each record keeps its old balloon frontend (pool +
+        # region bookkeeping), guest-owned state the re-host transplants
+        # into a fresh pair.  Dom0's own balloon is dropped, not re-hosted.
+        saved = [mercury.unwire(guest) for guest in mercury.guests]
+        if kernel.owner_id in mercury.balloons:
+            mercury.unwire(kernel)
 
         # guest-owned state only: re-privilege segments, point the
         # hardware back at the kernel's own IDT, reload every CPU
@@ -232,9 +231,8 @@ class RecoveryManager:
             # the distrust-after-rollback path: nothing the corrupt VMM
             # validated may seed the next attach's incremental recompute
             mercury.mmu_log.distrust()
-        trace.instant(cpu.cpu_id, "recovery.detached",
-                      guests=len(saved_guests))
-        return saved_guests
+        trace.instant(cpu.cpu_id, "recovery.detached", guests=len(saved))
+        return saved
 
     # ------------------------------------------------------------------
     # stage 2: microreboot — discard and re-precache the VMM
@@ -263,21 +261,13 @@ class RecoveryManager:
     # stage 3: re-host surviving guests (ReHype's state re-derivation)
     # ------------------------------------------------------------------
 
-    def _rehost_guests(self, cpu: "Cpu", guests: list) -> int:
-        from repro.guestos.splitio import (connect_split_balloon,
-                                           connect_split_block,
-                                           connect_split_net)
+    def _rehost_guests(self, cpu: "Cpu", saved: list) -> int:
         mercury = self.mercury
         vmm = mercury.vmm
-        for guest in guests:
-            addr, num_vcpus, has_balloon, mem_floor = mercury._guest_meta.get(
-                guest.owner_id,
-                (f"{self.machine.nic.addr}:u{guest.owner_id}", 1, False, 0))
+        for record in saved:
+            guest = record.kernel
             old_domain = getattr(guest.vo, "domain", None)
-            domain = vmm.create_domain(guest.name, num_vcpus=num_vcpus,
-                                       domain_id=guest.owner_id)
-            guest.vo = VirtualVO(self.machine, vmm, domain)
-            domain.guest = guest
+            domain = mercury.guest_shell(guest.name, guest).vo.domain
             # the guest's registered handlers survive in its own IDT;
             # rebuild the domain trap table from them
             domain.trap_table = {vec: entry.handler
@@ -290,29 +280,7 @@ class RecoveryManager:
             for aspace in aspaces:
                 domain.register_aspace(aspace)
                 vmm.page_info.validate_pgd(cpu, aspace, domain.domain_id)
-            _, blk_back = connect_split_block(guest, mercury.kernel, vmm)
-            _, net_back = connect_split_net(guest, mercury.kernel, vmm, addr)
-            mercury._backends.extend([blk_back, net_back])
-            mercury._guests.append(guest)
-            if has_balloon:
-                # the resized footprint survives in the owner column; the
-                # fresh domain's ledger is re-derived from it, NOT from the
-                # original host_guest reservation
-                old_front = getattr(guest, "balloon_front", None)
-                front, bal_back = connect_split_balloon(
-                    guest, mercury.kernel, vmm,
-                    pool=list(old_front.pool) if old_front is not None else None)
-                if old_front is not None:
-                    # region bookkeeping is guest-owned state: it survives
-                    # the microreboot with the kernel, like the page tables
-                    front._rmap = old_front._rmap
-                    front._order = old_front._order
-                    front.victim_unmaps = old_front.victim_unmaps
-                mercury._backends.append(bal_back)
-                mercury._balloons[guest.owner_id] = (front, bal_back)
-                domain.mem_floor = mem_floor
-                domain.mem_pages = len(
-                    self.machine.memory.frames_owned_by(guest.owner_id))
+            mercury.wire(record)
             trace.instant(cpu.cpu_id, "recovery.guest-rehosted",
                           guest=guest.name)
-        return len(guests)
+        return len(saved)

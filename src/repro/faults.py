@@ -320,7 +320,7 @@ def inject_vmm_fault(site_name: str, mercury, variant: int = 0) -> str:
         ch.pending = True
         what = f"channel ({ch.owner_domain},{ch.port}) wedged pending+masked"
     elif site_name == VMM_BACKEND_DEAD:
-        backends = getattr(mercury, "_backends", [])
+        backends = mercury.backends
         if not backends:
             raise VMMError("no split-driver backend to kill")
         back = backends[variant % len(backends)]
@@ -347,7 +347,7 @@ def inject_vmm_fault(site_name: str, mercury, variant: int = 0) -> str:
         what = f"virtual VO refcount +{REFCOUNT_RUNAWAY_AMOUNT}"
     elif site_name == VMM_BALLOON_WEDGED:
         from repro.vmm.backend import BalloonBack
-        balloons = [b for b in getattr(mercury, "_backends", [])
+        balloons = [b for b in mercury.backends
                     if isinstance(b, BalloonBack)]
         if not balloons:
             raise VMMError("no balloon backend whose ring could wedge")

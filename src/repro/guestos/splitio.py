@@ -19,25 +19,26 @@ write cache) comes from.  The notification-avoidance protocol
 sides are streaming — one notify amortizes over a whole TX queue flush or
 blkfront submission batch instead of firing per packet/block.
 
-:func:`connect_split_block` / :func:`connect_split_net` wire a guest kernel
-to a driver-domain kernel through a hypervisor; Mercury uses the same wiring
-when its self-virtualized OS hosts an unmodified guest (the M-U
-configuration), and re-creates it after a live migration (§5.2: frontends
-reconnect to the new host's backends).
+:func:`connect_split_block` / :func:`connect_split_net` /
+:func:`connect_split_balloon` wire a guest kernel to a driver-domain kernel
+through a hypervisor, all through one channel setup.  Mercury's one wiring
+path (:meth:`~repro.core.mercury.Mercury.wire`) calls them when its
+self-virtualized OS hosts an unmodified guest (the M-U configuration), when
+a migrated guest lands (§5.2: frontends reconnect to the new host's
+backends) and when a VMM microreboot re-hosts its guests.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro import trace
 from repro.errors import NetworkError, RingError
 from repro.hw.devices import Packet
 from repro.hw.paging import Pte
 from repro.params import PAGE_SIZE
 from repro.vmm.backend import (BalloonBack, BalloonRingEntry, BlkBack,
                                BlkRingEntry, NetBack, NetRingEntry)
-from repro.vmm.rings import IoRing, IoStats
+from repro.vmm.rings import IoRing, IoStats, publish
 
 if TYPE_CHECKING:
     from repro.core.accounting import MmuAccounting
@@ -47,25 +48,29 @@ if TYPE_CHECKING:
     from repro.vmm.hypervisor import Hypervisor
 
 
-class BlkFront:
-    """Block frontend: presents the kernel's block-driver interface on top
-    of a request ring to blkback, with queued submit/complete semantics."""
+class _RingFront:
+    """The frontend end of one request ring, shared by blkfront and the
+    balloon: queued submit, one publish per batch, response reaping."""
+
+    #: device name on this frontend's ``io.doorbell`` trace events
+    DEV = ""
+    #: names in the errors raised when the ring stays full and when an
+    #: awaited response never arrives
+    RING_NAME = ""
+    BACKEND_NAME = ""
 
     def __init__(self, kernel: "Kernel", ring: IoRing, notify_backend,
-                 grant_ref: Optional[int] = None,
-                 stats: Optional[IoStats] = None):
+                 stats: Optional[IoStats]):
         self.kernel = kernel
         self.ring = ring
         self.notify_backend = notify_backend
-        self.grant_ref = grant_ref
         self.stats = stats if stats is not None else IoStats()
+        #: responses reaped, lifetime
         self.requests = 0
         #: entries pushed since the last publish (for per-batch charging)
         self._batch_n = 0
 
-    # -- queued submit / complete ---------------------------------------
-
-    def submit(self, cpu: "Cpu", entry: BlkRingEntry) -> None:
+    def submit(self, cpu: "Cpu", entry) -> None:
         """Queue one request on the ring without notifying.  The first
         entry of a batch pays the full ring crossing; later entries ride
         the same cachelines."""
@@ -74,8 +79,8 @@ class BlkFront:
             self.flush_submissions(cpu)
             self.complete(cpu)
             if self.ring.free_request_slots() == 0:
-                raise RingError("blkfront ring wedged: no free slots and "
-                                "no completions arriving")
+                raise RingError(f"{self.RING_NAME} ring wedged: no free "
+                                f"slots and no completions arriving")
         cpu.charge(cpu.cost.cyc_ring_hop if self._batch_n == 0
                    else cpu.cost.cyc_ring_entry_batched)
         self.ring.push_request(entry)
@@ -85,18 +90,9 @@ class BlkFront:
         """Publish queued requests; notify at most once, and only when the
         backend had advertised itself idle."""
         n, self._batch_n = self._batch_n, 0
-        if n == 0:
-            return
-        self.stats.ring_batches += 1
-        self.stats.ring_batched_entries += n
-        if self.ring.push_requests_and_check_notify():
-            self.stats.notifies_sent += 1
-            if trace._ACTIVE is not None:  # hot path: skip the hook call
-                trace.instant(cpu.cpu_id, "io.doorbell", dev="blk",
-                              ring="req")
-            self.notify_backend(cpu)
-        else:
-            self.stats.notifies_suppressed += 1
+        if n:
+            publish(cpu, self.ring, "req", self.stats, self.notify_backend,
+                    n, self.DEV)
 
     def complete(self, cpu: "Cpu") -> int:
         """Reap completed responses (the completion-event upcall).  The
@@ -112,12 +108,27 @@ class BlkFront:
             if not self.ring.final_check_for_responses():
                 return done
 
-    def _await(self, cpu: "Cpu", entry: BlkRingEntry) -> BlkRingEntry:
+    def _await(self, cpu: "Cpu", entry):
         if not entry.completed:
             self.complete(cpu)
         if not entry.completed:
-            raise RingError("blkback did not respond")
+            raise RingError(f"{self.BACKEND_NAME} did not respond")
         return entry
+
+
+class BlkFront(_RingFront):
+    """Block frontend: presents the kernel's block-driver interface on top
+    of a request ring to blkback, with queued submit/complete semantics."""
+
+    DEV = "blk"
+    RING_NAME = "blkfront"
+    BACKEND_NAME = "blkback"
+
+    def __init__(self, kernel: "Kernel", ring: IoRing, notify_backend,
+                 grant_ref: Optional[int] = None,
+                 stats: Optional[IoStats] = None):
+        super().__init__(kernel, ring, notify_backend, stats)
+        self.grant_ref = grant_ref
 
     # -- kernel-facing API ----------------------------------------------
 
@@ -164,11 +175,6 @@ class BlkFront:
     def flush(self, cpu: "Cpu") -> None:
         entry = BlkRingEntry(op="flush", block=0, tag=self.kernel.owner_id)
         self._one(cpu, entry)
-
-    def irq(self, cpu: "Cpu", vector: int) -> None:
-        """Completion upcall entry point (legacy vector path)."""
-        cpu.charge(cpu.cost.cyc_event_channel)
-        self.complete(cpu)
 
 
 class NetFront:
@@ -238,21 +244,15 @@ class NetFront:
         return flushed
 
     def _publish(self, cpu: "Cpu", n: int) -> None:
-        if n == 0:
-            return
-        self.stats.ring_batches += 1
-        self.stats.ring_batched_entries += n
-        if self.tx_ring.push_requests_and_check_notify():
-            self.stats.notifies_sent += 1
-            if trace._ACTIVE is not None:  # hot path: skip the hook call
-                trace.instant(cpu.cpu_id, "io.doorbell", dev="net",
-                              ring="req")
-            # the notification wakes the driver domain's vcpu — paid only
-            # when a notify is actually delivered, not per packet
-            cpu.charge(cpu.cost.cyc_guest_sched_latency)
-            self.notify_backend(cpu)
-        else:
-            self.stats.notifies_suppressed += 1
+        if n:
+            publish(cpu, self.tx_ring, "req", self.stats, self._wake_backend,
+                    n, "net")
+
+    def _wake_backend(self, cpu: "Cpu") -> None:
+        # the notification wakes the driver domain's vcpu — paid only when
+        # a notify is actually delivered, not per packet
+        cpu.charge(cpu.cost.cyc_guest_sched_latency)
+        self.notify_backend(cpu)
 
     def _reap_tx_completions(self) -> None:
         while self.tx_ring.has_responses():
@@ -283,11 +283,8 @@ class NetFront:
             if not self.rx_ring.final_check_for_requests():
                 return drained
 
-    # pre-batching entry point name, used by tests and recovery code
-    rx_kick = rx_poll
 
-
-class BalloonFront:
+class BalloonFront(_RingFront):
     """Memory-balloon frontend: drives the guest's reservation toward the
     target posted by the host's elastic controller.
 
@@ -303,6 +300,10 @@ class BalloonFront:
     (the xenstore-watch analogue: both ends of a real balloon share the
     target through a store key, not the ring)."""
 
+    DEV = "balloon"
+    RING_NAME = "balloon"
+    BACKEND_NAME = "balloon backend"
+
     #: (frame, grant_ref) pairs carried per inflate ring entry (extents)
     INFLATE_EXTENTS = 16
 
@@ -310,14 +311,11 @@ class BalloonFront:
                  back: BalloonBack, grant_frame,
                  mmu_log: Optional["MmuAccounting"] = None,
                  stats: Optional[IoStats] = None):
-        self.kernel = kernel
-        self.ring = ring
-        self.notify_backend = notify_backend
+        super().__init__(kernel, ring, notify_backend, stats)
         self.back = back
         #: ``frame -> grant ref`` factory (wired to the VMM's grant table)
         self.grant_frame = grant_frame
         self.mmu_log = mmu_log
-        self.stats = stats if stats is not None else IoStats()
         #: cold frames owned by the guest, unmapped, surrendered first
         self.pool: list[int] = []
         #: balloon-region reverse map: frame -> (task, vaddr)
@@ -326,8 +324,16 @@ class BalloonFront:
         #: from the tail when the pool runs dry)
         self._order: list[int] = []
         self.victim_unmaps = 0
-        self._batch_n = 0
         self._in_upcall = False
+
+    def adopt(self, old: "BalloonFront") -> None:
+        """Take over ``old``'s cold pool and balloon regions.  They are
+        guest-owned state: across a VMM microreboot they survive with the
+        kernel, like its page tables, and move into the fresh frontend."""
+        self.pool.extend(old.pool)
+        self._rmap = old._rmap
+        self._order = old._order
+        self.victim_unmaps = old.victim_unmaps
 
     # -- region bookkeeping ----------------------------------------------
 
@@ -467,140 +473,78 @@ class BalloonFront:
         self.pool.extend(entry.frames)
         return len(entry.frames)
 
-    # -- ring mechanics (same batched protocol as blkfront) --------------
-
-    def submit(self, cpu: "Cpu", entry: BalloonRingEntry) -> None:
-        if self.ring.free_request_slots() == 0:
-            self.flush_submissions(cpu)
-            self.complete(cpu)
-            if self.ring.free_request_slots() == 0:
-                raise RingError("balloon ring wedged: no free slots and "
-                                "no completions arriving")
-        cpu.charge(cpu.cost.cyc_ring_hop if self._batch_n == 0
-                   else cpu.cost.cyc_ring_entry_batched)
-        self.ring.push_request(entry)
-        self._batch_n += 1
-
-    def flush_submissions(self, cpu: "Cpu") -> None:
-        n, self._batch_n = self._batch_n, 0
-        if n == 0:
-            return
-        self.stats.ring_batches += 1
-        self.stats.ring_batched_entries += n
-        if self.ring.push_requests_and_check_notify():
-            self.stats.notifies_sent += 1
-            if trace._ACTIVE is not None:  # hot path: skip the hook call
-                trace.instant(cpu.cpu_id, "io.doorbell", dev="balloon",
-                              ring="req")
-            self.notify_backend(cpu)
-        else:
-            self.stats.notifies_suppressed += 1
-
-    def complete(self, cpu: "Cpu") -> int:
-        done = 0
-        while True:
-            while self.ring.has_responses():
-                entry = self.ring.pop_response()
-                entry.completed = True
-                done += 1
-            if not self.ring.final_check_for_responses():
-                return done
-
-    def _await(self, cpu: "Cpu", entry: BalloonRingEntry) -> BalloonRingEntry:
-        if not entry.completed:
-            self.complete(cpu)
-        if not entry.completed:
-            raise RingError("balloon backend did not respond")
-        return entry
-
 
 # ---------------------------------------------------------------------------
-# wiring helpers
+# wiring
 # ---------------------------------------------------------------------------
 
-def _shared_stats(vmm: "Hypervisor") -> IoStats:
-    stats = getattr(vmm, "io_stats", None)
-    return stats if stats is not None else IoStats()
+def _connect(guest: "Kernel", driver: "Kernel", vmm: "Hypervisor",
+             make_back, make_front, on_front_event) -> tuple:
+    """The one split-driver setup under every ``connect_split_*``.
+
+    Allocates and connects the event-channel pair between ``guest``'s
+    domain and the driver domain, builds the backend with
+    ``make_back(driver_domain, notify_frontend)`` and the frontend with
+    ``make_front(back, notify_backend)`` — each notify fires the other
+    end's channel — then routes the backend's channel into its poll loop
+    and the frontend's into ``on_front_event(front)``."""
+    guest_dom = vmm.domains[guest.owner_id]
+    driver_dom = vmm.domains[driver.owner_id]
+    front_ch = vmm.events.alloc(guest_dom.domain_id)
+    back_ch = vmm.events.alloc(driver_dom.domain_id)
+    vmm.events.connect(front_ch, back_ch)
+    back = make_back(driver_dom, lambda c: vmm.events.send(c, back_ch))
+    back.bind_channel(back_ch)
+    front = make_front(back, lambda c: vmm.events.send(c, front_ch))
+    back_ch.handler = lambda: back.poll(driver.boot_cpu)
+    front_ch.handler = lambda: on_front_event(front)
+    return front, back
 
 
 def connect_split_block(guest: "Kernel", driver: "Kernel",
                         vmm: "Hypervisor") -> tuple[BlkFront, BlkBack]:
     """Connect ``guest``'s block layer to ``driver``'s disk via a ring."""
-    guest_dom = vmm.domains[guest.owner_id]
-    driver_dom = vmm.domains[driver.owner_id]
-    stats = _shared_stats(vmm)
-
     ring = IoRing(size=32)
-    front_ch = vmm.events.alloc(guest_dom.domain_id)
-    back_ch = vmm.events.alloc(driver_dom.domain_id)
-    vmm.events.connect(front_ch, back_ch)
-
     # one persistent granted buffer page for request payloads
     buf_frame = guest.machine.memory.alloc(guest.owner_id)
-    grant = vmm.grants.grant(guest_dom.domain_id, buf_frame,
-                             driver_dom.domain_id)
-
-    back = BlkBack(
-        vmm, driver_dom, ring,
-        notify_frontend=lambda c: vmm.events.send(c, back_ch),
-        submit=lambda c, req: driver.vo.disk_submit(c, req),
-        stats=stats)
-    back.bind_channel(back_ch)
-
-    front = BlkFront(
-        guest, ring,
-        notify_backend=lambda c: vmm.events.send(c, front_ch),
-        grant_ref=grant.ref, stats=stats)
-
-    # frontend notify -> backend poll; backend notify -> frontend reap
-    back_ch.handler = lambda: back.poll(driver.boot_cpu)
-    front_ch.handler = lambda: front.complete(guest.boot_cpu)
-
+    grant = vmm.grants.grant(guest.owner_id, buf_frame, driver.owner_id)
+    front, back = _connect(
+        guest, driver, vmm,
+        lambda dom, notify: BlkBack(
+            vmm, dom, ring, notify,
+            submit=lambda c, req: driver.vo.disk_submit(c, req),
+            stats=vmm.io_stats),
+        lambda back, notify: BlkFront(guest, ring, notify,
+                                      grant_ref=grant.ref,
+                                      stats=vmm.io_stats),
+        lambda front: front.complete(guest.boot_cpu))
     guest.install_block_driver(front)
     return front, back
 
 
 def connect_split_balloon(guest: "Kernel", driver: "Kernel",
                           vmm: "Hypervisor",
-                          mmu_log: Optional["MmuAccounting"] = None,
-                          pool: Optional[list[int]] = None
+                          mmu_log: Optional["MmuAccounting"] = None
                           ) -> tuple[BalloonFront, BalloonBack]:
     """Connect ``guest``'s memory reservation to the host's elastic
     controller through a balloon ring.
 
     ``mmu_log`` is the driver-domain's incremental-attach tracker when the
     balloon belongs to the self-virtualized OS itself (dom0 ballooning);
-    hosted guests pass None.  ``pool`` seeds the frontend's cold-frame pool
-    — the re-host path carries the old frontend's pool across a VMM
-    microreboot with it."""
-    guest_dom = vmm.domains[guest.owner_id]
-    driver_dom = vmm.domains[driver.owner_id]
-    stats = _shared_stats(vmm)
-
+    hosted guests pass None."""
     ring = IoRing(size=32)
-    front_ch = vmm.events.alloc(guest_dom.domain_id)
-    back_ch = vmm.events.alloc(driver_dom.domain_id)
-    vmm.events.connect(front_ch, back_ch)
-
-    back = BalloonBack(
-        vmm, driver_dom, guest_dom, ring,
-        notify_frontend=lambda c: vmm.events.send(c, back_ch),
-        stats=stats)
-    back.bind_channel(back_ch)
-
-    front = BalloonFront(
-        guest, ring,
-        notify_backend=lambda c: vmm.events.send(c, front_ch),
-        back=back,
-        grant_frame=lambda frame: vmm.grants.grant(
-            guest_dom.domain_id, frame, driver_dom.domain_id).ref,
-        mmu_log=mmu_log, stats=stats)
-    if pool:
-        front.pool.extend(pool)
-
-    back_ch.handler = lambda: back.poll(driver.boot_cpu)
-    front_ch.handler = lambda: front.upcall(guest.boot_cpu)
-
+    front, back = _connect(
+        guest, driver, vmm,
+        lambda dom, notify: BalloonBack(
+            vmm, dom, vmm.domains[guest.owner_id], ring, notify,
+            stats=vmm.io_stats),
+        lambda back, notify: BalloonFront(
+            guest, ring, notify, back=back,
+            grant_frame=lambda frame: vmm.grants.grant(
+                back.guest_domain.domain_id, frame,
+                back.driver_domain.domain_id).ref,
+            mmu_log=mmu_log, stats=vmm.io_stats),
+        lambda front: front.upcall(guest.boot_cpu))
     guest.balloon_front = front
     return front, back
 
@@ -616,41 +560,22 @@ def connect_split_net(guest: "Kernel", driver: "Kernel", vmm: "Hypervisor",
     domU vcpu wakeup by scheduling the frontend upcall
     ``cyc_guest_rx_latency`` in the future — inbound bursts landing inside
     that window coalesce in the rx ring and drain in one batch."""
-    guest_dom = vmm.domains[guest.owner_id]
-    driver_dom = vmm.domains[driver.owner_id]
-    stats = _shared_stats(vmm)
-
     tx_ring = IoRing(size=64)
     rx_ring = IoRing(size=64)
-    front_ch = vmm.events.alloc(guest_dom.domain_id)
-    back_ch = vmm.events.alloc(driver_dom.domain_id)
-    vmm.events.connect(front_ch, back_ch)
-
-    back = NetBack(
-        vmm, driver_dom, tx_ring, rx_ring,
-        notify_frontend=lambda c: vmm.events.send(c, back_ch),
-        transmit=lambda c, pkt: driver.vo.net_transmit(c, pkt),
-        stats=stats)
-    back.bind_channel(back_ch)
-
-    front = NetFront(
-        guest, tx_ring, rx_ring,
-        notify_backend=lambda c: vmm.events.send(c, front_ch),
-        stats=stats)
-
-    back_ch.handler = lambda: back.poll(driver.boot_cpu)
-
-    cost = guest.machine.config.cost
-
-    def _front_upcall() -> None:
+    clock = guest.machine.clock
+    latency = guest.machine.config.cost.cyc_guest_rx_latency
+    front, back = _connect(
+        guest, driver, vmm,
+        lambda dom, notify: NetBack(
+            vmm, dom, tx_ring, rx_ring, notify,
+            transmit=lambda c, pkt: driver.vo.net_transmit(c, pkt),
+            stats=vmm.io_stats),
+        lambda back, notify: NetFront(guest, tx_ring, rx_ring, notify,
+                                      stats=vmm.io_stats),
         # domU vcpu wakeup latency; the deferred drain is what lets an
         # inbound burst coalesce into one rx_poll pass
-        guest.machine.clock.schedule(
-            cost.cyc_guest_rx_latency,
-            lambda: front.upcall(guest.boot_cpu))
-
-    front_ch.handler = _front_upcall
-
+        lambda front: clock.schedule(
+            latency, lambda: front.upcall(guest.boot_cpu)))
     guest.install_net_driver(front, addr=guest_addr)
     driver.route_table[guest_addr] = lambda c, pkt: back.forward_rx(c, pkt)
     return front, back

@@ -20,7 +20,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.mercury import Mercury, Mode
+from repro.core.mercury import GuestWiring, Mercury, Mode
 from repro.errors import CheckpointError
 from repro.guestos.process import Task, TaskState
 from repro.hw.paging import AddressSpace, Pte
@@ -206,29 +206,20 @@ def restore(image: CheckpointImage, mercury: Mercury,
 
 
 def restore_as_guest(image: CheckpointImage, host: Mercury,
-                     cpu: Optional["Cpu"] = None,
-                     guest_addr: Optional[str] = None) -> "Kernel":
+                     cpu: Optional["Cpu"] = None) -> "Kernel":
     """Restore a checkpoint as a *hosted guest* on another machine (§6.3:
     the migrated execution environment lands on a machine already in
     partial-virtual mode, accommodating multiple operating systems).
 
     The restored kernel gets its own domain, a VirtualVO, and split I/O to
-    the host's driver domain.  Shared (networked) storage is modelled by
-    copying the image's disk blocks onto the host's disk."""
-    from repro.core.virtual_vo import VirtualVO
-    from repro.guestos.kernel import Kernel
-    from repro.guestos.splitio import connect_split_block, connect_split_net
-
+    the host's driver domain at address ``<host nic>:m<domain id>``, wired
+    and recorded like any hosted guest.  Shared (networked) storage is
+    modelled by copying the image's disk blocks onto the host's disk."""
     if host.mode is Mode.NATIVE:
         raise CheckpointError("host must have its VMM attached")
     cpu = cpu or host.machine.boot_cpu
 
-    owner_id = max(list(host.vmm.domains) + [0]) + 1
-    domain = host.vmm.create_domain(image.kernel_name, domain_id=owner_id)
-    guest_vo = VirtualVO(host.machine, host.vmm, domain)
-    guest = Kernel(host.machine, guest_vo, owner_id=owner_id,
-                   name=image.kernel_name, has_devices=False)
-    domain.guest = guest
+    guest = host.guest_shell(image.kernel_name)
     guest.booted = True
 
     # networked storage: the image's blocks appear on the host's disk
@@ -238,10 +229,7 @@ def restore_as_guest(image: CheckpointImage, host: Mercury,
     _rebuild(guest, image, cpu)
 
     # §5.2: frontends are created and connected *after* the migration
-    connect_split_block(guest, host.kernel, host.vmm)
-    connect_split_net(guest, host.kernel, host.vmm,
-                      guest_addr or f"{host.machine.nic.addr}:m{owner_id}")
-    host._guests.append(guest)
+    host.wire(GuestWiring(guest, f"{host.machine.nic.addr}:m{guest.owner_id}"))
     return guest
 
 

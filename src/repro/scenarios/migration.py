@@ -166,8 +166,8 @@ class LiveMigration:
 
         When the restored kernel lands as the target's own (driver-domain)
         kernel, it gets native drivers on the target's devices; when it
-        lands as a hosted guest it would get frontends (handled by
-        host_guest)."""
+        lands as a hosted guest, ``restore_as_guest`` wires its frontends
+        through :meth:`~repro.core.mercury.Mercury.wire`."""
         from repro.guestos.drivers import NativeBlockDriver, NativeNetDriver
         if restored is dst.kernel:
             restored.block_driver = NativeBlockDriver(restored)

@@ -5,13 +5,14 @@ shared-memory ring, maps the granted payload pages, performs the real device
 operation through the driver domain's own (native or para-virtual) driver,
 and pushes responses back, notifying the frontend over an event channel.
 
-Both backends are NAPI-style polled consumers: a frontend notification
+Every backend is a NAPI-style polled consumer: a frontend notification
 masks the event channel and enters a poll loop that drains requests under a
 bounded budget (``io_poll_budget``), maps grants once per drain batch,
 pushes the whole batch of responses with at most one coalesced completion
-notify (:meth:`~repro.vmm.rings.IoRing.push_responses_and_check_notify`),
-and only goes back to sleep after unmasking and running the lost-wakeup-free
-final check (:meth:`~repro.vmm.rings.IoRing.final_check_for_requests`).
+notify (:meth:`_NapiBackend._respond`, through the shared
+:func:`~repro.vmm.rings.publish` step), and only goes back to sleep after
+unmasking and running the lost-wakeup-free final check
+(:meth:`~repro.vmm.rings.IoRing.final_check_for_requests`).
 
 The paper's dbench observation — domainU *faster* than native because the
 split model batches and caches writes (§7.3) — comes from
@@ -25,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro import trace
 from repro.errors import RingError
 from repro.hw.devices import BlockRequest, Packet
-from repro.vmm.rings import IoRing, IoStats
+from repro.vmm.rings import IoRing, IoStats, publish
 
 if TYPE_CHECKING:
     from repro.hw.cpu import Cpu
@@ -81,15 +81,21 @@ class BalloonRingEntry:
 
 class _NapiBackend:
     """Shared poll-loop machinery: channel masking, budgeted drain rounds,
-    and the unmask + final-check sleep protocol."""
+    the response publish, and the unmask + final-check sleep protocol."""
 
-    def __init__(self, vmm: "Hypervisor", stats: Optional[IoStats]):
+    #: device name on this backend's ``io.doorbell`` trace events
+    DEV = ""
+
+    def __init__(self, vmm: "Hypervisor", driver_domain: "Domain",
+                 notify_frontend: Callable[["Cpu"], None],
+                 stats: Optional[IoStats]):
         self.vmm = vmm
+        self.driver_domain = driver_domain
+        self.notify_frontend = notify_frontend
         self.stats = stats if stats is not None else IoStats()
         #: the backend's end of the event channel, when wired through one
         self.channel: Optional["Channel"] = None
         self._in_poll = False
-        self.polls = 0
 
     def bind_channel(self, channel: "Channel") -> None:
         self.channel = channel
@@ -99,6 +105,16 @@ class _NapiBackend:
 
     def _main_ring(self) -> IoRing:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def _respond(self, cpu: "Cpu", ring: IoRing, batch: list) -> int:
+        """Push a drained batch's responses on ``ring`` and publish them
+        with at most one coalesced completion notify."""
+        for entry in batch:
+            ring.push_response(entry)
+        if batch:
+            publish(cpu, ring, "resp", self.stats, self.notify_frontend,
+                    len(batch), self.DEV)
+        return len(batch)
 
     def poll(self, cpu: "Cpu") -> int:
         """Service the request ring: mask, drain in budgeted rounds, then
@@ -110,7 +126,6 @@ class _NapiBackend:
         if self._in_poll:
             return 0
         self._in_poll = True
-        self.polls += 1
         ch = self.channel
         events = self.vmm.events if self.vmm is not None else None
         try:
@@ -136,15 +151,15 @@ class _NapiBackend:
 class BlkBack(_NapiBackend):
     """Block backend: bridges a frontend ring to the real disk."""
 
+    DEV = "blk"
+
     def __init__(self, vmm: "Hypervisor", driver_domain: "Domain",
                  ring: IoRing, notify_frontend: Callable[["Cpu"], None],
                  submit: Callable[["Cpu", BlockRequest], None],
                  write_cache: bool = True,
                  stats: Optional[IoStats] = None):
-        super().__init__(vmm, stats)
-        self.driver_domain = driver_domain
+        super().__init__(vmm, driver_domain, notify_frontend, stats)
         self.ring = ring
-        self.notify_frontend = notify_frontend
         self._submit = submit
         #: backend write caching: acknowledge writes from cache (the split
         #: model's throughput win on dbench)
@@ -175,10 +190,6 @@ class BlkBack(_NapiBackend):
             machine.clock.cycles = deadline
         machine.clock.run_due()
 
-    # ``kick`` kept as the pre-NAPI entry point name
-    def kick(self, cpu: "Cpu") -> int:
-        return self.poll(cpu)
-
     def _drain(self, cpu: "Cpu") -> int:
         """One budgeted drain round: batch-consume requests, map each
         distinct grant once, push the batch of responses with a single
@@ -201,20 +212,7 @@ class BlkBack(_NapiBackend):
             self.requests_handled += 1
         for tag, ref in mapped:
             self.vmm.grants.unmap(cpu, tag, ref)
-        for entry in batch:
-            self.ring.push_response(entry)
-        if batch:
-            self.stats.ring_batches += 1
-            self.stats.ring_batched_entries += len(batch)
-            if self.ring.push_responses_and_check_notify():
-                self.stats.notifies_sent += 1
-                if trace._ACTIVE is not None:  # hot path: skip the hook
-                    trace.instant(cpu.cpu_id, "io.doorbell", dev="blk",
-                                  ring="resp")
-                self.notify_frontend(cpu)
-            else:
-                self.stats.notifies_suppressed += 1
-        return len(batch)
+        return self._respond(cpu, self.ring, batch)
 
     def _handle(self, cpu: "Cpu", entry: BlkRingEntry) -> None:
         if entry.op == "read":
@@ -276,15 +274,15 @@ class BalloonBack(_NapiBackend):
     The reservation ledger on the :class:`~repro.vmm.domain.Domain` is
     adjusted only here, so ledger and owner column move together."""
 
+    DEV = "balloon"
+
     def __init__(self, vmm: "Hypervisor", driver_domain: "Domain",
                  guest_domain: "Domain", ring: IoRing,
                  notify_frontend: Callable[["Cpu"], None],
                  stats: Optional[IoStats] = None):
-        super().__init__(vmm, stats)
-        self.driver_domain = driver_domain
+        super().__init__(vmm, driver_domain, notify_frontend, stats)
         self.guest_domain = guest_domain
         self.ring = ring
-        self.notify_frontend = notify_frontend
         #: pages moved guest -> host pool / host pool -> guest, lifetime
         self.inflated = 0
         self.deflated = 0
@@ -319,20 +317,7 @@ class BalloonBack(_NapiBackend):
             self._handle(cpu, entry)
             batch.append(entry)
             self.requests_handled += 1
-        for entry in batch:
-            self.ring.push_response(entry)
-        if batch:
-            self.stats.ring_batches += 1
-            self.stats.ring_batched_entries += len(batch)
-            if self.ring.push_responses_and_check_notify():
-                self.stats.notifies_sent += 1
-                if trace._ACTIVE is not None:  # hot path: skip the hook
-                    trace.instant(cpu.cpu_id, "io.doorbell", dev="balloon",
-                                  ring="resp")
-                self.notify_frontend(cpu)
-            else:
-                self.stats.notifies_suppressed += 1
-        return len(batch)
+        return self._respond(cpu, self.ring, batch)
 
     def _handle(self, cpu: "Cpu", entry: BalloonRingEntry) -> None:
         mem = self.vmm.machine.memory
@@ -365,26 +350,22 @@ class BalloonBack(_NapiBackend):
 class NetBack(_NapiBackend):
     """Network backend: bridges netfront rings to the real NIC."""
 
+    DEV = "net"
+
     def __init__(self, vmm: "Hypervisor", driver_domain: "Domain",
                  tx_ring: IoRing, rx_ring: IoRing,
                  notify_frontend: Callable[["Cpu"], None],
                  transmit: Callable[["Cpu", Packet], None],
                  stats: Optional[IoStats] = None):
-        super().__init__(vmm, stats)
-        self.driver_domain = driver_domain
+        super().__init__(vmm, driver_domain, notify_frontend, stats)
         self.tx_ring = tx_ring      # frontend -> backend (guest transmits)
         self.rx_ring = rx_ring      # backend -> frontend (guest receives)
-        self.notify_frontend = notify_frontend
         self._transmit = transmit
         self.tx_handled = 0
         self.rx_forwarded = 0
-        self.rx_dropped = 0
 
     def _main_ring(self) -> IoRing:
         return self.tx_ring
-
-    def kick_tx(self, cpu: "Cpu") -> int:
-        return self.poll(cpu)
 
     def _drain(self, cpu: "Cpu") -> int:
         """One budgeted TX drain round: forward a batch to the wire, then
@@ -408,20 +389,7 @@ class NetBack(_NapiBackend):
             self._transmit(cpu, entry.pkt)
             batch.append(entry)
             self.tx_handled += 1
-        for entry in batch:
-            self.tx_ring.push_response(entry)
-        if batch:
-            self.stats.ring_batches += 1
-            self.stats.ring_batched_entries += len(batch)
-            if self.tx_ring.push_responses_and_check_notify():
-                self.stats.notifies_sent += 1
-                if trace._ACTIVE is not None:  # hot path: skip the hook
-                    trace.instant(cpu.cpu_id, "io.doorbell", dev="net",
-                                  ring="resp")
-                self.notify_frontend(cpu)
-            else:
-                self.stats.notifies_suppressed += 1
-        return len(batch)
+        return self._respond(cpu, self.tx_ring, batch)
 
     def _reap_rx_completions(self) -> None:
         """Reclaim RX buffers the frontend has consumed (frees rx slots)."""
@@ -439,7 +407,6 @@ class NetBack(_NapiBackend):
         the transport protocol's job (§5.2)."""
         self._reap_rx_completions()
         if self.rx_ring.free_request_slots() == 0:
-            self.rx_dropped += 1
             self.stats.rx_dropped += 1
             return
         cpu.charge(cpu.cost.cyc_ring_hop)
@@ -447,8 +414,4 @@ class NetBack(_NapiBackend):
         self.rx_ring.push_request(NetRingEntry(pkt=pkt))
         # rings are symmetric; the frontend consumes rx entries as requests
         self.rx_forwarded += 1
-        if self.rx_ring.push_requests_and_check_notify():
-            self.stats.notifies_sent += 1
-            self.notify_frontend(cpu)
-        else:
-            self.stats.notifies_suppressed += 1
+        publish(cpu, self.rx_ring, "req", self.stats, self.notify_frontend)

@@ -79,7 +79,7 @@ class ElasticMemoryController:
         idle."""
         if self._pressure_fn is not None:
             return self._pressure_fn(owner_id)
-        front, _ = self.mercury._balloons[owner_id]
+        front, _ = self.mercury.balloons[owner_id]
         faults = front.kernel.vmem.minor_faults
         last = self._last_faults.get(owner_id, 0)
         self._last_faults[owner_id] = faults
@@ -97,7 +97,7 @@ class ElasticMemoryController:
         decisions: list[tuple] = []
         reclaim_plans = []
         grant_plans = []
-        for owner, (front, back) in sorted(self.mercury._balloons.items()):
+        for owner, (front, back) in sorted(self.mercury.balloons.items()):
             dom = back.guest_domain
             if dom.mem_pages == 0:
                 continue

@@ -20,15 +20,21 @@ only notifies when its push crossed the advertised wakeup index
 awake and polling, the event channel stays silent.  This is the
 ``RING_PUSH_REQUESTS_AND_CHECK_NOTIFY`` / ``RING_FINAL_CHECK_FOR_*``
 pairing that lets the split-driver datapath amortize one notification over
-a whole batch of requests.
+a whole batch of requests.  :func:`publish` is the one place a producer —
+any frontend or backend — runs that check and counts, traces and sends the
+resulting notification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generic, Optional, TypeVar
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Generic, Optional, TypeVar
 
+from repro import trace
 from repro.errors import RingError
+
+if TYPE_CHECKING:
+    from repro.hw.cpu import Cpu
 
 T = TypeVar("T")
 
@@ -65,6 +71,34 @@ class IoStats:
     def avg_batch(self) -> float:
         return (self.ring_batched_entries / self.ring_batches
                 if self.ring_batches else 0.0)
+
+
+def publish(cpu: "Cpu", ring: "IoRing", side: str, stats: IoStats,
+            notify: Callable[["Cpu"], None], batch: int = 0,
+            dev: Optional[str] = None) -> None:
+    """The §5.2 publish step every frontend and backend shares.
+
+    Publishes what the producer pushed on ``side`` of ``ring`` (``"req"``:
+    requests, ``"resp"``: responses) and calls ``notify`` only when the
+    push crossed the consumer's advertised wakeup index, counting the
+    notify as sent or suppressed.  ``batch`` entries count as one ring
+    batch, and ``dev`` names the ``io.doorbell`` event traced just before
+    the notify; netback's single-frame RX forward passes neither."""
+    if batch:
+        stats.ring_batches += 1
+        stats.ring_batched_entries += batch
+    if side == "req":
+        kick = ring.push_requests_and_check_notify()
+    else:
+        kick = ring.push_responses_and_check_notify()
+    if not kick:
+        stats.notifies_suppressed += 1
+        return
+    stats.notifies_sent += 1
+    # hot path: skip the hook call when no tracer is installed
+    if dev is not None and trace._ACTIVE is not None:
+        trace.instant(cpu.cpu_id, "io.doorbell", dev=dev, ring=side)
+    notify(cpu)
 
 
 class IoRing(Generic[T]):

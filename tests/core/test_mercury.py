@@ -67,9 +67,16 @@ def test_host_guest_end_to_end(mercury):
 def test_detach_refused_while_hosting(mercury):
     mercury.attach()
     guest = mercury.host_guest()
+    backends = mercury.backends
+    assert len(backends) == 2
+    assert guest.net_addr in mercury.kernel.route_table
     with pytest.raises(ModeSwitchError):
         mercury.detach()
     mercury.shutdown_guest(guest)
+    # shutdown unwires everything: no backend left for the watchdog to
+    # scan, no route from the driver domain to the guest's address
+    assert not any(back in mercury.backends for back in backends)
+    assert guest.net_addr not in mercury.kernel.route_table
     mercury.detach()
     assert mercury.mode is Mode.NATIVE
 

@@ -98,7 +98,7 @@ def test_liveness_checks_use_double_observation(site):
 def test_suspect_counter_resets_when_condition_clears():
     mercury = _stack()
     watchdog = Watchdog(mercury, suspect_scans=2)
-    back = mercury._backends[0]
+    back = mercury.backends[0]
     back._in_poll = True
     assert watchdog.scan() is None
     back._in_poll = False  # the poll finished: not wedged after all
@@ -179,7 +179,7 @@ def test_rings_check_covers_all_backend_rings():
     watchdog = Watchdog(mercury, suspect_scans=1)
     # one guest: BlkBack.ring + NetBack.tx_ring/rx_ring
     assert len(list(backend_rings(mercury))) == 3
-    ring = mercury._backends[0].ring
+    ring = mercury.backends[0].ring
     ring.c.rsp_prod = ring.c.req_cons + 1  # response without a request
     verdict = watchdog.scan()
     assert verdict is not None

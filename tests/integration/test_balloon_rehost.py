@@ -93,3 +93,23 @@ def test_rehosted_balloon_survives_second_recovery(squeezed):
         assert dom.mem_pages == len(machine.memory.frames_owned_by(owner))
         _front, back = mercury.balloons[owner]
         back.set_target(cpu, dom.mem_pages - 4)
+
+
+def test_microreboot_drops_dom0_balloon_and_rehosts_guest_pairs(squeezed):
+    """Dom0's own balloon dies with the VMM and is not reconnected; the
+    hosted guest comes back with all three of its pairs, in wiring order."""
+    from repro.vmm.backend import BalloonBack, BlkBack, NetBack
+    machine, mercury, cpu, guest = squeezed
+    mercury.connect_balloon()
+    dom0 = mercury.kernel.owner_id
+    assert set(mercury.balloons) == {guest.owner_id, dom0}
+
+    watchdog = Watchdog(mercury, suspect_scans=1)
+    manager = RecoveryManager(mercury)
+    faults.inject_vmm_fault(faults.VMM_PAGEINFO_CORRUPT, mercury)
+    assert manager.recover(watchdog.scan(cpu), cpu=cpu).success
+
+    assert set(mercury.balloons) == {guest.owner_id}
+    assert [type(back) for back in mercury.backends] == [
+        BlkBack, NetBack, BalloonBack]
+    assert mercury.guests == [guest]

@@ -260,7 +260,7 @@ def _recovery_fingerprint(mercury: Mercury) -> dict:
         "vmm_active": mercury.vmm.active,
         "kernel_on_virtual_vo": kernel.vo is mercury.virtual_vo,
         "vo_refcount": kernel.vo.refcount,
-        "guest_vo_refcounts": [g.vo.refcount for g in mercury._guests],
+        "guest_vo_refcounts": [g.vo.refcount for g in mercury.guests],
         "segment_dpl": kernel.vo.data.kernel_segment_dpl,
         # boot CPU only: a guest's boot stomps secondary GDTs with its own
         # firmware-style copies, so those reflect whichever kernel last
@@ -272,9 +272,9 @@ def _recovery_fingerprint(mercury: Mercury) -> dict:
         # the same aspaces re-pin the same pgd frames after the reboot
         "pinned": set(mercury.vmm.page_info.pinned),
         "kernel_aspaces": len(mercury.domain.aspaces),
-        "guest_aspaces": [len(g.vo.domain.aspaces) for g in mercury._guests],
-        "guest_names": [g.name for g in mercury._guests],
-        "backends": len(mercury._backends),
+        "guest_aspaces": [len(g.vo.domain.aspaces) for g in mercury.guests],
+        "guest_names": [g.name for g in mercury.guests],
+        "backends": len(mercury.backends),
         "interrupts": {c.cpu_id: c.interrupts_enabled
                        for c in mercury.machine.cpus},
     }

@@ -114,3 +114,35 @@ def test_migrated_guest_runs_new_work(pair):
     fd = restored.syscall(cpu, "open", "/carry", False)
     restored.syscall(cpu, "lseek", fd, 0)
     assert restored.syscall(cpu, "read", fd, 4096) == ["cargo"]
+
+
+def test_migrated_guest_is_wired_like_any_hosted_guest(pair):
+    """A migrated-in guest is recorded like a hosted one: the watchdog
+    scans its backends, and a VMM microreboot re-hosts it at its own
+    address with its network path intact."""
+    from repro.core.recovery import RecoveryManager
+    from repro.faults import VMM_PAGEINFO_CORRUPT, inject_vmm_fault
+    from repro.hw.devices import Packet
+    from repro.vmm.backend import BlkBack, NetBack
+    from repro.watchdog import Watchdog
+
+    src, dst = pair
+    src.full_virtualize()
+    restored, _ = LiveMigration(src, dst).run()
+    assert [type(back) for back in dst.backends] == [BlkBack, NetBack]
+    assert restored.net_addr == "10.0.0.2:m1"
+
+    Watchdog(dst)
+    RecoveryManager(dst)
+    inject_vmm_fault(VMM_PAGEINFO_CORRUPT, dst)
+    cpu = dst.machine.boot_cpu
+    record = dst.recovery.recover(cpu=cpu)
+    assert record.success
+    assert record.guests_rehosted == 1
+    assert restored in dst.guests
+    assert restored.net_addr == "10.0.0.2:m1"
+
+    before = restored.net_driver.rx
+    dst.kernel.net_rx(cpu, Packet("10.0.0.1", "10.0.0.2:m1", "udp", 512))
+    dst.machine.run_until_idle()
+    assert restored.net_driver.rx == before + 1

@@ -99,7 +99,7 @@ def test_netfront_rx_kick_empty_is_noop(machine):
     k = Kernel(machine, BareMetalVO(machine), name="nf",
                has_devices=False)
     front = NetFront(k, IoRing(8), IoRing(8), notify_backend=lambda c: None)
-    assert front.rx_kick(machine.boot_cpu) == 0
+    assert front.rx_poll(machine.boot_cpu) == 0
 
 
 def test_open_check_direct(kernel, cpu):

@@ -38,18 +38,18 @@ def blk_env(machine, warm_vmm):
 def test_blkback_write_then_read_cached(blk_env):
     cpu, machine, ring, back, notified = blk_env
     ring.push_request(BlkRingEntry(op="write", block=2000, data="v1"))
-    assert back.kick(cpu) == 1
+    assert back.poll(cpu) == 1
     assert notified == [1]
     ring.pop_response()
     ring.push_request(BlkRingEntry(op="read", block=2000))
-    back.kick(cpu)
+    back.poll(cpu)
     assert ring.pop_response().result == "v1"
 
 
 def test_blkback_cached_write_eventually_hits_disk(blk_env):
     cpu, machine, ring, back, notified = blk_env
     ring.push_request(BlkRingEntry(op="write", block=3000, data="persist"))
-    back.kick(cpu)
+    back.poll(cpu)
     ring.pop_response()
     machine.run_until_idle()  # async flush completes
     assert machine.disk.blocks[3000] == "persist"
@@ -61,7 +61,7 @@ def test_blkback_cached_ack_is_fast(blk_env):
     cpu, machine, ring, back, notified = blk_env
     t0 = machine.clock.cycles
     ring.push_request(BlkRingEntry(op="write", block=4000, data="x"))
-    back.kick(cpu)
+    back.poll(cpu)
     ring.pop_response()
     ack_cycles = machine.clock.cycles - t0
     device_cycles = int(cpu.cost.cycles_from_ns(
@@ -85,7 +85,7 @@ def test_blkback_writethrough_mode_waits(machine, warm_vmm):
     back = BlkBack(warm_vmm, dom0, ring, notify_frontend=lambda c: None,
                    submit=submit, write_cache=False)
     ring.push_request(BlkRingEntry(op="write", block=9000, data="sync"))
-    back.kick(machine.boot_cpu)
+    back.poll(machine.boot_cpu)
     assert machine.disk.blocks[9000] == "sync"  # already on the platter
 
 
@@ -93,17 +93,17 @@ def test_blkback_read_miss_goes_to_device(blk_env):
     cpu, machine, ring, back, notified = blk_env
     machine.disk.write_sync(7000, "from-disk")
     ring.push_request(BlkRingEntry(op="read", block=7000))
-    back.kick(cpu)
+    back.poll(cpu)
     assert ring.pop_response().result == "from-disk"
 
 
 def test_blkback_flush_clears_cache(blk_env):
     cpu, machine, ring, back, notified = blk_env
     ring.push_request(BlkRingEntry(op="write", block=2000, data="v1"))
-    back.kick(cpu)
+    back.poll(cpu)
     ring.pop_response()
     ring.push_request(BlkRingEntry(op="flush", block=0))
-    back.kick(cpu)
+    back.poll(cpu)
     ring.pop_response()
     assert back.flushes == 1
     assert back._cache == {}
@@ -112,7 +112,7 @@ def test_blkback_flush_clears_cache(blk_env):
 def test_blkback_unknown_op_flagged(blk_env):
     cpu, machine, ring, back, notified = blk_env
     ring.push_request(BlkRingEntry(op="format", block=0))
-    back.kick(cpu)
+    back.poll(cpu)
     assert ring.pop_response().ok is False
 
 
@@ -126,7 +126,7 @@ def test_netback_tx_forwards_to_wire(machine, warm_vmm):
                    transmit=lambda c, pkt: wire.append(pkt))
     pkt = Packet("a", "b", "udp", 1000)
     tx.push_request(NetRingEntry(pkt=pkt))
-    assert back.kick_tx(machine.boot_cpu) == 1
+    assert back.poll(machine.boot_cpu) == 1
     assert wire == [pkt]
     assert tx.pop_response().pkt is pkt
 
