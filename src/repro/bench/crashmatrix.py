@@ -27,6 +27,7 @@ from repro import Machine, Mercury, faults, small_config
 from repro.core.invariants import check_all
 from repro.errors import ReproError, SwitchAborted
 from repro.hw.machine import isolated_machine_ids
+from repro.scenarios.checkpoint import state_digest
 from repro.sim.pool import parallel_episodes
 
 DIRECTIONS = ("attach", "detach")
@@ -58,25 +59,6 @@ class CellResult:
         return out
 
 
-def _fingerprint(mercury: Mercury) -> dict:
-    """State a half-committed switch could corrupt (id-free subset of the
-    pytest matrix fingerprint)."""
-    kernel = mercury.kernel
-    domain = mercury.domain
-    return {
-        "mode": mercury.mode,
-        "vo_refcount": kernel.vo.refcount,
-        "vmm_active": mercury.vmm.active,
-        "segment_dpl": kernel.vo.data.kernel_segment_dpl,
-        "idt_owners": {c.cpu_id: getattr(c.idt_base, "owner", None)
-                       for c in mercury.machine.cpus},
-        "pinned": set(mercury.vmm.page_info.pinned),
-        "aspaces": len(domain.aspaces) if domain is not None else 0,
-        "interrupts": {c.cpu_id: c.interrupts_enabled
-                       for c in mercury.machine.cpus},
-    }
-
-
 def _switch(mercury: Mercury, direction: str):
     return mercury.attach() if direction == "attach" else mercury.detach()
 
@@ -102,7 +84,7 @@ def run_cell(site: str, direction: str, ncpus: int,
     if direction == "detach":
         check(mercury.attach() is not None, "pre-attach commits")
     start_mode = mercury.mode
-    before = _fingerprint(mercury)
+    before = state_digest(mercury)
     latency_only = site == faults.IPI_DELAYED
 
     plan = faults.FaultPlan()
@@ -132,7 +114,7 @@ def run_cell(site: str, direction: str, ncpus: int,
 
     if flavor == "persistent" and not latency_only:
         check(mercury.mode is start_mode, "mode restored")
-        check(_fingerprint(mercury) == before, "fingerprint restored")
+        check(state_digest(mercury) == before, "state digest restored")
     check(check_all(mercury) == [], "invariants clean")
 
     # the un-faulted follow-up switch must commit and leave a live kernel

@@ -20,23 +20,24 @@ Message vocabulary::
     rsp            server  -> frontend  req_id
     ctl.update     frontend -> server   wave ordinal (rolling live update)
     ctl.updated    server  -> frontend  (index, attach_us, detach_us)
-    ctl.maintain   frontend -> server   (spare, pages, maintenance_cycles)
+    ctl.maintain   frontend -> server   spare
     ctl.maintained server  -> frontend  index
-    ctl.evacuate   frontend -> server   (spare, pages)
+    ctl.evacuate   frontend -> server   spare
     ctl.evacuated  server  -> frontend  index
     chaos.inject   frontend -> server   (site, variant)
     chaos.recovered server -> frontend  (index, site, detected, mttr)
-    mig.state      server  -> spare     (src, pages)   migration stream
+    mig.state      server  -> spare     src (the migration stream)
     mig.ack        spare   -> server    src
     mig.back-req   server  -> spare     src
-    mig.back       spare   -> server    (src, pages)
+    mig.back       spare   -> server    src
     ctl.shutdown   frontend -> server   —
 
 The per-machine mechanics reuse the single-machine §6 scenario modules:
 the rolling update applies a real :class:`~repro.scenarios.liveupdate.
 KernelPatch` through :class:`~repro.scenarios.liveupdate.LiveUpdater`;
-maintenance and evacuation charge the live-migration stream costs of
-:mod:`repro.scenarios.migration`; chaos rides
+maintenance and evacuation move no OS state: each direction charges a
+constant :data:`~repro.scenarios.migration.FLEET_STREAM_PAGES`-page
+stream through :func:`~repro.scenarios.migration.send_pages`; chaos rides
 :func:`repro.faults.inject_vmm_fault`, the VMI
 :class:`~repro.watchdog.Watchdog`, and the ReHype-style
 :class:`~repro.core.recovery.RecoveryManager`.
@@ -60,7 +61,7 @@ from repro.metrics import MetricsCollector
 from repro.params import MachineConfig
 from repro.scenarios.liveupdate import KernelPatch, LiveUpdater
 from repro.scenarios.cluster import HardwareMonitor
-from repro.scenarios.migration import CYC_SEND_PER_PAGE, WIRE_NS_PER_PAGE
+from repro.scenarios.migration import FLEET_STREAM_PAGES, send_pages
 from repro.sim import FleetNode, Sleep, SleepUntil, WaitFor, Yield
 from repro.watchdog import Watchdog
 
@@ -73,6 +74,9 @@ CHAOS_MAX_SCANS = 12
 
 #: requests a guest-hosting node serves between elastic-controller rounds
 ELASTIC_EVERY = 8
+
+#: cycles of hardware work one §6.3 maintenance takes on the idle machine
+MAINTENANCE_CYCLES = 3_000_000
 
 #: VMM fault sites injectable on a bare attached stack (the remaining
 #: catalogue sites need hosted-guest state — channels, grants, backends —
@@ -114,7 +118,8 @@ class ServiceNode(FleetNode):
         self.chaos_recoveries = 0
         self._mig_ack = False
         self._mig_back = False
-        self._hosted_pages: dict = {}
+        #: machines whose execution environment this spare hosts
+        self._hosted: set = set()
 
         # guest-domain serving (M-U): the node becomes a standing driver
         # domain hosting ``guest_domains`` ballooned guests; requests are
@@ -215,22 +220,15 @@ class ServiceNode(FleetNode):
         if kind == "ctl.update":
             yield from self._op_update(payload)
         elif kind == "ctl.maintain":
-            yield from self._op_maintain(*payload)
+            yield from self._op_maintain(payload)
         elif kind == "ctl.evacuate":
-            yield from self._op_evacuate(*payload)
+            yield from self._op_evacuate(payload)
         elif kind == "chaos.inject":
             yield from self._op_chaos(*payload)
         elif kind == "mig.state":
-            yield from self._op_host_state(*payload)
+            yield from self._op_host_state(payload)
         elif kind == "mig.back-req":
             yield from self._op_return_state(payload)
-
-    def _charge_stream(self, pages: int) -> None:
-        """One direction of a live-migration page stream (§6.3/§6.5
-        costs, per :mod:`repro.scenarios.migration`)."""
-        cpu = self.machine.boot_cpu
-        cpu.charge(pages * CYC_SEND_PER_PAGE)
-        cpu.charge(pages * int(cpu.cost.cycles_from_ns(WIRE_NS_PER_PAGE)))
 
     def _op_update(self, ordinal: int) -> Generator:
         """Rolling live kernel update (§6.4): transiently attach, patch,
@@ -245,58 +243,57 @@ class ServiceNode(FleetNode):
         return
         yield  # pragma: no cover - generator marker
 
-    def _op_maintain(self, spare: int, pages: int,
-                     maintenance_cycles: int) -> Generator:
+    def _op_maintain(self, spare: int) -> Generator:
         """Predictive hardware maintenance (§6.3): full-virtualize,
         migrate the execution environment to ``spare``, service the
         hardware, migrate back, return to native."""
         self.mercury.full_virtualize()
-        self._charge_stream(pages)
+        send_pages(self.machine.boot_cpu, FLEET_STREAM_PAGES)
         self._mig_ack = False
-        self.post(spare, "mig.state", payload=(self.index, pages))
+        self.post(spare, "mig.state", payload=self.index)
         yield WaitFor(lambda: self._mig_ack, desc="mig.ack")
-        self.machine.boot_cpu.charge(maintenance_cycles)
+        self.machine.boot_cpu.charge(MAINTENANCE_CYCLES)
         self.monitor.temperature_c = 45.0  # serviced: prediction clears
         self._mig_back = False
         self.post(spare, "mig.back-req", payload=self.index)
         yield WaitFor(lambda: self._mig_back, desc="mig.back")
-        self._charge_stream(pages)
+        send_pages(self.machine.boot_cpu, FLEET_STREAM_PAGES)
         self.mercury.departial()
         if not self.guests:  # a standing driver domain stays attached
             self.mercury.detach()
         self.maintenances += 1
         self.post(0, "ctl.maintained", payload=self.index)
 
-    def _op_evacuate(self, spare: int, pages: int) -> Generator:
+    def _op_evacuate(self, spare: int) -> Generator:
         """Failure-predicted evacuation (§6.5): one-way migration to the
         promoted spare; this machine then takes the predicted failure."""
         self.mercury.full_virtualize()
-        self._charge_stream(pages)
+        send_pages(self.machine.boot_cpu, FLEET_STREAM_PAGES)
         self._mig_ack = False
-        self.post(spare, "mig.state", payload=(self.index, pages))
+        self.post(spare, "mig.state", payload=self.index)
         yield WaitFor(lambda: self._mig_ack, desc="mig.ack")
         self.evacuated = True
         self.retired = True
         self.post(0, "ctl.evacuated", payload=self.index)
         self.done = True
 
-    def _op_host_state(self, src: int, pages: int) -> Generator:
+    def _op_host_state(self, src: int) -> Generator:
         """Spare side of a migration stream: go partial-virtual to host
         the inbound execution environment, absorb the pages, ack."""
         if self.mercury.mode is Mode.NATIVE:
             self.mercury.attach()
-        self._charge_stream(pages)
-        self._hosted_pages[src] = pages
+        send_pages(self.machine.boot_cpu, FLEET_STREAM_PAGES)
+        self._hosted.add(src)
         self.post(src, "mig.ack", payload=src)
         return
         yield  # pragma: no cover - generator marker
 
     def _op_return_state(self, src: int) -> Generator:
         """Spare side of the §6.3 return trip."""
-        pages = self._hosted_pages.pop(src, 0)
-        self._charge_stream(pages)
-        self.post(src, "mig.back", payload=(src, pages))
-        if not self._hosted_pages and not self.guests and \
+        self._hosted.discard(src)
+        send_pages(self.machine.boot_cpu, FLEET_STREAM_PAGES)
+        self.post(src, "mig.back", payload=src)
+        if not self._hosted and not self.guests and \
                 self.mercury.mode is Mode.PARTIAL_VIRTUAL:
             self.mercury.detach()  # nobody hosted: back to full speed
         return
@@ -378,8 +375,6 @@ class FrontendNode(FleetNode):
                  evacuations: int = 0,
                  chaos_events: int = 0,
                  maintain_count: int = 0,
-                 state_pages: int = 64,
-                 maintenance_cycles: int = 3_000_000,
                  log_requests: bool = False,
                  **_ignored):
         machine = Machine(MachineConfig(num_cpus=1, mem_kb=1024))
@@ -398,8 +393,6 @@ class FrontendNode(FleetNode):
         self.requests = requests
         self.wave_after = (requests // 4 if wave_after_completions is None
                            else wave_after_completions)
-        self.state_pages = state_pages
-        self.maintenance_cycles = maintenance_cycles
         self.log_requests = log_requests
         self._rng = random.Random(f"fleet-ops:{seed}")
 
@@ -562,9 +555,7 @@ class FrontendNode(FleetNode):
                      and self.balancer.state[i] is MachineState.READY]
             spare = min(peers,
                         key=lambda i: (self.balancer.outstanding[i], i))
-            self.post(index, "ctl.maintain",
-                      payload=(spare, self.state_pages,
-                               self.maintenance_cycles))
+            self.post(index, "ctl.maintain", payload=spare)
             yield WaitFor(lambda i=index: i in self._maintained,
                           desc=f"maintain m{index}")
             self.balancer.mark_ready(index)
@@ -586,8 +577,7 @@ class FrontendNode(FleetNode):
                 continue
             entry = yield from self._drain(victim)
             spare = self._spare_pool.pop(0)
-            self.post(victim, "ctl.evacuate",
-                      payload=(spare, self.state_pages))
+            self.post(victim, "ctl.evacuate", payload=spare)
             yield WaitFor(lambda i=victim: i in self._evacuated,
                           desc=f"evacuate m{victim}")
             # the predicted failure arrives on the evacuated machine;

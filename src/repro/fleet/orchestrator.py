@@ -119,7 +119,6 @@ class FleetOrchestrator:
                  evacuations: int = 2,
                  chaos_events: int = 2,
                  maintain_count: int = 3,
-                 state_pages: int = 64,
                  guest_domains: int = 0,
                  guest_mem_pages: int = 48,
                  guest_mem_floor: int = 16,
@@ -168,7 +167,6 @@ class FleetOrchestrator:
             "evacuations": evacuations,
             "chaos_events": chaos_events,
             "maintain_count": maintain_count,
-            "state_pages": state_pages,
             "guest_domains": guest_domains,
             "guest_mem_pages": guest_mem_pages,
             "guest_mem_floor": guest_mem_floor,

@@ -92,13 +92,17 @@ class Kernel:
             raise GuestOSError("kernel already booted")
         cpu = self.boot_cpu
 
-        # segments: firmware-style direct install, then mode-appropriate DPL
-        for c in self.machine.cpus:
-            c.gdt = {
-                1: SegmentDescriptor("kernel_cs", 0),
-                2: SegmentDescriptor("kernel_ds", 0),
-                3: SegmentDescriptor("user_cs", 3),
-            }
+        # segments: firmware-style direct install, then mode-appropriate
+        # DPL.  A guest booting under a VMM that already runs the machine
+        # keeps the live descriptors: they are the host kernel's, and the
+        # guest's DPL goes through its VO.
+        if not (self.vo.is_virtual and cpu.gdt):
+            for c in self.machine.cpus:
+                c.gdt = {
+                    1: SegmentDescriptor("kernel_cs", 0),
+                    2: SegmentDescriptor("kernel_ds", 0),
+                    3: SegmentDescriptor("user_cs", 3),
+                }
         self.vo.set_segment_dpl(cpu, self.vo.data.kernel_segment_dpl)
 
         # interrupt handlers

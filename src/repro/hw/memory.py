@@ -42,14 +42,12 @@ class PhysicalMemory:
         self.generation = np.zeros(num_frames, dtype=np.int64)
         # Free frames are represented implicitly: frames below the
         # ``_next_fresh`` watermark are allocated unless they sit on the
-        # ``_recycled`` LIFO stack; frames at/above it are free unless in
-        # ``_fresh_skipped`` (claimed out of order by ``alloc_specific``).
+        # ``_recycled`` LIFO stack; frames at/above it are free.
         # Allocation order — freed frames LIFO-first, then the lowest
         # fresh frame — is deterministic and load-bearing: frame numbers
         # feed page-info columns and golden traces.
         self._recycled: list[int] = []
         self._next_fresh = 0
-        self._fresh_skipped: set[int] = set()
         self._contents: dict[int, object] = {}
         #: arbitrary structured occupants (e.g. PageTablePage objects),
         #: indexed by frame — the simulator's stand-in for "what these bytes
@@ -65,12 +63,7 @@ class PhysicalMemory:
             frame = recycled.pop()
         else:
             frame = self._next_fresh
-            skipped = self._fresh_skipped
-            while skipped and frame in skipped:
-                skipped.discard(frame)
-                frame += 1
             if frame >= self.num_frames:
-                self._next_fresh = frame
                 raise OutOfMemory("physical memory exhausted")
             self._next_fresh = frame + 1
         self.owner[frame] = owner
@@ -80,20 +73,6 @@ class PhysicalMemory:
         if n > self.free_frames:
             raise OutOfMemory(f"requested {n} frames, {self.free_frames} free")
         return [self.alloc(owner) for _ in range(n)]
-
-    def alloc_specific(self, frame: int, owner: int) -> int:
-        """Allocate a *specific* frame (checkpoint-restore and migration
-        rebuild page tables with their original frame numbers on a fresh
-        target).  O(n) on the recycled stack; restore paths only."""
-        self._check(frame)
-        if self.owner[frame] != OWNER_FREE:
-            raise InvalidPhysicalAddress(f"frame {frame} is already allocated")
-        if frame >= self._next_fresh:
-            self._fresh_skipped.add(frame)
-        else:
-            self._recycled.remove(frame)
-        self.owner[frame] = owner
-        return frame
 
     def free(self, frame: int) -> None:
         # _check inlined: free runs per frame on every teardown path
@@ -116,8 +95,7 @@ class PhysicalMemory:
 
     @property
     def free_frames(self) -> int:
-        return (self.num_frames - self._next_fresh
-                - len(self._fresh_skipped) + len(self._recycled))
+        return self.num_frames - self._next_fresh + len(self._recycled)
 
     def frames_owned_by(self, owner: int) -> np.ndarray:
         """All frame numbers currently owned by ``owner`` (vectorized)."""

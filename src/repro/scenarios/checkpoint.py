@@ -17,7 +17,7 @@ recovery); fidelity tests assert workloads observe identical state.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.mercury import GuestWiring, Mercury, Mode
@@ -68,7 +68,7 @@ class CheckpointImage:
     kernel_name: str
     owner_id: int
     taken_at_cycles: int
-    #: frame -> content for every frame the guest owned
+    #: frame -> content for every frame of :func:`state_frames`
     frames: dict[int, object] = field(default_factory=dict)
     aspaces: list[AspaceImage] = field(default_factory=list)
     tasks: list[TaskImage] = field(default_factory=list)
@@ -104,14 +104,33 @@ def checkpoint(mercury: Mercury, cpu: Optional["Cpu"] = None,
         mercury.attach(cpu)
     try:
         kernel.fs.sync_all(cpu)  # quiesce: the image carries clean FS state
-        image = _snapshot(kernel, cpu, include_disk)
+        image = capture(kernel, include_disk)
+        cpu.charge(image.num_frames * CYC_SNAPSHOT_PER_FRAME)
     finally:
         if was_native:
             mercury.detach(cpu)
     return image
 
 
-def _snapshot(kernel: "Kernel", cpu: "Cpu", include_disk: bool) -> CheckpointImage:
+def state_frames(kernel: "Kernel") -> list[int]:
+    """The frames that hold ``kernel``'s state, ascending: every frame it
+    owns except those it has granted to another domain.  A granted frame
+    is the split block frontend's payload buffer, which ``Mercury.wire``
+    allocates afresh on every host; it belongs to the host's wiring, so
+    neither a capture nor a migration carries it."""
+    owned = kernel.machine.memory.frames_owned_by(kernel.owner_id)
+    vmm = getattr(kernel.vo, "vmm", None)
+    granted = ({e.frame for e in vmm.grants.active_grants_of(kernel.owner_id)}
+               if vmm is not None else set())
+    return [int(f) for f in owned if int(f) not in granted]
+
+
+def capture(kernel: "Kernel", include_disk: bool = True) -> CheckpointImage:
+    """Read ``kernel``'s whole logical state into an image.
+
+    The walk charges no cycles and syncs nothing: :func:`checkpoint` and
+    live migration charge ``CYC_SNAPSHOT_PER_FRAME`` per captured frame
+    themselves, and :func:`state_digest` reads state for free."""
     mem = kernel.machine.memory
     image = CheckpointImage(
         kernel_name=kernel.name,
@@ -120,11 +139,10 @@ def _snapshot(kernel: "Kernel", cpu: "Cpu", include_disk: bool) -> CheckpointIma
         next_pid=kernel.procs._next_pid,
     )
 
-    # memory frames (charged per frame — snapshotting is the bulk cost)
-    for frame in mem.frames_owned_by(kernel.owner_id):
-        f = int(frame)
-        image.frames[f] = copy.deepcopy(mem.read(f)) if mem.read(f) is not None else None
-        cpu.charge(CYC_SNAPSHOT_PER_FRAME)
+    # memory frames
+    for f in state_frames(kernel):
+        content = mem.read(f)
+        image.frames[f] = copy.deepcopy(content) if content is not None else None
 
     # address spaces
     aspace_indices: dict[int, int] = {}
@@ -164,6 +182,134 @@ def _snapshot(kernel: "Kernel", cpu: "Cpu", include_disk: bool) -> CheckpointIma
 
     image.frame_refs = dict(kernel.vmem._frame_refs)
     return image
+
+
+# ---------------------------------------------------------------------------
+# state digest
+# ---------------------------------------------------------------------------
+
+#: every piece of state :func:`state_digest` leaves out, with the reason
+DIGEST_EXCLUDED = (
+    ("CheckpointImage.owner_id, domain ids",
+     "per-machine handles; a kernel landing in a shell keeps the shell's id"),
+    ("CheckpointImage.kernel_name",
+     "a kernel landing in a shell keeps the shell's name; hosted guests' "
+     "names are in the stack part"),
+    ("CheckpointImage.taken_at_cycles", "a clock reading, not state"),
+    ("CheckpointImage.disk_blocks",
+     "the machine's disk: networked storage every §6 move shares"),
+    ("kernel state outside the image: buffer cache, sockets, IPC, counters",
+     "a checkpoint syncs the filesystem before its capture, and a move "
+     "re-creates I/O on the target"),
+    ("frame numbers",
+     "the allocator recycles LIFO, so a restore renumbers frames; frames "
+     "are named by the walk instead (see _walk)"),
+    ("object identities",
+     "a digest must compare across machines and microreboots"),
+    ("MmuAccounting.trusted",
+     "an attach rollback distrusts the tracker by design, forcing the "
+     "retry onto the full path"),
+)
+
+#: the stack-part name of a frame no walk reaches (a dead root, say):
+#: sets of such frames compare by count
+_UNWALKED = (-1, -1)
+
+
+def _walk(image: CheckpointImage) -> dict[int, int]:
+    """Canonical frame names, in first-visit order of a walk over the
+    image's address spaces: each pgd, its leaf tables by slot, then the
+    frames it maps by virtual address."""
+    names: dict[int, int] = {}
+    for a in image.aspaces:
+        for frame in (a.pgd_frame,
+                      *(a.leaf_frames[s] for s in sorted(a.leaf_frames)),
+                      *(a.ptes[v][0] for v in sorted(a.ptes))):
+            names.setdefault(frame, len(names))
+    return names
+
+
+def kernel_digest(image: CheckpointImage) -> dict:
+    """The kernel part of :func:`state_digest`, read from a capture:
+    frame contents, address spaces, tasks, scheduler, filesystem and COW
+    share counts, with frames named by :func:`_walk`.  Frames the walk
+    does not reach are compared by content and share count alone."""
+    names = _walk(image)
+    refs = image.frame_refs
+    unwalked = (set(image.frames) | set(refs)) - set(names)
+    return {
+        "frames": {names[f]: c for f, c in image.frames.items() if f in names},
+        "unwalked_frames": sorted((repr(image.frames.get(f)), refs.get(f, 0))
+                                  for f in unwalked),
+        "cow_shares": {names[f]: n for f, n in refs.items() if f in names},
+        "aspaces": [{"pgd": names[a.pgd_frame],
+                     "leaves": {s: names[f] for s, f in a.leaf_frames.items()},
+                     "ptes": {v: (names[pte[0]], *pte[1:])
+                              for v, pte in a.ptes.items()}}
+                    for a in image.aspaces],
+        "tasks": sorted((asdict(t) for t in image.tasks),
+                        key=lambda t: t["pid"]),
+        "current_pid": image.current_pid,
+        "runqueue_pids": image.runqueue_pids,
+        "next_pid": image.next_pid,
+        "fs_inodes": {path: asdict(inode)
+                      for path, inode in image.fs_inodes.items()},
+        "fs_next_block": image.fs_next_block,
+    }
+
+
+def state_digest(mercury: Mercury) -> dict:
+    """The state oracle for checkpoint, migration and recovery: a
+    canonical plain-data value equal across any two stacks in the same
+    logical state, so a failing ``==`` names the part that differs.
+
+    ``kernel`` is :func:`kernel_digest` of the self-virtualized OS;
+    ``stack`` is the switch and hosting state around it.  Frames in the
+    stack part are named ``(kernel index, walk name)`` — the OS is index
+    0, hosted guests follow in order.  What is left out, and why, is
+    :data:`DIGEST_EXCLUDED`."""
+    kernel = mercury.kernel
+    guests = mercury.guests
+    images = [capture(k, include_disk=False) for k in (kernel, *guests)]
+    names: dict[int, tuple] = {}
+    for index, image in enumerate(images):
+        for frame, name in _walk(image).items():
+            names.setdefault(frame, (index, name))
+
+    def labels(frames) -> list:
+        return sorted(names.get(int(f), _UNWALKED) for f in frames)
+
+    tracker = mercury.mmu_log
+    domain = mercury.domain
+    cpus = mercury.machine.cpus
+    vo = kernel.vo
+    return {
+        "kernel": kernel_digest(images[0]),
+        "stack": {
+            "mode": mercury.mode.value,
+            "vmm_active": mercury.vmm.active,
+            "vo": ("virtual" if vo is mercury.virtual_vo else
+                   "native" if vo is mercury.native_vo else type(vo).__name__),
+            "vo_refcount": vo.refcount,
+            "segment_dpl": vo.data.kernel_segment_dpl,
+            "gdt_dpls": [{sel: d.dpl for sel, d in c.gdt.items()}
+                         for c in cpus],
+            "idt_owners": [getattr(c.idt_base, "owner", None) for c in cpus],
+            "interrupts": [c.interrupts_enabled for c in cpus],
+            "pinned": labels(mercury.vmm.page_info.pinned),
+            "aspaces": labels(a.pgd_frame for a in domain.aspaces)
+                       if domain is not None else [],
+            "mmu_dirty": (labels(tracker.dirty)
+                          if tracker is not None else None),
+            "mmu_contributions": (labels(tracker.contributions)
+                                  if tracker is not None else None),
+            "mmu_dead": (labels(tracker.dead)
+                         if tracker is not None else None),
+            "guests": [{"name": g.name, "vo_refcount": g.vo.refcount,
+                        "aspaces": len(g.vo.domain.aspaces)} for g in guests],
+            "backends": len(mercury.backends),
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +388,7 @@ def _install_boot_tables(kernel: "Kernel", cpu: "Cpu") -> None:
         c.gdt = {1: SegmentDescriptor("kernel_cs", 0),
                  2: SegmentDescriptor("kernel_ds", 0),
                  3: SegmentDescriptor("user_cs", 3)}
+    kernel.vo.set_segment_dpl(cpu, kernel.vo.data.kernel_segment_dpl)  # as boot
     kernel.idt.set_gate(VEC_TIMER, kernel._timer_irq, name="timer")
     if kernel.has_devices:
         kernel.idt.set_gate(VEC_DISK, kernel._disk_irq, name="disk")

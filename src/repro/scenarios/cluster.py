@@ -143,16 +143,19 @@ class HpcCluster:
 
     def handle_warning(self, node: ClusterNode, mutator=None,
                        cancel_on_recovery: bool = False) -> ClusterNode:
-        """Monitors predicted a failure on ``node``: evacuate its OS to a
-        healthy peer, per §6.5.  Returns the standby now hosting it.
+        """Monitors predicted a failure on ``node``: evacuate it to a
+        healthy peer, per §6.5 — first every guest it hosts (an earlier
+        evacuee, say), then its own OS.  Returns the standby now hosting
+        them.
 
         ``mutator(round_no)`` models the job running (and dirtying pages)
         during each pre-copy round.  With ``cancel_on_recovery``, the
         sensors are re-read between rounds; if the prediction has cleared
-        (a transient thermal event, say) the migration is abandoned
-        before stop-and-copy — pre-copy only streams page *copies*, so
-        nothing needs undoing — and the node rolls back to native,
-        returning ``node`` itself."""
+        (a transient thermal event, say) the migration in flight is
+        abandoned before stop-and-copy — pre-copy only streams page
+        *copies*, so nothing needs undoing — and the node rolls back to
+        native (unless it still hosts guests), returning ``node``
+        itself."""
         if not node.monitor.predicts_failure():
             raise ScenarioError(f"{node.name} has no failure prediction")
         node.state = NodeState.WARNED
@@ -170,12 +173,16 @@ class HpcCluster:
             if cancel_on_recovery and not node.monitor.predicts_failure():
                 raise _PredictionCleared
 
-        migration = LiveMigration(node.mercury, standby.mercury)
         try:
-            hosted, report = migration.run(_round)
+            for guest in node.mercury.guests:
+                LiveMigration(node.mercury, standby.mercury,
+                              kernel=guest).run(_round)
+            _, report = LiveMigration(node.mercury,
+                                      standby.mercury).run(_round)
         except _PredictionCleared:
             node.mercury.departial()
-            node.mercury.detach()
+            if not node.mercury.guests:
+                node.mercury.detach()
             if standby_was_native and not standby.mercury.guests:
                 standby.mercury.detach()
             node.state = NodeState.HEALTHY

@@ -14,15 +14,12 @@ the wall-clock maintenance duration — the paper's availability argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.core.mercury import Mercury, Mode
-from repro.errors import ScenarioError
+from repro.errors import MigrationError, ScenarioError
 from repro.scenarios.migration import LiveMigration, MigrationReport
-
-if TYPE_CHECKING:
-    from repro.guestos.kernel import Kernel
 
 
 @dataclass
@@ -62,90 +59,35 @@ class MaintenanceWindow:
         clock = self.primary.machine.clock
         t0 = clock.cycles
 
+        # 0. refuse before any mode change: the primary's own OS cannot
+        # leave while it hosts guests (LiveMigration refuses it too)
+        if self.primary.guests:
+            raise MigrationError(
+                f"primary still hosts {len(self.primary.guests)} guest(s); "
+                "move them before maintaining it")
+
         # 1. primary goes full-virtual; standby must be able to host
         self.primary.full_virtualize()
         if self.standby.mode is Mode.NATIVE:
             self.standby.attach()
 
         # 2. migrate the execution environment away
-        out = LiveMigration(self.primary, self.standby)
-        hosted, outbound = out.run(mutator=mutator)
+        hosted, outbound = LiveMigration(self.primary,
+                                         self.standby).run(mutator=mutator)
 
         # 3. hardware maintenance on the now-idle primary
         m0 = clock.cycles
         maintain()
         maintenance_cycles = clock.cycles - m0
 
-        # 4. migrate back: the hosted guest returns to the primary, which
-        # is reconstructed as that machine's own OS
-        inbound = self._migrate_back(hosted, mutator)
+        # 4. migrate back: the hosted OS returns into the primary's shell
+        _, inbound = LiveMigration(self.standby, self.primary,
+                                   kernel=hosted).run(mutator=mutator)
 
         # 5. the primary returns to native mode for full speed
+        self.primary.departial()
         self.primary.detach()
         return MaintenanceReport(
             outbound=outbound, inbound=inbound,
             maintenance_cycles=maintenance_cycles,
             total_cycles=clock.cycles - t0)
-
-    def _migrate_back(self, hosted: "Kernel",
-                      mutator: Optional[Callable[[int], None]]
-                      ) -> MigrationReport:
-        """Move the hosted guest back onto the (fresh, maintained)
-        primary."""
-        from repro.scenarios.checkpoint import _snapshot, restore
-        from repro.scenarios.migration import (CYC_SEND_PER_PAGE,
-                                               MigrationReport, RoundStats,
-                                               WIRE_NS_PER_PAGE)
-
-        clock = self.standby.machine.clock
-        cpu = self.standby.machine.boot_cpu
-        mem = self.standby.machine.memory
-        report = MigrationReport()
-        t0 = clock.cycles
-
-        # pre-copy rounds for the hosted guest
-        owned = mem.frames_owned_by(hosted.owner_id)
-        dirty = set(int(f) for f in owned)
-        gen_seen = {int(f): -1 for f in owned}
-        for round_no in range(5):
-            if len(dirty) <= 32:
-                break
-            r0 = clock.cycles
-            for frame in sorted(dirty):
-                cpu.charge(CYC_SEND_PER_PAGE)
-                cpu.charge(int(cpu.cost.cycles_from_ns(WIRE_NS_PER_PAGE)))
-                gen_seen[frame] = int(mem.generation[frame])
-            report.rounds.append(RoundStats(round_no, len(dirty),
-                                            clock.cycles - r0))
-            if mutator is not None:
-                mutator(round_no)
-            owned = mem.frames_owned_by(hosted.owner_id)
-            dirty = {int(f) for f in owned
-                     if int(mem.generation[f]) != gen_seen.get(int(f), -1)}
-
-        # stop-and-copy + restore on the primary as its own OS
-        pause = clock.cycles
-        image = _snapshot(hosted, cpu, include_disk=True)
-        for _ in range(len(dirty)):
-            cpu.charge(CYC_SEND_PER_PAGE)
-            cpu.charge(int(cpu.cost.cycles_from_ns(WIRE_NS_PER_PAGE)))
-        report.stop_and_copy_pages = len(dirty)
-
-        # tear the hosted guest out of the standby
-        self.standby.shutdown_guest(hosted)
-        for frame in list(mem.frames_owned_by(hosted.owner_id)):
-            mem.free(int(frame))
-
-        # the primary's Mercury still exists; restore into it.  It is in
-        # full-virtual mode with an empty kernel shell (its state left in
-        # the outbound migration).
-        image.kernel_name = self.primary.kernel.name
-        image.owner_id = self.primary.kernel.owner_id
-        restored = restore(image, self.primary,
-                           cpu=self.primary.machine.boot_cpu)
-        self.primary.kernel.booted = True
-        if self.primary.mode is Mode.FULL_VIRTUAL:
-            self.primary.departial()
-        report.downtime_cycles = clock.cycles - pause
-        report.total_cycles = clock.cycles - t0
-        return report

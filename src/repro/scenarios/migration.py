@@ -2,17 +2,19 @@
 paper cites as [39]; the primitive behind §6.3 online maintenance and §6.5
 HPC availability).
 
-Rounds: push every guest frame across the wire while the guest keeps
-running (a mutator callback models that); frames dirtied during a round are
-re-sent in the next; when the dirty set stops shrinking (or a round budget
-is hit), the guest is paused for a brief stop-and-copy of the remainder and
-its execution context — that pause is the measured *downtime*.
+Rounds: push every frame of the moving kernel across the wire while it
+keeps running (a mutator callback models that); frames dirtied during a
+round are re-sent in the next; when the dirty set is small enough (or a
+round budget is hit), the kernel is paused for a brief stop-and-copy of
+the remainder and its execution context — that pause is the measured
+*downtime*.
 
 Dirty logging rides on :attr:`PhysicalMemory.generation`, the simulator's
 per-frame write counter — the stand-in for the shadow-mode dirty bitmap a
 real VMM keeps.  Device handling follows §5.2: disk state is assumed shared
-(networked storage); network frontends are *re-created* on the target after
-the migration completes rather than decoupled before it.
+(networked storage); a kernel landing as a hosted guest gets its split
+frontends *re-created* on the target after the migration completes rather
+than decoupled before it.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
 from repro.core.mercury import Mercury, Mode
 from repro.errors import MigrationError
-from repro.scenarios.checkpoint import (CheckpointImage, checkpoint, restore,
-                                        restore_as_guest, _snapshot)
-from repro.params import PAGE_SIZE
+from repro.scenarios.checkpoint import (CYC_SNAPSHOT_PER_FRAME, capture,
+                                        kernel_digest, restore,
+                                        restore_as_guest, state_frames)
 
 if TYPE_CHECKING:
     from repro.guestos.kernel import Kernel
@@ -36,6 +36,16 @@ if TYPE_CHECKING:
 CYC_SEND_PER_PAGE = 900
 #: wire nanoseconds per page at gigabit rate
 WIRE_NS_PER_PAGE = 34_000
+#: pages of OS state one direction of a fleet maintenance or evacuation
+#: stream charges (the fleet moves no state; see ``fleet/node.py``)
+FLEET_STREAM_PAGES = 64
+
+
+def send_pages(cpu: "Cpu", pages: int) -> None:
+    """Charge ``cpu`` for streaming ``pages`` pages: per page, the send
+    work plus the wire time rounded down to whole cycles."""
+    cpu.charge(pages * (CYC_SEND_PER_PAGE
+                        + int(cpu.cost.cycles_from_ns(WIRE_NS_PER_PAGE))))
 
 
 @dataclass
@@ -55,7 +65,6 @@ class MigrationReport:
     total_cycles: int = 0
     #: guest-visible pause (stop-and-copy + resume), cycles
     downtime_cycles: int = 0
-    aborted: bool = False
 
     @property
     def total_pages_sent(self) -> int:
@@ -69,123 +78,120 @@ class MigrationReport:
 
 
 class LiveMigration:
-    """Migrate a self-virtualized OS from one Mercury machine to another.
+    """Move one kernel from ``source`` to ``target``: every §6 state move.
 
-    The source must be in full-virtual mode (§6.3: the operator switches
-    the machine to full-virtual dynamically); the target must have an
-    attached VMM in partial-virtual mode to accommodate the incomer."""
+    ``kernel`` is the source's own OS (the default) or one of the source's
+    hosted guests.  The own OS moves only from full-virtual mode (§6.3: the
+    operator switches the machine dynamically), and never while the source
+    still hosts guests: its departure resets the source VMM's validation
+    state, which those guests run on.
+
+    Landing rule: a target with no running kernel — none at all, or the
+    unbooted shell an earlier migration left behind — takes the kernel as
+    its own OS (a shell keeps its name and owner id).  A target with a
+    running kernel must have its VMM attached, and hosts the kernel as a
+    guest with split I/O (§6.3)."""
 
     def __init__(self, source: Mercury, target: Mercury,
+                 kernel: Optional["Kernel"] = None,
                  max_rounds: int = 5, dirty_threshold: int = 32):
         if source.machine.clock is not target.machine.clock:
             raise MigrationError(
                 "source and target machines must share a clock (link them)")
         self.source = source
         self.target = target
+        self.kernel = kernel if kernel is not None else source.kernel
         self.max_rounds = max_rounds
         self.dirty_threshold = dirty_threshold
 
     def run(self, mutator: Optional[Callable[[int], None]] = None
             ) -> tuple["Kernel", MigrationReport]:
-        """Execute the migration.  ``mutator(round_no)`` models the guest
+        """Execute the migration.  ``mutator(round_no)`` models the kernel
         continuing to run (and dirty pages) during each pre-copy round.
         Returns the restored kernel on the target and the report."""
-        src, dst = self.source, self.target
-        if src.mode is not Mode.FULL_VIRTUAL:
-            raise MigrationError(
-                f"source must be in full-virtual mode, is {src.mode}")
-        if dst.mode is Mode.NATIVE:
+        src, dst, kernel = self.source, self.target, self.kernel
+        if kernel is src.kernel:
+            if src.guests:
+                raise MigrationError(
+                    f"source still hosts {len(src.guests)} guest(s); "
+                    "move them before its own OS")
+            if src.mode is not Mode.FULL_VIRTUAL:
+                raise MigrationError(
+                    f"source must be in full-virtual mode, is {src.mode}")
+        elif kernel not in src.guests:
+            raise MigrationError(f"{kernel.name} is not hosted by the source")
+        lands_as_guest = dst.kernel is not None and dst.kernel.booted
+        if lands_as_guest and dst.mode is Mode.NATIVE:
             raise MigrationError("target must have its VMM attached")
 
         clock = src.machine.clock
         cpu = src.machine.boot_cpu
-        mem = src.machine.memory
-        kernel = src.kernel
+        generation = src.machine.memory.generation
         report = MigrationReport()
         t0 = clock.cycles
 
-        # -- iterative pre-copy -----------------------------------------
-        owned = mem.frames_owned_by(kernel.owner_id)
-        dirty = set(int(f) for f in owned)           # round 0: everything
-        gen_seen = {int(f): -1 for f in owned}
-
+        # -- iterative pre-copy: round 0 pushes every frame --------------
+        dirty = state_frames(kernel)
+        sent: dict[int, int] = {}  # frame -> generation last sent
         for round_no in range(self.max_rounds):
-            # round 0 always pushes the full image; later rounds stop once
-            # the dirty set is small enough to stop-and-copy cheaply
             if round_no > 0 and len(dirty) <= self.dirty_threshold:
                 break
             r0 = clock.cycles
-            for frame in sorted(dirty):
-                self._send_page(cpu)
-                gen_seen[frame] = int(mem.generation[frame])
+            send_pages(cpu, len(dirty))
+            sent.update((f, int(generation[f])) for f in dirty)
             report.rounds.append(RoundStats(
                 round_no=round_no, pages_sent=len(dirty),
                 cycles=clock.cycles - r0))
-            # the guest ran meanwhile and dirtied pages
+            # the kernel ran meanwhile and dirtied pages
             if mutator is not None:
                 mutator(round_no)
-            owned = mem.frames_owned_by(kernel.owner_id)
-            dirty = {
-                int(f) for f in owned
-                if int(mem.generation[f]) != gen_seen.get(int(f), -1)
-            }
+            dirty = [f for f in state_frames(kernel)
+                     if sent.get(f) != int(generation[f])]
 
         # -- stop-and-copy ------------------------------------------------
         pause_start = clock.cycles
-        image = _snapshot(kernel, cpu, include_disk=True)  # networked FS: disk shared
-        for _ in range(len(dirty)):
-            self._send_page(cpu)
+        image = capture(kernel)  # networked FS: the disk is shared
+        cpu.charge(image.num_frames * CYC_SNAPSHOT_PER_FRAME)
+        send_pages(cpu, len(dirty))
         report.stop_and_copy_pages = len(dirty)
 
-        if dst.kernel is None:
-            # target is an empty shell: the migrated OS becomes its OS
-            restored = restore(image, dst, cpu=dst.machine.boot_cpu,
-                               fresh_kernel=True)
-            self._reconnect_devices(restored, dst)
+        dst_cpu = dst.machine.boot_cpu
+        if lands_as_guest:
+            restored = restore_as_guest(image, dst, cpu=dst_cpu)
         else:
-            # target runs its own driver-domain OS: the incomer lands as a
-            # hosted guest with split I/O (§6.3)
-            restored = restore_as_guest(image, dst,
-                                        cpu=dst.machine.boot_cpu)
+            restored = restore(image, dst, cpu=dst_cpu, fresh_kernel=True)
+            restored.booted = True
         report.downtime_cycles = clock.cycles - pause_start
         report.total_cycles = clock.cycles - t0
 
-        # the source instance is gone; release its frames and the VMM's
-        # (now meaningless) validation state for them
-        self._release_source(self.source)
+        expected = kernel_digest(image)
+        landed = kernel_digest(capture(restored, include_disk=False))
+        if landed != expected:
+            _release(dst, restored)  # one live copy: the source's
+            raise MigrationError(
+                "restored state differs from the source at stop-and-copy: "
+                + ", ".join(k for k in expected if landed[k] != expected[k]))
+        _release(src, kernel)
         return restored, report
 
-    # ------------------------------------------------------------------
 
-    def _send_page(self, cpu: "Cpu") -> None:
-        cpu.charge(CYC_SEND_PER_PAGE)
-        cpu.charge(int(cpu.cost.cycles_from_ns(WIRE_NS_PER_PAGE)))
-
-    def _reconnect_devices(self, restored: "Kernel", dst: Mercury) -> None:
-        """Point the restored kernel's I/O at the target machine.
-
-        When the restored kernel lands as the target's own (driver-domain)
-        kernel, it gets native drivers on the target's devices; when it
-        lands as a hosted guest, ``restore_as_guest`` wires its frontends
-        through :meth:`~repro.core.mercury.Mercury.wire`."""
-        from repro.guestos.drivers import NativeBlockDriver, NativeNetDriver
-        if restored is dst.kernel:
-            restored.block_driver = NativeBlockDriver(restored)
-            restored.net_driver = NativeNetDriver(restored)
-
-    def _release_source(self, source: Mercury) -> None:
-        kernel = source.kernel
-        mem = kernel.machine.memory
+def _release(mercury: Mercury, kernel: "Kernel") -> None:
+    """``kernel`` is gone from ``mercury``'s machine: free its frames.
+    The own OS leaves an unbooted shell whose page validations are void;
+    a guest is shut down first."""
+    mem = mercury.machine.memory
+    if kernel is mercury.kernel:
         kernel.scheduler.current = None
         kernel.scheduler.runqueue.clear()
         kernel.procs.tasks.clear()
         for aspace in list(kernel.aspaces):
             kernel.aspaces.remove(aspace)
-            if source.domain is not None and aspace in source.domain.aspaces:
-                source.domain.unregister_aspace(aspace)
-        # the evacuated OS's page validations are void
-        source.vmm.page_info.reset()
-        for frame in list(mem.frames_owned_by(kernel.owner_id)):
-            mem.free(int(frame))
+            if mercury.domain is not None and aspace in mercury.domain.aspaces:
+                mercury.domain.unregister_aspace(aspace)
+        mercury.vmm.page_info.reset()
         kernel.vmem._frame_refs.clear()
         kernel.booted = False
+    else:
+        mercury.shutdown_guest(kernel)
+    for frame in mem.frames_owned_by(kernel.owner_id):
+        mem.free(int(frame))

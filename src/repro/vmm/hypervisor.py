@@ -159,6 +159,10 @@ class Hypervisor:
         for aspace in list(domain.aspaces):
             if aspace.pgd.frame in self.page_info.pinned:
                 self.page_info.unpin_aspace(cpu, aspace)
+        # and its grants end with it: the frames they name go back to the
+        # allocator once the domain's memory is released
+        for entry in self.grants.active_grants_of(domain.domain_id):
+            entry.revoked = True
         self.scheduler.remove_domain(domain)
         self.events.close_domain(domain.domain_id)
         del self.domains[domain.domain_id]

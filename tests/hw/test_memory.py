@@ -51,15 +51,6 @@ def test_alloc_many_all_or_nothing():
     assert mem.free_frames == 4  # nothing leaked
 
 
-def test_alloc_specific():
-    mem = PhysicalMemory(8)
-    f = mem.alloc_specific(5, owner=2)
-    assert f == 5
-    assert mem.owner_of(5) == 2
-    with pytest.raises(InvalidPhysicalAddress):
-        mem.alloc_specific(5, owner=2)
-
-
 def test_write_read_roundtrip():
     mem = PhysicalMemory(4)
     f = mem.alloc(0)

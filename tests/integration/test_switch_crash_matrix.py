@@ -26,6 +26,7 @@ from repro.core.invariants import check_all
 from repro.core.mercury import Mode
 from repro.errors import SwitchAborted
 from repro.metrics import MetricsCollector, MetricsSnapshot
+from repro.scenarios.checkpoint import state_digest
 
 SITE_NAMES = [s.name for s in faults.SWITCH_SITES]
 DIRECTIONS = ["attach", "detach"]
@@ -36,38 +37,6 @@ def _stack(ncpus: int) -> Mercury:
     mercury = Mercury(Machine(small_config(num_cpus=ncpus)))
     mercury.create_kernel(image_pages=16)
     return mercury
-
-
-def _fingerprint(mercury: Mercury) -> dict:
-    """Everything a half-committed switch could corrupt."""
-    kernel = mercury.kernel
-    domain = mercury.domain
-    tracker = mercury.mmu_log
-    return {
-        # the incremental-attach tracker is transactional state too: a
-        # rollback that lost a dirty mark would leave a phantom-clean root
-        # dodging revalidation on the retry.  (``trusted`` is deliberately
-        # NOT part of the fingerprint — an attach rollback distrusts the
-        # tracker by design, forcing the retry onto the full path.)
-        "mmu_dirty": set(tracker.dirty) if tracker is not None else None,
-        "mmu_snapshot_roots": ((sorted(tracker.contributions),
-                                sorted(tracker.dead))
-                               if tracker is not None else None),
-        "mode": mercury.mode,
-        "vo": id(kernel.vo),
-        "vo_refcount": kernel.vo.refcount,
-        "vmm_active": mercury.vmm.active,
-        "segment_dpl": kernel.vo.data.kernel_segment_dpl,
-        "gdt_dpls": {c.cpu_id: {sel: d.dpl for sel, d in c.gdt.items()}
-                     for c in mercury.machine.cpus},
-        "idt_owners": {c.cpu_id: getattr(c.idt_base, "owner", None)
-                       for c in mercury.machine.cpus},
-        "pinned": set(mercury.vmm.page_info.pinned),
-        "registered_aspaces": (set(id(a) for a in domain.aspaces)
-                               if domain is not None else set()),
-        "interrupts": {c.cpu_id: c.interrupts_enabled
-                       for c in mercury.machine.cpus},
-    }
 
 
 def _switch(mercury: Mercury, direction: str):
@@ -105,7 +74,11 @@ def _prepare(ncpus: int, direction: str, site_name: str) -> Mercury:
 def test_persistent_fault_aborts_and_rolls_back(site_name, direction, ncpus):
     mercury = _prepare(ncpus, direction, site_name)
     start_mode = mercury.mode
-    before = _fingerprint(mercury)
+    before = state_digest(mercury)
+    # object identity is outside any digest: checked directly
+    vo_before = mercury.kernel.vo
+    aspaces_before = (list(mercury.domain.aspaces)
+                      if mercury.domain is not None else [])
 
     plan = faults.FaultPlan()
     plan.arm(site_name, times=None)
@@ -124,7 +97,12 @@ def test_persistent_fault_aborts_and_rolls_back(site_name, direction, ncpus):
     if not latency_only:
         # transactionally back where we started
         assert mercury.mode is start_mode
-        assert _fingerprint(mercury) == before
+        assert state_digest(mercury) == before
+        assert mercury.kernel.vo is vo_before
+        aspaces_after = (list(mercury.domain.aspaces)
+                         if mercury.domain is not None else [])
+        assert len(aspaces_after) == len(aspaces_before)
+        assert all(a is b for a, b in zip(aspaces_after, aspaces_before))
         snap = _metrics(mercury)
         assert snap.switch_aborts == 1
         assert snap.switch_rollbacks >= 1
@@ -233,7 +211,7 @@ def test_matrix_covers_every_registered_switch_site():
 # ---------------------------------------------------------------------------
 # the recovery matrix: every in-attached-mode VMM fault site × topology ×
 # load state must end in a watchdog detection and a microreboot that leaves
-# the stack fingerprint-exact and the guest alive
+# the stack state-digest exact and the guest alive
 # ---------------------------------------------------------------------------
 
 VMM_SITE_NAMES = [s.name for s in faults.VMM_SITES]
@@ -249,37 +227,6 @@ def _attached_stack(ncpus: int) -> Mercury:
     return mercury
 
 
-def _recovery_fingerprint(mercury: Mercury) -> dict:
-    """Everything a VMM microreboot could get wrong, id-free: the rebooted
-    VMM is a *new* object graph hosting the *same* kernel and guests, so the
-    fingerprint compares semantics (counts, DPLs, owners, pinned frames),
-    never object identities."""
-    kernel = mercury.kernel
-    return {
-        "mode": mercury.mode,
-        "vmm_active": mercury.vmm.active,
-        "kernel_on_virtual_vo": kernel.vo is mercury.virtual_vo,
-        "vo_refcount": kernel.vo.refcount,
-        "guest_vo_refcounts": [g.vo.refcount for g in mercury.guests],
-        "segment_dpl": kernel.vo.data.kernel_segment_dpl,
-        # boot CPU only: a guest's boot stomps secondary GDTs with its own
-        # firmware-style copies, so those reflect whichever kernel last
-        # booted there — transient placement, not state recovery must keep
-        "gdt_dpls": {sel: d.dpl
-                     for sel, d in mercury.machine.boot_cpu.gdt.items()},
-        "idt_owners": {c.cpu_id: getattr(c.idt_base, "owner", None)
-                       for c in mercury.machine.cpus},
-        # the same aspaces re-pin the same pgd frames after the reboot
-        "pinned": set(mercury.vmm.page_info.pinned),
-        "kernel_aspaces": len(mercury.domain.aspaces),
-        "guest_aspaces": [len(g.vo.domain.aspaces) for g in mercury.guests],
-        "guest_names": [g.name for g in mercury.guests],
-        "backends": len(mercury.backends),
-        "interrupts": {c.cpu_id: c.interrupts_enabled
-                       for c in mercury.machine.cpus},
-    }
-
-
 @pytest.mark.parametrize("ncpus", TOPOLOGIES, ids=["up", "smp"])
 @pytest.mark.parametrize("site_name", VMM_SITE_NAMES)
 def test_quiescent_vmm_fault_recovers_fingerprint_exact(site_name, ncpus):
@@ -292,7 +239,7 @@ def test_quiescent_vmm_fault_recovers_fingerprint_exact(site_name, ncpus):
     watchdog = Watchdog(mercury, suspect_scans=1)
     manager = RecoveryManager(mercury)
     assert watchdog.scan() is None, "stack must start clean"
-    before = _recovery_fingerprint(mercury)
+    before = state_digest(mercury)
 
     faults.inject_vmm_fault(site_name, mercury)
     verdict = watchdog.scan()
@@ -302,7 +249,7 @@ def test_quiescent_vmm_fault_recovers_fingerprint_exact(site_name, ncpus):
     assert record.success
     assert record.mttr_cycles > 0
     assert record.guests_rehosted == 1
-    assert _recovery_fingerprint(mercury) == before
+    assert state_digest(mercury) == before
     assert check_all(mercury) == []
     assert watchdog.scan() is None, "residual corruption after recovery"
 

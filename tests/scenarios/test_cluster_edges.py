@@ -1,16 +1,19 @@
 """Failure-prediction edges in the §6.5 cluster scenario.
 
-Two races the happy-path tests never hit: a predicted-failed node whose
-sensors recover before the migration completes, and two simultaneous
-predictions contending for the same standby."""
+Races the happy-path tests never hit: a predicted-failed node whose
+sensors recover before the migration completes, two simultaneous
+predictions contending for the same standby, and a warned node that
+already hosts an earlier evacuee."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.invariants import check_all
 from repro.core.mercury import Mode
-from repro.errors import ScenarioError
+from repro.errors import MigrationError, ScenarioError
 from repro.scenarios.cluster import HpcCluster, NodeState
+from repro.scenarios.migration import LiveMigration
 
 
 def _warn(node, temp=95.0):
@@ -152,3 +155,66 @@ def test_all_peers_unhealthy_raises_cleanly():
         cluster.handle_warning(n0)
     # the failed lookup happened before any mode switch: n0 untouched
     assert n0.mercury.mode is Mode.NATIVE
+
+
+# -- a warned node that hosts an earlier evacuee -----------------------------
+
+def _chained_evacuation():
+    """n0 evacuates to n1; then n1 is warned while hosting n0's OS."""
+    cluster = HpcCluster(num_nodes=3)
+    n0, n1, n2 = cluster.nodes
+    _warn(n0)
+    assert cluster.handle_warning(n0) is n1
+    _warn(n1)
+    return cluster, n1, n2
+
+
+def test_evacuation_moves_hosted_guests_first():
+    """Evacuating n1 takes n0's OS along instead of stranding it on a
+    node whose own kernel has left."""
+    cluster, n1, n2 = _chained_evacuation()
+    assert cluster.handle_warning(n1) is n2
+    assert n1.mercury.guests == []
+    assert [g.name for g in n2.mercury.guests] == ["node0-linux",
+                                                  "node1-linux"]
+    assert check_all(n1.mercury) == []
+    assert check_all(n2.mercury) == []
+
+    guest = n2.mercury.guests[0]
+    cpu = n2.machine.boot_cpu
+    fd = guest.syscall(cpu, "open", "/after-evacuation", True)
+    guest.syscall(cpu, "write", fd, "still-here", 4096)
+    guest.syscall(cpu, "fsync", fd)
+    guest.syscall(cpu, "lseek", fd, 0)
+    assert guest.syscall(cpu, "read", fd, 4096) == ["still-here"]
+
+
+def test_own_os_move_refused_while_hosting_guests():
+    """Moving a node's own OS out from under its hosted guests is refused
+    before any page is sent; the target is left as it was."""
+    cluster, n1, n2 = _chained_evacuation()
+    n1.mercury.full_virtualize()
+    n2.mercury.attach()
+    t0 = cluster.clock.cycles
+    with pytest.raises(MigrationError, match="hosts 1 guest"):
+        LiveMigration(n1.mercury, n2.mercury).run()
+    assert cluster.clock.cycles == t0
+    assert n2.mercury.guests == []
+    assert [g.name for g in n1.mercury.guests] == ["node0-linux"]
+    assert n1.mercury.kernel.booted
+    assert check_all(n1.mercury) == []
+
+
+def test_prediction_clears_while_moving_a_hosted_guest():
+    """Cancelled mid-way through the guest move: the guest stays hosted
+    where it was, so the node stays attached for it."""
+    cluster, n1, n2 = _chained_evacuation()
+    survivor = cluster.handle_warning(
+        n1, mutator=lambda r: setattr(n1.monitor, "temperature_c", 45.0),
+        cancel_on_recovery=True)
+    assert survivor is n1
+    assert n1.state is NodeState.HEALTHY
+    assert n1.mercury.mode is Mode.PARTIAL_VIRTUAL
+    assert [g.name for g in n1.mercury.guests] == ["node0-linux"]
+    assert n2.mercury.mode is Mode.NATIVE
+    assert check_all(n1.mercury) == []

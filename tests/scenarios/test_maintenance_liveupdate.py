@@ -4,7 +4,7 @@ import pytest
 
 from repro import Machine, Mercury, small_config
 from repro.core.mercury import Mode
-from repro.errors import LiveUpdateError, ScenarioError
+from repro.errors import LiveUpdateError, MigrationError, ScenarioError
 from repro.scenarios.liveupdate import KernelPatch, LiveUpdater
 from repro.scenarios.maintenance import MaintenanceWindow
 
@@ -57,6 +57,32 @@ def test_maintenance_disruption_far_below_window(primary_standby):
     assert report.maintenance_cycles >= 3_000_000_000
     assert report.disruption_cycles * 100 < report.maintenance_cycles
     assert report.disruption_ms() < 10
+
+
+def test_return_leg_precopies_like_the_outbound_leg(primary_standby):
+    """Both legs are one LiveMigration: a quiet kernel goes over in one
+    pre-copy round and leaves nothing for stop-and-copy, either way."""
+    primary, standby = primary_standby
+    report = MaintenanceWindow(primary, standby).perform(lambda: None)
+    for leg in (report.outbound, report.inbound):
+        assert len(leg.rounds) == 1
+        assert leg.stop_and_copy_pages == 0
+    assert report.inbound.downtime_cycles < 2 * report.outbound.downtime_cycles
+
+
+def test_maintenance_refuses_a_guest_hosting_primary(primary_standby):
+    """The refusal comes before any mode change or page send: neither
+    machine is switched and no cycle is spent."""
+    primary, standby = primary_standby
+    primary.attach()
+    primary.host_guest(name="tenant", image_pages=8)
+    modes = (primary.mode, standby.mode)
+    cycles = primary.machine.clock.cycles
+    with pytest.raises(MigrationError, match="hosts 1 guest"):
+        MaintenanceWindow(primary, standby).perform(lambda: None)
+    assert (primary.mode, standby.mode) == modes
+    assert primary.machine.clock.cycles == cycles
+    assert [g.name for g in primary.guests] == ["tenant"]
 
 
 def test_maintenance_requires_shared_clock():

@@ -43,6 +43,12 @@ def test_requires_attached_target(pair):
         LiveMigration(src, dst_native).run()
 
 
+def test_refuses_a_kernel_the_source_does_not_host(pair):
+    src, dst = pair
+    with pytest.raises(MigrationError, match="not hosted"):
+        LiveMigration(dst, src, kernel=src.kernel).run()
+
+
 def test_requires_shared_clock(pair):
     src, dst = pair
     other = Mercury(Machine(small_config()))
@@ -56,7 +62,6 @@ def test_migration_lands_as_hosted_guest(pair):
     restored, report = LiveMigration(src, dst).run()
     assert restored in dst.guests
     assert restored.fs.exists("/carry")
-    assert not report.aborted
     assert report.total_pages_sent > 0
 
 
@@ -146,3 +151,59 @@ def test_migrated_guest_is_wired_like_any_hosted_guest(pair):
     dst.kernel.net_rx(cpu, Packet("10.0.0.1", "10.0.0.2:m1", "udp", 512))
     dst.machine.run_until_idle()
     assert restored.net_driver.rx == before + 1
+
+
+def test_lands_as_own_os_on_a_machine_without_kernel(pair):
+    """Landing rule: a target with no kernel takes the migrated OS as its
+    own, and it runs there natively."""
+    from repro.core.invariants import check_all
+
+    src, _ = pair
+    empty = Mercury(Machine(small_config(), clock=src.machine.clock))
+    src.full_virtualize()
+    restored, report = LiveMigration(src, empty).run()
+    assert restored is empty.kernel
+    assert restored.name == "src-linux"
+    assert empty.guests == []
+    assert len(report.rounds) == 1
+    cpu = empty.machine.boot_cpu
+    fd = restored.syscall(cpu, "open", "/carry", False)
+    assert restored.syscall(cpu, "read", fd, 4096) == ["cargo"]
+    pid = restored.syscall(cpu, "fork")
+    restored.run_and_reap(cpu, restored.procs.get(pid))
+    assert check_all(empty) == []
+
+
+@pytest.mark.parametrize("landing", ["guest", "own-os"])
+def test_landing_is_checked_against_the_stop_and_copy_digest(pair, landing,
+                                                             monkeypatch):
+    """A landing that loses state is refused, naming what differs, and
+    undone: the source keeps its kernel, the target is left as it was."""
+    import repro.scenarios.migration as migration
+    from repro.core.invariants import check_all
+
+    src, dst = pair
+    if landing == "own-os":
+        dst = Mercury(Machine(small_config(), clock=src.machine.clock))
+    restore_fn = ("restore_as_guest" if landing == "guest" else "restore")
+    real_restore = getattr(migration, restore_fn)
+
+    def lossy_restore(*args, **kwargs):
+        kernel = real_restore(*args, **kwargs)
+        kernel.fs.inodes.pop("/carry")
+        return kernel
+
+    monkeypatch.setattr(migration, restore_fn, lossy_restore)
+    guests_before = list(dst.guests)
+    free_before = dst.machine.memory.free_frames
+    src.full_virtualize()
+    with pytest.raises(MigrationError, match="fs_inodes"):
+        LiveMigration(src, dst).run()
+    assert src.kernel.booted
+    assert src.kernel.fs.exists("/carry")
+    assert dst.guests == guests_before
+    assert dst.machine.memory.free_frames == free_before
+    if landing == "guest":
+        assert check_all(dst) == []
+    else:
+        assert not dst.kernel.booted  # an unbooted shell: no running kernel
