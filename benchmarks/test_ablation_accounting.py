@@ -10,8 +10,6 @@ workload (a fork/exec/mmap churn) and checks the paper's conclusion holds:
 modest runtime tax for ACTIVE, faster attach, same correctness.
 """
 
-import pytest
-
 from repro import Machine, Mercury
 from repro.core.accounting import AccountingStrategy
 from repro.params import PAGE_SIZE
@@ -40,20 +38,15 @@ def _build(bench_config, strategy):
     return mercury
 
 
-def test_ablation_accounting_tradeoff(benchmark, bench_config):
-    def run():
-        out = {}
-        for strategy in (AccountingStrategy.RECOMPUTE,
-                         AccountingStrategy.ACTIVE):
-            mercury = _build(bench_config, strategy)
-            runtime = _pt_heavy_workload(mercury)
-            attach = mercury.attach()
-            mercury.detach()
-            out[strategy.value] = {"runtime_cycles": runtime,
-                                   "attach_us": attach.us()}
-        return out
-
-    out = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_ablation_accounting_tradeoff(bench_config):
+    out = {}
+    for strategy in (AccountingStrategy.RECOMPUTE, AccountingStrategy.ACTIVE):
+        mercury = _build(bench_config, strategy)
+        runtime = _pt_heavy_workload(mercury)
+        attach = mercury.attach()
+        mercury.detach()
+        out[strategy.value] = {"runtime_cycles": runtime,
+                               "attach_us": attach.us()}
     rec, act = out["recompute"], out["active"]
     overhead = (act["runtime_cycles"] - rec["runtime_cycles"]) \
         / rec["runtime_cycles"]
@@ -74,9 +67,6 @@ def test_ablation_accounting_tradeoff(benchmark, bench_config):
     # the paper's trade-off, quantitatively
     assert 0.0 < overhead < 0.08, f"ACTIVE overhead {overhead:.2%} off-band"
     assert act["attach_us"] < rec["attach_us"], "ACTIVE must shorten attach"
-
-    benchmark.extra_info["active_overhead_pct"] = round(overhead * 100, 2)
-    benchmark.extra_info["attach_saving_pct"] = round(saving * 100, 1)
 
 
 def test_ablation_both_strategies_equally_correct(bench_config):

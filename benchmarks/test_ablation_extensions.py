@@ -9,8 +9,6 @@
    across core counts: the CP's gather work drops from O(n) to O(log n).
 """
 
-import pytest
-
 from repro import Machine, Mercury
 from repro.core.hvm import HvmMercury
 from repro.core.smp_tree import use_tree_protocol
@@ -36,17 +34,11 @@ def _hardware(bench_config):
     return h
 
 
-def test_ablation_hvm_vs_software_switch(benchmark, bench_config):
-    def run():
-        sw = _software(bench_config)
-        sw_attach = sw.attach()
-        sw_detach = sw.detach()
-        hw = _hardware(bench_config)
-        hw_attach = hw.attach()
-        hw_detach = hw.detach()
-        return sw_attach, sw_detach, hw_attach, hw_detach
-
-    sw_a, sw_d, hw_a, hw_d = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_ablation_hvm_vs_software_switch(bench_config):
+    sw = _software(bench_config)
+    sw_a, sw_d = sw.attach(), sw.detach()
+    hw = _hardware(bench_config)
+    hw_a, hw_d = hw.attach(), hw.detach()
 
     print()
     print("Ablation A3a: software vs hardware-assisted mode switch (Section 8)")
@@ -63,12 +55,9 @@ def test_ablation_hvm_vs_software_switch(benchmark, bench_config):
     assert hw_a.cycles < sw_a.cycles          # the §8 prediction
     assert hw_d.cycles < sw_d.cycles
     assert speedup > 2.0
-    benchmark.extra_info["sw_attach_us"] = round(sw_a.us(), 2)
-    benchmark.extra_info["hvm_attach_us"] = round(hw_a.us(), 2)
-    benchmark.extra_info["speedup"] = round(speedup, 1)
 
 
-def test_ablation_hvm_runtime_microbenchmarks(benchmark, bench_config):
+def test_ablation_hvm_runtime_microbenchmarks(bench_config):
     """Runtime (not just switch-time) effect of hardware assistance: with
     EPT, the guest's page-table work runs at native speed; only
     exit-controlled operations (CR3 loads in context switches) pay."""
@@ -76,28 +65,24 @@ def test_ablation_hvm_runtime_microbenchmarks(benchmark, bench_config):
     from repro.workloads.lmbench import (bench_ctx, bench_fork,
                                          bench_page_fault)
 
-    def run():
-        rows = {}
-        for key in ("N-L", "X-0"):
-            sut = build_config(key, bench_config, image_pages=256)
-            rows[key] = {
-                "fork": bench_fork(sut.kernel, sut.cpu, iters=3),
-                "ctx": bench_ctx(sut.kernel, sut.cpu, 2, 0, rounds=3),
-                "pagefault": bench_page_fault(sut.kernel, sut.cpu, iters=32),
-            }
-        machine = Machine(bench_config)
-        hvm = HvmMercury(machine)
-        k = hvm.create_kernel(image_pages=256)
-        hvm.attach()
-        rows["H-V"] = {
-            "fork": bench_fork(k, machine.boot_cpu, iters=3),
-            "ctx": bench_ctx(k, machine.boot_cpu, 2, 0, rounds=3),
-            "pagefault": bench_page_fault(k, machine.boot_cpu, iters=32),
+    rows = {}
+    for key in ("N-L", "X-0"):
+        sut = build_config(key, bench_config, image_pages=256)
+        rows[key] = {
+            "fork": bench_fork(sut.kernel, sut.cpu, iters=3),
+            "ctx": bench_ctx(sut.kernel, sut.cpu, 2, 0, rounds=3),
+            "pagefault": bench_page_fault(sut.kernel, sut.cpu, iters=32),
         }
-        hvm.detach()
-        return rows
-
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
+    machine = Machine(bench_config)
+    hvm = HvmMercury(machine)
+    k = hvm.create_kernel(image_pages=256)
+    hvm.attach()
+    rows["H-V"] = {
+        "fork": bench_fork(k, machine.boot_cpu, iters=3),
+        "ctx": bench_ctx(k, machine.boot_cpu, 2, 0, rounds=3),
+        "pagefault": bench_page_fault(k, machine.boot_cpu, iters=32),
+    }
+    hvm.detach()
     print()
     print("Ablation A3c: guest-mode microbenchmarks, paravirtual vs HVM (µs)")
     print()
@@ -114,11 +99,9 @@ def test_ablation_hvm_runtime_microbenchmarks(benchmark, bench_config):
     assert rows["H-V"]["pagefault"] < rows["X-0"]["pagefault"] * 0.6
     # ...but context switches still pay the CR3 vmexit
     assert rows["H-V"]["ctx"] > rows["N-L"]["ctx"]
-    for row in ("fork", "ctx", "pagefault"):
-        benchmark.extra_info[f"hvm_{row}_us"] = round(rows["H-V"][row], 2)
 
 
-def test_ablation_flat_vs_tree_rendezvous(benchmark, bench_config):
+def test_ablation_flat_vs_tree_rendezvous(bench_config):
     def gather_cycles(ncpus, tree):
         machine = Machine(bench_config.with_cpus(ncpus))
         mc = Mercury(machine)
@@ -131,14 +114,8 @@ def test_ablation_flat_vs_tree_rendezvous(benchmark, bench_config):
         mc.detach()
         return rec.rendezvous.gather_cycles
 
-    def run():
-        out = {}
-        for n in (2, 4, 8, 16, 32):
-            out[n] = (gather_cycles(n, tree=False),
-                      gather_cycles(n, tree=True))
-        return out
-
-    out = benchmark.pedantic(run, iterations=1, rounds=1)
+    out = {n: (gather_cycles(n, tree=False), gather_cycles(n, tree=True))
+           for n in (2, 4, 8, 16, 32)}
     print()
     print("Ablation A3b: flat vs tree rendezvous gather time (Section 8)")
     print()
@@ -147,7 +124,6 @@ def test_ablation_flat_vs_tree_rendezvous(benchmark, bench_config):
     for n, (flat, tree) in out.items():
         print(f"  {n:>6}{flat/3000:>12.3f}{tree/3000:>12.3f}"
               f"{flat/tree:>8.2f}")
-        benchmark.extra_info[f"flat_vs_tree_{n}"] = round(flat / tree, 2)
 
     # flat grows linearly; tree logarithmically — the gap must widen
     assert out[32][0] / out[32][1] > out[4][0] / out[4][1]

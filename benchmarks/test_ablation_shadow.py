@@ -10,8 +10,6 @@ This bench measures what that choice bought: mode-switch cost, steady-state
 runtime overhead in virtual mode, and the shadow memory tax.
 """
 
-import pytest
-
 from repro import Machine, Mercury
 from repro.core.mercury import PagingMode
 
@@ -38,23 +36,18 @@ def _virtual_workload_cycles(mc) -> int:
     return cpu.rdtsc() - t0
 
 
-def test_ablation_direct_vs_shadow(benchmark, bench_config):
-    def run():
-        out = {}
-        for paging in (PagingMode.DIRECT, PagingMode.SHADOW):
-            mc = _build(bench_config, paging)
-            attach = mc.attach()
-            tax = (mc.pager.shadow_frames_in_use()
-                   if mc.pager is not None else 0)
-            runtime = _virtual_workload_cycles(mc)
-            detach = mc.detach()
-            out[paging.value] = {
-                "attach_us": attach.us(), "detach_us": detach.us(),
-                "runtime_cycles": runtime, "shadow_frames": tax,
-            }
-        return out
-
-    out = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_ablation_direct_vs_shadow(bench_config):
+    out = {}
+    for paging in (PagingMode.DIRECT, PagingMode.SHADOW):
+        mc = _build(bench_config, paging)
+        attach = mc.attach()
+        tax = mc.pager.shadow_frames_in_use() if mc.pager is not None else 0
+        runtime = _virtual_workload_cycles(mc)
+        detach = mc.detach()
+        out[paging.value] = {
+            "attach_us": attach.us(), "detach_us": detach.us(),
+            "runtime_cycles": runtime, "shadow_frames": tax,
+        }
     d, s = out["direct"], out["shadow"]
 
     print()
@@ -77,10 +70,6 @@ def test_ablation_direct_vs_shadow(benchmark, bench_config):
     assert s["attach_us"] > d["attach_us"]
     assert s["shadow_frames"] > 0 and d["shadow_frames"] == 0
     assert overhead > 0.02
-    benchmark.extra_info["shadow_attach_ratio"] = round(
-        s["attach_us"] / d["attach_us"], 2)
-    benchmark.extra_info["shadow_runtime_overhead_pct"] = round(
-        overhead * 100, 1)
 
 
 def test_shadow_results_identical_to_direct(bench_config):

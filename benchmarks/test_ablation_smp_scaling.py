@@ -7,8 +7,6 @@ This bench measures attach latency and rendezvous gather time from 1 to 16
 cores and records where the protocol's serial parts start to matter.
 """
 
-import pytest
-
 from repro import Machine, Mercury
 
 CORE_COUNTS = (1, 2, 4, 8, 16)
@@ -26,11 +24,8 @@ def _switch_on(bench_config, ncpus):
     return rec
 
 
-def test_ablation_smp_scaling(benchmark, bench_config):
-    def run():
-        return {n: _switch_on(bench_config, n) for n in CORE_COUNTS}
-
-    recs = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_ablation_smp_scaling(bench_config):
+    recs = {n: _switch_on(bench_config, n) for n in CORE_COUNTS}
 
     print()
     print("Ablation A2: mode-switch scalability with core count (Section 5.4)")
@@ -43,7 +38,6 @@ def test_ablation_smp_scaling(benchmark, bench_config):
                   if rec.rendezvous else 0.0)
         ipis = rec.rendezvous.ipis_sent if rec.rendezvous else 0
         print(f"  {n:>6}{rec.us():>14.2f}{gather:>14.3f}{ipis:>6}")
-        benchmark.extra_info[f"attach_us_{n}cores"] = round(rec.us(), 2)
 
     # gather time grows with cores (serial IPI acks)...
     gathers = [recs[n].rendezvous.gather_cycles for n in CORE_COUNTS[1:]]

@@ -11,15 +11,10 @@ steady-state overhead) land in ``BENCH_recovery.json``.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
+from conftest import RECOVERY, record
 from repro.bench.chaoscampaign import (CAMPAIGN_SITES,
                                        measure_watchdog_overhead,
                                        run_chaos_campaign)
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_recovery.json"
 
 EPISODES = 200
 SEED = 1234
@@ -67,12 +62,12 @@ def test_chaos_campaign_and_record():
         f"watchdog steady-state overhead {overhead['overhead_pct']:.3f}% "
         f"above the {MAX_OVERHEAD_PCT}% gate")
 
-    RESULT_FILE.write_text(json.dumps({
+    record(RECOVERY, "chaos_campaign", {
         "campaign": result.summary(),
         "watchdog_overhead": overhead,
         "gates": {"min_success_rate": MIN_SUCCESS_RATE,
                   "max_overhead_pct": MAX_OVERHEAD_PCT},
-    }, indent=2) + "\n")
+    })
 
 
 def test_campaign_is_deterministic():

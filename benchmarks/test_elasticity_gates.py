@@ -20,14 +20,9 @@ Records a ``memory`` section in ``BENCH_perf.json``:
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
+from conftest import PERF, record
 from repro.bench.elasticity import run_elasticity
 from repro.fleet import run_fleet
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_perf.json"
 
 #: the zero-churn gate: ballooning may not tax the steady attach path
 MAX_STEADY_ATTACH_US = 50.0
@@ -85,11 +80,7 @@ def test_elasticity_gates_and_record():
     assert fleet_summary["guest_served"] == fleet_summary["completed"]
     assert fleet_summary["floor_skips"] == 0
 
-    try:
-        record = json.loads(RESULT_FILE.read_text())
-    except (OSError, ValueError):
-        record = {}
-    record["memory"] = {
+    record(PERF, "memory", {
         "workload": "run_elasticity(): dom0 balloon churn vs. incremental "
                     "attach drift, plus a hosted-guest squeeze-to-floor "
                     "ablation of the two reclaim strategies",
@@ -118,5 +109,4 @@ def test_elasticity_gates_and_record():
             "floor_skips": fleet_summary["floor_skips"],
             "workers4_byte_identical": True,
         },
-    }
-    RESULT_FILE.write_text(json.dumps(record, indent=2) + "\n")
+    })

@@ -3,18 +3,14 @@
 Deterministic (seeded) companion to ``BENCH_perf.json``: records how the
 transactional switch engine degrades as faults get more likely — commits
 fall, aborts rise, retries are consumed — while the invariant suite stays
-green at every point.  Results land in ``BENCH_faults.json``.
+green at every point.  Results land in the ``fault_sweep`` section of
+``BENCH_faults.json``.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
+from conftest import FAULTS, record
 from repro.bench.faultsweep import DEFAULT_RATES, run_fault_sweep, sweep_as_rows
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_faults.json"
 
 
 def test_fault_sweep_and_record():
@@ -44,4 +40,4 @@ def test_fault_sweep_and_record():
         assert by_rate[hi].commits <= by_rate[lo].commits + 2, (
             "commit count should degrade (roughly) monotonically with rate")
 
-    RESULT_FILE.write_text(json.dumps(sweep_as_rows(points), indent=2) + "\n")
+    record(FAULTS, "fault_sweep", {"rows": sweep_as_rows(points)})

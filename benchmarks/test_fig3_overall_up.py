@@ -14,7 +14,6 @@ paper's qualitative findings:
 
 import pytest
 
-from conftest import attach_rows
 from repro.bench.report import format_relative_figure
 from repro.bench.runner import relative_to_native, run_app_suite
 
@@ -24,16 +23,12 @@ def relative(bench_config):
     return relative_to_native(run_app_suite(num_cpus=1, config=bench_config))
 
 
-def test_fig3_overall_up(benchmark, bench_config):
-    table = benchmark.pedantic(
-        lambda: run_app_suite(num_cpus=1, config=bench_config),
-        iterations=1, rounds=1)
-    rel = relative_to_native(table)
+def test_fig3_overall_up(bench_config):
+    rel = relative_to_native(run_app_suite(num_cpus=1, config=bench_config))
     print()
     print(format_relative_figure(
         rel, "Fig. 3. Relative performance of Mercury against Linux and "
              "Xen-Linux in uniprocessor mode"))
-    attach_rows(benchmark, rel)
 
     # --- Mercury modes track their counterparts (<2%) ------------------
     for row in rel:

@@ -7,21 +7,16 @@ is less than 2% compared to native Linux, domain0 and domainU." (§7.3)
 
 import pytest
 
-from conftest import attach_rows
 from repro.bench.report import format_relative_figure
 from repro.bench.runner import relative_to_native, run_app_suite
 
 
-def test_fig4_overall_smp(benchmark, bench_config):
-    table = benchmark.pedantic(
-        lambda: run_app_suite(num_cpus=2, config=bench_config),
-        iterations=1, rounds=1)
-    rel = relative_to_native(table)
+def test_fig4_overall_smp(bench_config):
+    rel = relative_to_native(run_app_suite(num_cpus=2, config=bench_config))
     print()
     print(format_relative_figure(
         rel, "Fig. 4. Relative performance of Mercury against Linux and "
              "Xen-Linux in SMP mode"))
-    attach_rows(benchmark, rel)
 
     # the paper's §7.3 claim, verbatim: Mercury within 2% of each
     # counterpart in SMP mode

@@ -13,14 +13,8 @@ run's canonical output is byte-identical to the serial run.
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
+from conftest import PERF, record, timed
 from repro.fleet import degradation_ratio, run_fleet
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_perf.json"
 
 MACHINES = 100
 SEED = 2007  # ICPP'07
@@ -30,10 +24,9 @@ MAX_P99_DEGRADATION = 5.0
 
 
 def test_rolling_update_tail_latency_and_worker_invariance():
-    t0 = time.perf_counter()
-    serial = run_fleet(machines=MACHINES, workers=1, seed=SEED,
-                       scenario="liveupdate")
-    serial_wall = time.perf_counter() - t0
+    serial, serial_wall = timed(
+        lambda: run_fleet(machines=MACHINES, workers=1, seed=SEED,
+                          scenario="liveupdate"))
 
     summary = serial.summary()
     pct = summary["percentiles"]
@@ -53,17 +46,12 @@ def test_rolling_update_tail_latency_and_worker_invariance():
         f"holding the tail")
 
     # worker invariance at bench scale: 4 shards, byte-identical
-    t0 = time.perf_counter()
-    fanned = run_fleet(machines=MACHINES, workers=4, seed=SEED,
-                       scenario="liveupdate")
-    fanned_wall = time.perf_counter() - t0
+    fanned, fanned_wall = timed(
+        lambda: run_fleet(machines=MACHINES, workers=4, seed=SEED,
+                          scenario="liveupdate"))
     assert fanned.canonical_output() == serial.canonical_output()
 
-    try:
-        result = json.loads(RESULT_FILE.read_text())
-    except (OSError, ValueError):
-        result = {}
-    result["fleet"] = {
+    record(PERF, "fleet", {
         "workload": f"run_fleet(machines={MACHINES}, scenario='liveupdate',"
                     f" seed={SEED}): open-loop poisson traffic through a "
                     f"switch-aware balancer while every machine drains, "
@@ -85,5 +73,4 @@ def test_rolling_update_tail_latency_and_worker_invariance():
         "workers4_byte_identical": True,
         "wall_s": {"workers1": round(serial_wall, 3),
                    "workers4": round(fanned_wall, 3)},
-    }
-    RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
+    })

@@ -21,16 +21,10 @@ auditable next to the seed baseline.
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
+from conftest import PERF, committed, record, timed
 from repro.bench.configs import build_config
 from repro.workloads.dbench import run_dbench
 from repro.workloads.iperf import run_iperf
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_perf.json"
 
 #: measured on the pre-batching seed (per-request datapath)
 SEED_IPERF_XU_MBIT_S = 282.6
@@ -41,23 +35,19 @@ SEED_DBENCH_XU_MB_S = 2080.97
 WALL_S_CEILING = 3.0
 
 
-def _committed_io() -> dict | None:
-    try:
-        return json.loads(RESULT_FILE.read_text()).get("io")
-    except (OSError, ValueError):
-        return None
-
-
-def test_io_datapath_notify_coalescing_and_record():
-    committed = _committed_io()  # read before this run overwrites it
-
-    t0 = time.perf_counter()
+def _run():
     net_stack = build_config("X-U")
     tcp = run_iperf(net_stack.kernel, net_stack.peer_kernel, proto="tcp",
                     total_bytes=2 * 1024 * 1024)
     blk_stack = build_config("X-U")
-    db = run_dbench(blk_stack.kernel, blk_stack.cpu)
-    wall_s = time.perf_counter() - t0
+    return tcp, blk_stack, run_dbench(blk_stack.kernel, blk_stack.cpu)
+
+
+def test_io_datapath_notify_coalescing_and_record():
+    # read before this run overwrites it
+    cur = committed(PERF, "io")["current"]
+
+    (tcp, blk_stack, db), wall_s = timed(_run)
 
     # -- hard acceptance: doorbells amortize over batches ----------------
     assert tcp.packets_sent > 1000  # the run is big enough to mean something
@@ -76,21 +66,15 @@ def test_io_datapath_notify_coalescing_and_record():
     assert db.notifies_sent < db_blocks or db.notifies_sent == 0
 
     # -- >10% regression gates vs the committed baseline -----------------
-    if committed is not None:
-        cur = committed["current"]
-        assert tcp.mbit_s >= 0.9 * cur["iperf_xu_mbit_s"]
-        assert tcp.elapsed_us <= 1.1 * cur["iperf_xu_elapsed_us"]
-        assert (tcp.notifies_per_packet
-                <= 1.1 * cur["iperf_xu_notifies_per_packet"] + 1e-9)
-        assert tcp_suppression >= 0.9 * cur["iperf_xu_suppression_ratio"]
-        assert db.throughput_mb_s >= 0.9 * cur["dbench_xu_mb_s"]
+    assert tcp.mbit_s >= 0.9 * cur["iperf_xu_mbit_s"]
+    assert tcp.elapsed_us <= 1.1 * cur["iperf_xu_elapsed_us"]
+    assert (tcp.notifies_per_packet
+            <= 1.1 * cur["iperf_xu_notifies_per_packet"] + 1e-9)
+    assert tcp_suppression >= 0.9 * cur["iperf_xu_suppression_ratio"]
+    assert db.throughput_mb_s >= 0.9 * cur["dbench_xu_mb_s"]
 
     # -- record the io section next to the wallclock numbers -------------
-    try:
-        result = json.loads(RESULT_FILE.read_text())
-    except (OSError, ValueError):
-        result = {}
-    result["io"] = {
+    record(PERF, "io", {
         "workload": "iperf tcp 2 MiB, X-U sender -> native receiver; "
                     "dbench 4 clients on X-U",
         "seed_baseline": {
@@ -108,8 +92,7 @@ def test_io_datapath_notify_coalescing_and_record():
         },
         "iperf_improvement_pct": round(
             100.0 * (tcp.mbit_s / SEED_IPERF_XU_MBIT_S - 1.0), 1),
-    }
-    RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
+    })
 
     assert wall_s < WALL_S_CEILING, (
         f"io smoke took {wall_s:.2f}s of host time — something is "

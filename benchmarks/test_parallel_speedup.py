@@ -14,23 +14,18 @@ Gate policy, kept honest about physics:
 - The crash matrix and fault sweep run in tens of milliseconds serially —
   below pool-startup cost by an order of magnitude — so their speedups
   are *recorded* but cannot meaningfully gate; their rows say so.
-- Everything is gated only on hosts with ≥ 4 cores (the CI perf-gates
-  runner qualifies); a 1-core container records ``gated: false``.
+- Everything is gated only on hosts with ≥ 4 cores (the CI benchmarks
+  runner qualifies); a smaller host records ``gated: false``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from pathlib import Path
 
+from conftest import PERF, record, timed
 from repro.bench.chaoscampaign import run_chaos_campaign
 from repro.bench.crashmatrix import canonical_matrix_output, run_crash_matrix
 from repro.bench.faultsweep import run_fault_sweep
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_perf.json"
 
 #: campaign size for the gated timing run — large enough that the
 #: parallel region dominates process-pool startup on CI hardware
@@ -48,10 +43,13 @@ def _workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, round(time.perf_counter() - t0, 3)
+def _serial_vs_fanned(serial, fanned):
+    """Both runs' results and the row's host-time fields."""
+    serial_out, t_serial = timed(serial)
+    fanned_out, t_fanned = timed(fanned)
+    return serial_out, fanned_out, {
+        "serial_s": round(t_serial, 3), "parallel_s": round(t_fanned, 3),
+        "speedup": round(t_serial / t_fanned, 2)}
 
 
 def _gated() -> bool:
@@ -63,43 +61,35 @@ def test_parallel_speedup_and_record():
     gated = _gated()
     rows = {}
 
-    chaos_serial, t_serial = _timed(
+    chaos_serial, chaos_fanned, times = _serial_vs_fanned(
         lambda: run_chaos_campaign(episodes=GATE_EPISODES,
-                                   seed=GATE_SEED))
-    chaos_fanned, t_fanned = _timed(
+                                   seed=GATE_SEED),
         lambda: run_chaos_campaign(episodes=GATE_EPISODES,
                                    seed=GATE_SEED, workers=workers))
     assert chaos_fanned.canonical_output() == chaos_serial.canonical_output()
-    chaos_speedup = round(t_serial / t_fanned, 2) if t_fanned else None
+    chaos_speedup = times["speedup"]
     rows["chaos_campaign"] = {
-        "episodes": GATE_EPISODES, "serial_s": t_serial,
-        "parallel_s": t_fanned, "speedup": chaos_speedup,
-        "gate_applies": True}
+        "episodes": GATE_EPISODES, **times, "gate_applies": True}
 
-    matrix_serial, t_serial = _timed(lambda: run_crash_matrix(workers=1))
-    matrix_fanned, t_fanned = _timed(
+    matrix_serial, matrix_fanned, times = _serial_vs_fanned(
+        lambda: run_crash_matrix(workers=1),
         lambda: run_crash_matrix(workers=workers))
     assert (canonical_matrix_output(matrix_fanned)
             == canonical_matrix_output(matrix_serial))
     assert all(c.ok for c in matrix_serial if not c.skipped)
     rows["crash_matrix"] = {
-        "cells": len(matrix_serial), "serial_s": t_serial,
-        "parallel_s": t_fanned,
-        "speedup": round(t_serial / t_fanned, 2) if t_fanned else None,
+        "cells": len(matrix_serial), **times,
         "gate_applies": False,
         "note": "serial wall-clock is below process-pool startup cost; "
                 "recorded for reference, equality still asserted"}
 
-    sweep_serial, t_serial = _timed(
-        lambda: run_fault_sweep(rates=SWEEP_RATES, rounds=SWEEP_ROUNDS))
-    sweep_fanned, t_fanned = _timed(
+    sweep_serial, sweep_fanned, times = _serial_vs_fanned(
+        lambda: run_fault_sweep(rates=SWEEP_RATES, rounds=SWEEP_ROUNDS),
         lambda: run_fault_sweep(rates=SWEEP_RATES, rounds=SWEEP_ROUNDS,
                                 workers=workers))
     assert sweep_fanned == sweep_serial
     rows["fault_sweep"] = {
-        "points": len(SWEEP_RATES), "serial_s": t_serial,
-        "parallel_s": t_fanned,
-        "speedup": round(t_serial / t_fanned, 2) if t_fanned else None,
+        "points": len(SWEEP_RATES), **times,
         "gate_applies": False,
         "note": "serial wall-clock is below process-pool startup cost; "
                 "recorded for reference, equality still asserted"}
@@ -109,14 +99,9 @@ def test_parallel_speedup_and_record():
             f"chaos campaign parallel speedup {chaos_speedup}x below the "
             f"{MIN_SPEEDUP}x gate at {workers} workers")
 
-    # read-modify-write: only the sharding section belongs to this bench
-    perf = json.loads(RESULT_FILE.read_text()) if RESULT_FILE.exists() \
-        else {}
-    perf["sharding"] = {
-        "host_cores": os.cpu_count(),
+    record(PERF, "sharding", {
         "workers": workers,
         "gated": gated,
         "min_speedup_gate": MIN_SPEEDUP,
         "benches": rows,
-    }
-    RESULT_FILE.write_text(json.dumps(perf, indent=2) + "\n")
+    })

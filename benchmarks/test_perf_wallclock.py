@@ -7,23 +7,18 @@ Two kinds of checks live here:
   path — the single-PTE ``update_va_mapping`` path stays completely cold.
   These are machine-independent and gate CI.
 - **Wall-clock** (recorded, loosely asserted): the app suite at
-  ``scale=0.5`` is timed and written to ``BENCH_perf.json`` next to the
-  seed baseline so the speedup is auditable.  The hard threshold is a very
-  generous multiple of the seed time to stay robust on slow CI runners.
+  ``scale=0.5`` is timed and written to the ``wallclock`` section of
+  ``BENCH_perf.json`` next to the seed baseline so the speedup is
+  auditable.  The hard threshold is a very generous multiple of the seed
+  time to stay robust on slow CI runners.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
+from conftest import PERF, record, timed
 from repro.bench.configs import build_config
 from repro.bench.runner import run_app_suite, run_lmbench_suite
 from repro.workloads.kbuild import run_kbuild
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_perf.json"
 
 #: measured on the pre-batching seed (min of 3 fresh-process runs)
 SEED_APP_SUITE_WALL_S = 1.214
@@ -42,21 +37,6 @@ SEED_KBUILD_X0_UPDATE_VA_MAPPING = 8320
 APP_SUITE_TARGET_S = 0.40
 
 
-def _best_of(fn, repeats: int = 3) -> float:
-    # min-of-N in one process: the scheduler-noise floor, same protocol
-    # for both suites
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _time_app_suite(repeats: int = 3) -> float:
-    return _best_of(lambda: run_app_suite(num_cpus=1, scale=0.5), repeats)
-
-
 def test_kbuild_pte_updates_are_fully_batched():
     stack = build_config("X-0")
     run_kbuild(stack.kernel, stack.machine.boot_cpu, files=12)
@@ -73,15 +53,13 @@ def test_kbuild_pte_updates_are_fully_batched():
 
 
 def test_app_suite_wallclock_and_record():
-    wall_s = _time_app_suite()
-    lmbench_s = _best_of(lambda: run_lmbench_suite(num_cpus=1))
+    # min-of-3 in one process: the scheduler-noise floor, same protocol
+    # for both suites
+    _, wall_s = timed(lambda: run_app_suite(num_cpus=1, scale=0.5),
+                      repeats=3)
+    _, lmbench_s = timed(lambda: run_lmbench_suite(num_cpus=1), repeats=3)
 
-    # preserve sections other benches own (e.g. the io datapath smoke)
-    try:
-        result = json.loads(RESULT_FILE.read_text())
-    except (OSError, ValueError):
-        result = {}
-    result |= {
+    record(PERF, "wallclock", {
         "workload": "run_app_suite(num_cpus=1, scale=0.5) and "
                     "run_lmbench_suite(num_cpus=1), all six configs",
         "seed_baseline": {
@@ -98,8 +76,7 @@ def test_app_suite_wallclock_and_record():
         "app_suite_target_met": wall_s < APP_SUITE_TARGET_S,
         "improvement_pct": round(
             100.0 * (1.0 - wall_s / SEED_APP_SUITE_WALL_S), 1),
-    }
-    RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
+    })
 
     assert wall_s < APP_SUITE_TARGET_S, (
         f"app suite took {wall_s:.2f}s — above the re-baselined "

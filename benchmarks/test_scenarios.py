@@ -7,8 +7,6 @@ them on the simulated testbed so regressions in any scenario path surface
 as numbers.
 """
 
-import pytest
-
 from repro import Machine, Mercury
 from repro.core.mercury import Mode
 from repro.params import PAGE_SIZE
@@ -33,21 +31,16 @@ def _loaded_mercury(bench_config, name="node"):
     return mercury
 
 
-def test_scenario_checkpoint_restart(benchmark, bench_config):
+def test_scenario_checkpoint_restart(bench_config):
     mercury = _loaded_mercury(bench_config)
     clock = mercury.machine.clock
 
-    def run():
-        t0 = clock.cycles
-        image = checkpoint(mercury)
-        ckpt_ms = (clock.cycles - t0) / 3_000_000
-        t0 = clock.cycles
-        restore(image, mercury)
-        restore_ms = (clock.cycles - t0) / 3_000_000
-        return image, ckpt_ms, restore_ms
-
-    image, ckpt_ms, restore_ms = benchmark.pedantic(run, iterations=1,
-                                                    rounds=1)
+    t0 = clock.cycles
+    image = checkpoint(mercury)
+    ckpt_ms = (clock.cycles - t0) / 3_000_000
+    t0 = clock.cycles
+    restore(image, mercury)
+    restore_ms = (clock.cycles - t0) / 3_000_000
     print()
     print("Scenario 6.1: checkpoint/restart of operating systems")
     print(f"  image size      : {image.num_frames} frames "
@@ -56,11 +49,9 @@ def test_scenario_checkpoint_restart(benchmark, bench_config):
     print(f"  restore time    : {restore_ms:8.3f} ms")
     assert mercury.mode is Mode.NATIVE  # no standing VMM afterwards
     assert ckpt_ms < 100 and restore_ms < 100
-    benchmark.extra_info["checkpoint_ms"] = round(ckpt_ms, 3)
-    benchmark.extra_info["restore_ms"] = round(restore_ms, 3)
 
 
-def test_scenario_live_migration(benchmark, bench_config):
+def test_scenario_live_migration(bench_config):
     src = _loaded_mercury(bench_config, "src")
     dst_machine = Machine(bench_config, clock=src.machine.clock)
     dst = Mercury(dst_machine)
@@ -80,11 +71,8 @@ def test_scenario_live_migration(benchmark, bench_config):
         for f in frames[:4]:
             src.machine.memory.write(f, f"round-{round_no}")
 
-    def run():
-        return LiveMigration(src, dst, max_rounds=4,
-                             dirty_threshold=2).run(mutator=mutator)
-
-    restored, report = benchmark.pedantic(run, iterations=1, rounds=1)
+    restored, report = LiveMigration(src, dst, max_rounds=4,
+                                     dirty_threshold=2).run(mutator=mutator)
     print()
     print("Scenario 6.3/6.5 primitive: live migration (pre-copy)")
     print(f"  rounds          : {len(report.rounds)}"
@@ -94,11 +82,9 @@ def test_scenario_live_migration(benchmark, bench_config):
     print(f"  downtime        : {report.downtime_ms():8.3f} ms")
     assert report.downtime_cycles < report.total_cycles
     assert len(report.rounds) >= 2  # the mutator forced convergence work
-    benchmark.extra_info["downtime_ms"] = round(report.downtime_ms(), 3)
-    benchmark.extra_info["total_ms"] = round(report.total_ms(), 3)
 
 
-def test_scenario_online_maintenance(benchmark, bench_config):
+def test_scenario_online_maintenance(bench_config):
     primary = _loaded_mercury(bench_config, "primary")
     standby_machine = Machine(bench_config, clock=primary.machine.clock)
     standby = Mercury(standby_machine)
@@ -107,12 +93,8 @@ def test_scenario_online_maintenance(benchmark, bench_config):
 
     maintenance_s = 2.0
 
-    def run():
-        window = MaintenanceWindow(primary, standby)
-        return window.perform(
-            lambda: primary.machine.clock.advance(int(maintenance_s * 3e9)))
-
-    report = benchmark.pedantic(run, iterations=1, rounds=1)
+    report = MaintenanceWindow(primary, standby).perform(
+        lambda: primary.machine.clock.advance(int(maintenance_s * 3e9)))
     print()
     print("Scenario 6.3: online hardware maintenance")
     print(f"  maintenance window : {report.maintenance_cycles/3e9:8.2f} s")
@@ -121,22 +103,18 @@ def test_scenario_online_maintenance(benchmark, bench_config):
           f"{1 - report.disruption_cycles/report.total_cycles:.6f}")
     assert primary.mode is Mode.NATIVE
     assert report.disruption_cycles * 50 < report.maintenance_cycles
-    benchmark.extra_info["disruption_ms"] = round(report.disruption_ms(), 3)
 
 
-def test_scenario_live_update(benchmark, bench_config):
+def test_scenario_live_update(bench_config):
     mercury = _loaded_mercury(bench_config)
     updater = LiveUpdater(mercury)
     clock = mercury.machine.clock
 
-    def run():
-        t0 = clock.cycles
-        rec = updater.apply(KernelPatch(
-            "cve-fix", "getpid", lambda k, c, t: t.pid,
-            validator=lambda k: True))
-        return rec, (clock.cycles - t0) / 3_000_000
-
-    rec, window_ms = benchmark.pedantic(run, iterations=1, rounds=1)
+    t0 = clock.cycles
+    rec = updater.apply(KernelPatch(
+        "cve-fix", "getpid", lambda k, c, t: t.pid,
+        validator=lambda k: True))
+    window_ms = (clock.cycles - t0) / 3_000_000
     print()
     print("Scenario 6.4: live kernel update (LUCOS without a standing VMM)")
     print(f"  update window  : {window_ms:8.3f} ms "
@@ -144,32 +122,27 @@ def test_scenario_live_update(benchmark, bench_config):
           f"{rec.detach_us:.1f} µs)")
     assert mercury.mode is Mode.NATIVE
     assert window_ms < 10
-    benchmark.extra_info["update_window_ms"] = round(window_ms, 3)
 
 
-def test_scenario_self_healing(benchmark, bench_config):
+def test_scenario_self_healing(bench_config):
     mercury = _loaded_mercury(bench_config)
     k = mercury.kernel
     clock = mercury.machine.clock
 
-    def run():
-        t = k.scheduler.current
-        k.scheduler.runqueue.extend([t, t])    # inject the anomaly
-        t0 = clock.cycles
-        records = SelfHealer(mercury).scan()
-        return records, (clock.cycles - t0) / 3_000_000
-
-    records, mttr_ms = benchmark.pedantic(run, iterations=1, rounds=1)
+    t = k.scheduler.current
+    k.scheduler.runqueue.extend([t, t])    # inject the anomaly
+    t0 = clock.cycles
+    records = SelfHealer(mercury).scan()
+    mttr_ms = (clock.cycles - t0) / 3_000_000
     print()
     print("Scenario 6.2: self-healing through the transient VMM")
     print(f"  anomalies healed : {len(records)}")
     print(f"  MTTR             : {mttr_ms:8.3f} ms (incl. attach+detach)")
     assert all(r.healed for r in records)
     assert mercury.mode is Mode.NATIVE
-    benchmark.extra_info["mttr_ms"] = round(mttr_ms, 3)
 
 
-def test_scenario_periodic_checkpointing(benchmark, bench_config):
+def test_scenario_periodic_checkpointing(bench_config):
     """§6.1 deployed: periodic checkpoints bound the work at risk to one
     period; the steady-state cost is the per-checkpoint attach+snapshot+
     detach window."""
@@ -179,19 +152,15 @@ def test_scenario_periodic_checkpointing(benchmark, bench_config):
     clock = mercury.machine.clock
     period_ms = 50.0
 
-    def run():
-        sched = CheckpointSchedule(mercury, period_ms=period_ms, keep=3)
-        sched.start()
-        costs = []
-        for _ in range(4):
-            t0 = clock.cycles
-            clock.advance(int(period_ms * 1.02 * 1000 * 3000))
-            clock.run_due()
-            costs.append((clock.cycles - t0) / 3_000 - period_ms * 1.02 * 1000)
-        sched.stop()
-        return sched, costs
-
-    sched, costs = benchmark.pedantic(run, iterations=1, rounds=1)
+    sched = CheckpointSchedule(mercury, period_ms=period_ms, keep=3)
+    sched.start()
+    costs = []
+    for _ in range(4):
+        t0 = clock.cycles
+        clock.advance(int(period_ms * 1.02 * 1000 * 3000))
+        clock.run_due()
+        costs.append((clock.cycles - t0) / 3_000 - period_ms * 1.02 * 1000)
+    sched.stop()
     per_ckpt_ms = (sum(costs) / len(costs)) / 1000
     at_risk_ms = sched.work_at_risk_cycles() / 3_000_000
     print()
@@ -203,24 +172,15 @@ def test_scenario_periodic_checkpointing(benchmark, bench_config):
     assert len(sched.images) == 3          # retention bound
     assert per_ckpt_ms < period_ms * 0.25  # checkpointing is not the job
     assert at_risk_ms <= period_ms * 1.3
-    benchmark.extra_info["ckpt_overhead_pct"] = round(
-        per_ckpt_ms / period_ms * 100, 2)
 
 
-def test_scenario_rolling_cluster_maintenance(benchmark):
+def test_scenario_rolling_cluster_maintenance():
     """§6.3 fleet-wide: every node serviced, one at a time, nodes back at
     full native speed afterwards."""
-    from repro.core.mercury import Mode
-    from repro.scenarios.cluster import HpcCluster
-
-    def run():
-        cluster = HpcCluster(num_nodes=3)
-        cluster.nodes[0].job_progress = 0
-        order = cluster.rolling_maintenance(
-            lambda node: node.machine.clock.advance(1_500_000_000))
-        return cluster, order
-
-    cluster, order = benchmark.pedantic(run, iterations=1, rounds=1)
+    cluster = HpcCluster(num_nodes=3)
+    cluster.nodes[0].job_progress = 0
+    order = cluster.rolling_maintenance(
+        lambda node: node.machine.clock.advance(1_500_000_000))
     print()
     print("Scenario 6.3 (fleet): rolling maintenance")
     print(f"  order      : {order}")
@@ -228,19 +188,14 @@ def test_scenario_rolling_cluster_maintenance(benchmark):
     assert order == [n.name for n in cluster.nodes]
     for node in cluster.nodes:
         assert node.mercury.mode is Mode.NATIVE
-    benchmark.extra_info["nodes_serviced"] = len(order)
 
 
-def test_scenario_hpc_cluster_policies(benchmark):
-    def run():
-        out = {}
-        for policy in ("self-virtualization", "checkpoint", "restart"):
-            cluster = HpcCluster(num_nodes=2)
-            out[policy] = cluster.run_with_policy(
-                policy, total_steps=40, fail_at_step=25, checkpoint_every=10)
-        return out
-
-    out = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_scenario_hpc_cluster_policies():
+    out = {}
+    for policy in ("self-virtualization", "checkpoint", "restart"):
+        cluster = HpcCluster(num_nodes=2)
+        out[policy] = cluster.run_with_policy(
+            policy, total_steps=40, fail_at_step=25, checkpoint_every=10)
     print()
     print("Scenario 6.5: HPC availability policies under a predicted failure")
     print()
@@ -249,7 +204,6 @@ def test_scenario_hpc_cluster_policies(benchmark):
     for policy, rep in out.items():
         print(f"  {policy:<22}{rep.job_steps_lost:>12}"
               f"{rep.downtime_ms():>16.3f}")
-        benchmark.extra_info[f"{policy}_lost"] = rep.job_steps_lost
     assert out["self-virtualization"].job_steps_lost == 0
     assert out["self-virtualization"].downtime_cycles < \
         out["checkpoint"].downtime_cycles or \

@@ -7,8 +7,6 @@ grow linearly in the number of page-table pages — this sweep measures the
 curve and fits it.
 """
 
-import pytest
-
 from repro import Machine, Mercury
 
 POPULATIONS = (1, 8, 16, 32, 64)
@@ -26,11 +24,8 @@ def _attach_at(bench_config, nprocs):
     return rec_attach, rec_detach
 
 
-def test_switch_population_sweep(benchmark, bench_config):
-    def run():
-        return {n: _attach_at(bench_config, n) for n in POPULATIONS}
-
-    recs = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_switch_population_sweep(bench_config):
+    recs = {n: _attach_at(bench_config, n) for n in POPULATIONS}
 
     print()
     print("Section 7.4 mechanism: attach time vs process population")
@@ -42,7 +37,6 @@ def test_switch_population_sweep(benchmark, bench_config):
         per_page = a.us() / a.pt_pages
         print(f"  {n:>6}{a.pt_pages:>10}{a.us():>13.2f}{d.us():>13.2f}"
               f"{per_page:>12.3f}")
-        benchmark.extra_info[f"attach_us_{n}procs"] = round(a.us(), 2)
 
     # attach grows monotonically with the page-table population...
     attach_us = [recs[n][0].us() for n in POPULATIONS]

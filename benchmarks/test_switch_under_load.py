@@ -13,15 +13,11 @@ contended.  Results land in ``BENCH_perf.json`` under ``switch_under_load``.
 
 from __future__ import annotations
 
-import json
 import statistics
-from pathlib import Path
 
+from conftest import PERF, record
 from repro.core.switch import RETRY_PERIOD_MS
 from repro.bench.underload import run_switch_under_load
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_perf.json"
 
 ROUNDS = 5
 
@@ -36,9 +32,8 @@ def _split_by_contention(result):
     return contended, quick
 
 
-def test_switch_under_load_scenario(benchmark):
-    result = benchmark.pedantic(run_switch_under_load, kwargs={
-        "rounds": ROUNDS}, iterations=1, rounds=1)
+def test_switch_under_load_scenario():
+    result = run_switch_under_load(rounds=ROUNDS)
 
     contended, quick = _split_by_contention(result)
     total_retries = sum(result.per_switch_retries)
@@ -70,15 +65,7 @@ def test_switch_under_load_scenario(benchmark):
     assert min(contended) >= RETRY_PERIOD_MS * 1000
     assert max(quick) < 1000.0
 
-    benchmark.extra_info["switches"] = result.records
-    benchmark.extra_info["busy_collisions"] = result.busy_attempts
-    benchmark.extra_info["retries"] = total_retries
-
-    try:
-        data = json.loads(RESULT_FILE.read_text())
-    except (OSError, ValueError):
-        data = {}
-    data["switch_under_load"] = {
+    record(PERF, "switch_under_load", {
         "rounds": ROUNDS,
         "committed_switches": result.records,
         "busy_at_delivery": result.busy_attempts,
@@ -93,8 +80,7 @@ def test_switch_under_load_scenario(benchmark):
         "retry_period_ms": RETRY_PERIOD_MS,
         "kbuild_elapsed_s": round(result.kbuild_elapsed_us / 1e6, 4),
         "iperf_mbit_s": round(result.iperf_mbit_s, 1),
-    }
-    RESULT_FILE.write_text(json.dumps(data, indent=2) + "\n")
+    })
 
 
 def test_switch_under_load_is_deterministic():

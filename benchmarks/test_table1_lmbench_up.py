@@ -12,7 +12,6 @@ page fault 1.22/3.09.
 
 import pytest
 
-from conftest import attach_rows
 from repro.bench.report import format_lmbench_table
 from repro.bench.runner import run_lmbench_suite
 
@@ -35,14 +34,11 @@ def table(bench_config):
     return run_lmbench_suite(num_cpus=1, config=bench_config)
 
 
-def test_table1_lmbench_up(benchmark, bench_config):
-    table = benchmark.pedantic(
-        lambda: run_lmbench_suite(num_cpus=1, config=bench_config),
-        iterations=1, rounds=1)
+def test_table1_lmbench_up(bench_config):
+    table = run_lmbench_suite(num_cpus=1, config=bench_config)
     print()
     print(format_lmbench_table(
         table, "Table 1. Lmbench latency results in uniprocessor mode"))
-    attach_rows(benchmark, table)
 
     for row, lo, hi in SHAPE_BANDS:
         ratio = table[row]["X-0"] / table[row]["N-L"]

@@ -9,7 +9,6 @@ counterpart, by a modest margin.
 
 import pytest
 
-from conftest import attach_rows
 from repro.bench.report import format_lmbench_table
 from repro.bench.runner import run_lmbench_suite
 
@@ -22,14 +21,11 @@ def tables(bench_config):
     return up, smp
 
 
-def test_table2_lmbench_smp(benchmark, bench_config):
-    table = benchmark.pedantic(
-        lambda: run_lmbench_suite(num_cpus=2, config=bench_config),
-        iterations=1, rounds=1)
+def test_table2_lmbench_smp(bench_config):
+    table = run_lmbench_suite(num_cpus=2, config=bench_config)
     print()
     print(format_lmbench_table(
         table, "Table 2. Lmbench latency results in SMP mode"))
-    attach_rows(benchmark, table)
 
     for row in table:
         assert table[row]["M-N"] == pytest.approx(table[row]["N-L"], rel=0.03)

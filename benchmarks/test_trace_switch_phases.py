@@ -22,18 +22,13 @@ Three jobs:
 
 from __future__ import annotations
 
-import json
-import time
 import timeit
-from pathlib import Path
 
+from conftest import PERF, committed, record, timed
 from repro import Machine, Mercury, trace
 from repro.bench.configs import build_config
 from repro.core.switch import Direction
 from repro.workloads.kbuild import run_kbuild
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_perf.json"
 
 PROCESSES = 42
 ROUND_TRIPS = 5
@@ -79,6 +74,8 @@ def _phase_means_us(mercury, direction: str, freq: int) -> dict[str, float]:
 
 def test_switch_phase_breakdown_and_disabled_overhead(bench_config):
     freq = bench_config.cost.freq_mhz
+    # read before this run overwrites it
+    baseline = committed(PERF, "switch_trace")
 
     # -- per-phase decomposition of the §7.4 numbers (full recompute) -----
     up = _populated(bench_config, num_cpus=1)
@@ -112,23 +109,17 @@ def test_switch_phase_breakdown_and_disabled_overhead(bench_config):
         "incremental must undercut the full recompute"
 
     # -- >10% regression gates vs the committed baseline ------------------
-    try:
-        committed = json.loads(RESULT_FILE.read_text()).get("switch_trace")
-    except (OSError, ValueError):
-        committed = None
-    if committed is not None:
-        full_pt = committed["per_phase_us"]["attach"]["transfer.page-tables"]
-        assert attach_us["transfer.page-tables"] <= 1.1 * full_pt, (
-            f"full-recompute transfer.page-tables regressed: "
-            f"{attach_us['transfer.page-tables']:.1f} us vs committed "
-            f"{full_pt:.1f} us")
-        inc_committed = committed.get("incremental")
-        if inc_committed is not None:
-            base = inc_committed["per_phase_us"]["transfer.page-tables"]
-            assert inc_pt_us <= 1.1 * base, (
-                f"incremental transfer.page-tables regressed: "
-                f"{inc_pt_us:.1f} us vs committed {base:.1f} us")
-            assert inc_attach_total_ms <= 1.1 * inc_committed["attach_total_ms"]
+    full_pt = baseline["per_phase_us"]["attach"]["transfer.page-tables"]
+    assert attach_us["transfer.page-tables"] <= 1.1 * full_pt, (
+        f"full-recompute transfer.page-tables regressed: "
+        f"{attach_us['transfer.page-tables']:.1f} us vs committed "
+        f"{full_pt:.1f} us")
+    inc_committed = baseline["incremental"]
+    base = inc_committed["per_phase_us"]["transfer.page-tables"]
+    assert inc_pt_us <= 1.1 * base, (
+        f"incremental transfer.page-tables regressed: "
+        f"{inc_pt_us:.1f} us vs committed {base:.1f} us")
+    assert inc_attach_total_ms <= 1.1 * inc_committed["attach_total_ms"]
 
     # -- disabled-tracer overhead bound -----------------------------------
     # guard cost: what every hot-path hook pays when no tracer is installed
@@ -139,9 +130,7 @@ def test_switch_phase_breakdown_and_disabled_overhead(bench_config):
     # traversal count + wall time of a real workload, tracer disabled
     assert trace.active() is None
     sut = build_config("M-V")
-    t0 = time.perf_counter()
-    run_kbuild(sut.kernel, sut.cpu, files=12)
-    wall_s = time.perf_counter() - t0
+    _, wall_s = timed(lambda: run_kbuild(sut.kernel, sut.cpu, files=12))
     # every hypercall and doorbell crosses one guard; switch-pipeline hooks
     # add a handful more per switch — bound generously with 4 guards per
     # hypercall-equivalent event
@@ -153,11 +142,7 @@ def test_switch_phase_breakdown_and_disabled_overhead(bench_config):
         f"({traversals} guard traversals x {per_guard_s * 1e9:.1f} ns)")
 
     # -- record ------------------------------------------------------------
-    try:
-        result = json.loads(RESULT_FILE.read_text())
-    except (OSError, ValueError):
-        result = {}
-    result["switch_trace"] = {
+    record(PERF, "switch_trace", {
         "paper_reference_ms": {"attach": PAPER_ATTACH_MS,
                                "detach": PAPER_DETACH_MS},
         "measured_total_ms": {"attach": round(attach_total_ms, 4),
@@ -174,5 +159,4 @@ def test_switch_phase_breakdown_and_disabled_overhead(bench_config):
             "kbuild_wall_s": round(wall_s, 3),
             "overhead_pct": round(overhead_pct, 4),
         },
-    }
-    RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
+    })

@@ -370,7 +370,6 @@ class FrontendNode(FleetNode):
                  requests: int = 400,
                  mean_gap_cycles: int = 45_000,
                  mean_service_cycles: int = 300_000,
-                 wave_after_completions: Optional[int] = None,
                  spares: int = 0,
                  evacuations: int = 0,
                  chaos_events: int = 0,
@@ -391,8 +390,8 @@ class FrontendNode(FleetNode):
             TrafficSpec(kind=arrival, mean_gap_cycles=mean_gap_cycles,
                         mean_service_cycles=mean_service_cycles), seed)
         self.requests = requests
-        self.wave_after = (requests // 4 if wave_after_completions is None
-                           else wave_after_completions)
+        # the wave starts once a quarter of the requests have completed
+        self.wave_after = requests // 4
         self.log_requests = log_requests
         self._rng = random.Random(f"fleet-ops:{seed}")
 

@@ -114,7 +114,6 @@ class FleetOrchestrator:
                  requests: Optional[int] = None,
                  mean_gap_cycles: int = 45_000,
                  mean_service_cycles: int = 300_000,
-                 wave_after_completions: Optional[int] = None,
                  spares: Optional[int] = None,
                  evacuations: int = 2,
                  chaos_events: int = 2,
@@ -123,10 +122,8 @@ class FleetOrchestrator:
                  guest_mem_pages: int = 48,
                  guest_mem_floor: int = 16,
                  elastic_strategy: str = "guest-delegated",
-                 window_cycles: int = DEFAULT_WINDOW_CYCLES,
                  transport: Optional[str] = None,
-                 log_requests: bool = False,
-                 max_windows: int = 100_000):
+                 log_requests: bool = False):
         if elastic_strategy not in ELASTIC_STRATEGIES:
             raise ValueError(f"unknown elastic strategy {elastic_strategy!r};"
                              f" expected one of {ELASTIC_STRATEGIES}")
@@ -146,8 +143,7 @@ class FleetOrchestrator:
         self.seed = seed
         self.scenario = scenario
         self.transport = transport
-        self.window_cycles = window_cycles
-        self.max_windows = max_windows
+        self.window_cycles = DEFAULT_WINDOW_CYCLES
         if requests is None:
             # enough load that every machine sees the wave from steady
             # state: ~8 requests per machine per phase
@@ -162,7 +158,6 @@ class FleetOrchestrator:
             "requests": requests,
             "mean_gap_cycles": mean_gap_cycles,
             "mean_service_cycles": mean_service_cycles,
-            "wave_after_completions": wave_after_completions,
             "spares": spares,
             "evacuations": evacuations,
             "chaos_events": chaos_events,
@@ -180,8 +175,7 @@ class FleetOrchestrator:
                          seed=self.seed, workers=self.workers,
                          window_cycles=self.window_cycles,
                          transport=self.transport,
-                         builder_kwargs=self.builder_kwargs,
-                         max_windows=self.max_windows)
+                         builder_kwargs=self.builder_kwargs)
         fleet = sim.run()
         return FleetOpResult(scenario=self.scenario, machines=self.machines,
                              workers=self.workers, seed=self.seed,

@@ -298,16 +298,6 @@ class MetricsCollector:
         result = fn(*args, **kwargs)
         return result, self.snapshot() - before
 
-    def switch_phases(self, tracer: Optional["trace.Tracer"] = None
-                      ) -> dict[str, "trace.PhaseStat"]:
-        """Per-phase switch-latency breakdown (§7.4 decomposition) from the
-        given tracer, or the installed one.  Empty when nothing is traced."""
-        tracer = tracer if tracer is not None else trace.active()
-        if tracer is None:
-            return {}
-        return trace.phase_summary(tracer.events(),
-                                   names=trace.SWITCH_PHASES)
-
 
 def format_report(delta: MetricsSnapshot, title: str = "Metrics") -> str:
     """Human-readable account of one measured interval: every labelled,

@@ -50,6 +50,9 @@ from repro.sim.shard import (FleetMessage, NodeBuilder, Shard, ShardError,
 #: above every per-slice cost in the model yet short against workloads
 DEFAULT_WINDOW_CYCLES = 200_000
 
+#: barrier windows before a fleet that is still live counts as runaway
+MAX_WINDOWS = 100_000
+
 
 def _build_shard(shard_id: int, indices: Sequence[int],
                  builder: NodeBuilder, seed: int, kwargs: dict,
@@ -221,8 +224,7 @@ class ShardedSim:
                  window_cycles: int = DEFAULT_WINDOW_CYCLES,
                  min_latency: Optional[int] = None,
                  transport: Optional[str] = None,
-                 builder_kwargs: Optional[dict] = None,
-                 max_windows: int = 100_000):
+                 builder_kwargs: Optional[dict] = None):
         if num_machines < 1:
             raise ShardError("need at least one machine")
         if workers < 1:
@@ -246,7 +248,6 @@ class ShardedSim:
         if self.transport not in ("inline", "process"):
             raise ShardError(f"unknown transport {self.transport!r}")
         self.builder_kwargs = dict(builder_kwargs or {})
-        self.max_windows = max_windows
         #: machine index -> shard id (round-robin)
         self.shard_of = {i: i % self.workers for i in range(num_machines)}
 
@@ -285,9 +286,9 @@ class ShardedSim:
         messages = 0
         while True:
             windows += 1
-            if windows > self.max_windows:
+            if windows > MAX_WINDOWS:
                 raise ShardError(
-                    f"fleet still live after {self.max_windows} windows "
+                    f"fleet still live after {MAX_WINDOWS} windows "
                     f"(horizon {horizon}); runaway workload or too-small "
                     f"window")
             batch = sort_batch(
