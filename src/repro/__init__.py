@@ -27,7 +27,6 @@ Quickstart::
 """
 
 from repro.core.accounting import AccountingStrategy
-from repro.core.failsafe import FailsafeSwitch
 from repro.core.hvm import HvmMercury
 from repro.core.invariants import check_all
 from repro.core.mercury import Mercury, Mode, PagingMode
@@ -44,7 +43,6 @@ __all__ = [
     "AccountingStrategy",
     "CostModel",
     "Direction",
-    "FailsafeSwitch",
     "Hypervisor",
     "HvmMercury",
     "Kernel",

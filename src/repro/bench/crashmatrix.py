@@ -1,21 +1,26 @@
-"""Programmatic switch-crash matrix: every fault site × direction ×
-topology × fault flavor, as independently runnable cells.
+"""The switch-crash matrix: every fault site × direction × topology ×
+fault flavor, as independently runnable cells.
 
-The pytest matrix (``tests/integration/test_switch_crash_matrix.py``)
-proves the §4.3 dependability claims per cell; this module packages the
-same checks as a bench so the whole matrix can be timed, parallelized
-(each cell is a pure function of its parameters, so
+:func:`run_cell` is the one implementation of a cell's §4.3
+dependability checks.  The pytest matrix
+(``tests/integration/test_switch_crash_matrix.py``) runs each cell through
+it and fails on any failed check; the bench runs the whole matrix, timed,
+parallelized (each cell is a pure function of its parameters, so
 :func:`~repro.sim.pool.parallel_episodes` fans cells across processes
 without changing a verdict) and summarized into dashboards.
 
-Cell semantics mirror the tests:
+Cell semantics:
 
 - **persistent** — a never-clearing fault makes the switch terminally
-  abort with the stack transactionally back in its pre-switch state, and
-  the next un-faulted switch commits.  (``smp.ipi-delayed`` is
-  latency-only: it must *commit* under the fault.)
+  abort with the stack transactionally back in its pre-switch state (same
+  state digest, same VO object, same registered address-space objects,
+  one abort counted), and the next un-faulted switch commits.
+  (``smp.ipi-delayed`` is latency-only: it must *commit* under the fault,
+  first time.)
 - **transient** — a single-shot fault is absorbed by rollback + bounded
-  retry; the caller sees a committed switch and never the fault.
+  retry; the caller sees a committed switch and never the fault.  A stuck
+  refcount is refused at the gate, so nothing is unwound; every other
+  site rolls back at least once.
 """
 
 from __future__ import annotations
@@ -63,6 +68,10 @@ def _switch(mercury: Mercury, direction: str):
     return mercury.attach() if direction == "attach" else mercury.detach()
 
 
+def _registered(mercury: Mercury) -> list:
+    return list(mercury.domain.aspaces) if mercury.domain is not None else []
+
+
 def run_cell(site: str, direction: str, ncpus: int,
              flavor: str) -> CellResult:
     """Run one cell; a pure function of its parameters (module-level so
@@ -83,20 +92,25 @@ def run_cell(site: str, direction: str, ncpus: int,
         mercury.create_kernel(image_pages=16)
     if direction == "detach":
         check(mercury.attach() is not None, "pre-attach commits")
+    engine = mercury.engine
     start_mode = mercury.mode
     before = state_digest(mercury)
+    # object identity is outside any digest: checked directly
+    vo_before = mercury.kernel.vo
+    aspaces_before = _registered(mercury)
     latency_only = site == faults.IPI_DELAYED
+    aborts = flavor == "persistent" and not latency_only
 
     plan = faults.FaultPlan()
     plan.arm(site, times=None if flavor == "persistent" else 1)
     try:
         with faults.injected(plan):
-            if flavor == "persistent" and not latency_only:
+            if aborts:
                 try:
                     _switch(mercury, direction)
                     check(False, "persistent fault must abort")
                 except SwitchAborted as exc:
-                    check(exc.retries == mercury.engine.max_retries,
+                    check(exc.retries == engine.max_retries,
                           "abort consumed the whole retry budget")
             else:
                 rec = _switch(mercury, direction)
@@ -105,24 +119,46 @@ def run_cell(site: str, direction: str, ncpus: int,
                 if rec is not None:
                     cell.retries = rec.retries
                     cell.rollbacks = rec.rollbacks
-                    if flavor == "transient" and not latency_only:
+                    if latency_only:
+                        check(rec.retries == 0, "late IPI commits first time")
+                    else:
                         check(rec.retries >= 1, "transient fault retried")
+                        if site == faults.REFCOUNT_STUCK:
+                            check(rec.rollbacks == 0,
+                                  "refused at the gate, nothing unwound")
+                        else:
+                            check(rec.rollbacks >= 1 and
+                                  engine.switch_rollbacks >= 1,
+                                  "transient fault rolled back")
     except ReproError as exc:
         check(False, f"unexpected {type(exc).__name__}")
         return cell
-    check(plan.injected >= 1, "fault actually injected")
+    if flavor == "transient":
+        check(plan.injected == 1, "fault injected exactly once")
+    else:
+        check(plan.injected >= 1, "fault actually injected")
 
-    if flavor == "persistent" and not latency_only:
+    if aborts:
         check(mercury.mode is start_mode, "mode restored")
         check(state_digest(mercury) == before, "state digest restored")
+        check(mercury.kernel.vo is vo_before, "same VO object")
+        aspaces_after = _registered(mercury)
+        check(len(aspaces_after) == len(aspaces_before) and
+              all(a is b for a, b in zip(aspaces_after, aspaces_before)),
+              "same registered address-space objects")
+        check(engine.switch_aborts == 1, "one abort counted")
+        check(engine.switch_rollbacks >= 1, "rollback counted")
+    else:
+        check(engine.switch_aborts == 0, "no abort counted")
     check(check_all(mercury) == [], "invariants clean")
 
     # the un-faulted follow-up switch must commit and leave a live kernel
     follow_up = direction
-    if flavor == "transient" or latency_only:  # already switched
+    if not aborts:  # already switched
         follow_up = "detach" if direction == "attach" else "attach"
     try:
         check(_switch(mercury, follow_up) is not None, "follow-up commits")
+        check(check_all(mercury) == [], "follow-up invariants clean")
         kernel = mercury.kernel
         cpu = mercury.machine.boot_cpu
         pid = kernel.syscall(cpu, "fork")

@@ -205,3 +205,17 @@ class ActiveAccountant:
                 self.page_info.track_clear_pte(pte)
             self.page_info.track_drop_pt_page(leaf.frame)
         self.page_info.track_drop_pt_page(aspace.pgd.frame)
+
+    # rebuild ------------------------------------------------------------------
+
+    def replay(self, cpu: "Cpu", aspaces: list["AddressSpace"]) -> None:
+        """Re-derive the counts of live address spaces into a fresh table
+        (a microreboot's new VMM starts from an empty one): every PT page
+        first, then every mapping, through the same hooks native mode
+        runs."""
+        for aspace in aspaces:
+            self.on_new_address_space(cpu, aspace)
+        for aspace in aspaces:
+            for leaf in aspace.pgd.entries.values():
+                for pte in leaf.entries.values():
+                    self.page_info.track_set_pte(pte, aspace.owner)

@@ -24,7 +24,9 @@ decomposes into operations the switch pipeline already has:
 2. **Re-precache**: throw the corrupt VMM away wholesale (free its
    reserved frames) and build a fresh one with
    :func:`~repro.core.precache.precache_vmm` — a microreboot, not a
-   repair.  Nothing from the old instance is consulted.
+   repair.  Nothing from the old instance is consulted.  Under ACTIVE
+   accounting, whose attach trusts the page-info counts, the fresh
+   table's counts are replayed from the OS's live address spaces.
 3. **Re-attach**: a normal :meth:`~repro.core.mercury.Mercury.attach`
    through the switch engine — the incremental recompute path sees the
    distrust mark and re-derives the page-info table from scratch.
@@ -251,7 +253,10 @@ class RecoveryManager:
         mercury.domain = None
         mercury.virtual_vo = None
         if mercury.accountant is not None:
+            # ACTIVE attach trusts the table's counts: rebuild them from
+            # the OS's live address spaces, or the fresh table is empty
             mercury.accountant = ActiveAccountant(new_vmm.page_info)
+            mercury.accountant.replay(cpu, mercury.kernel.aspaces)
             mercury.native_vo.accountant = mercury.accountant
         mercury.pager = None
         # re-register the switch-request gates on the fresh VMM

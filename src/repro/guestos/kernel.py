@@ -220,16 +220,10 @@ class Kernel:
 
     def block_write_many(self, cpu: "Cpu",
                          blocks: list[tuple[int, object]]) -> None:
-        """Batched writeback; falls back to serial writes if the installed
-        driver has no batch path."""
+        """Batched writeback through the driver's batch path."""
         if self.block_driver is None:
             raise GuestOSError(f"{self.name}: no block driver installed")
-        writer = getattr(self.block_driver, "write_blocks", None)
-        if writer is not None:
-            writer(cpu, sorted(blocks))
-        else:
-            for block, data in sorted(blocks):
-                self.block_driver.write_block(cpu, block, data)
+        self.block_driver.write_blocks(cpu, sorted(blocks))
 
     def block_flush(self, cpu: "Cpu") -> None:
         if self.block_driver is None:

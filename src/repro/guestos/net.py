@@ -121,20 +121,6 @@ class NetworkStack:
         return pkt.payload
 
     # ------------------------------------------------------------------
-    # ping
-    # ------------------------------------------------------------------
-
-    def ping(self, cpu: "Cpu", dst: str, size_bytes: int = 64) -> float:
-        """ICMP echo round trip; returns the RTT in microseconds."""
-        self._ping_sent_at = cpu.rdtsc()
-        self._awaiting_pong = True
-        pkt = Packet(src=self.kernel.machine.nic.addr, dst=dst,
-                     proto="icmp", size_bytes=size_bytes, payload="echo")
-        self.kernel.net_transmit(cpu, pkt)
-        self.kernel.wait_for(cpu, lambda: not self._awaiting_pong)
-        return cpu.cost.us(self.last_ping_rtt_cycles)
-
-    # ------------------------------------------------------------------
     # receive path (invoked by the network driver for each packet)
     # ------------------------------------------------------------------
 

@@ -39,10 +39,6 @@ class Vma:
     def contains(self, vaddr: int) -> bool:
         return self.start <= vaddr < self.end
 
-    @property
-    def pages(self) -> int:
-        return (self.end - self.start) // PAGE_SIZE
-
     def clone(self) -> "Vma":
         return replace(self)
 
@@ -97,9 +93,6 @@ class VirtualMemory:
 
     def claim_frame(self, frame: int) -> None:
         self._frame_refs[frame] = 1
-
-    def share_frame(self, frame: int) -> None:
-        self._frame_refs[frame] = self._frame_refs.get(frame, 1) + 1
 
     def release_frame(self, cpu: "Cpu", frame: int) -> None:
         refs = self._frame_refs.get(frame, 1) - 1

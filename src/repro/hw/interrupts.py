@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import HardwareError
 
@@ -59,9 +59,6 @@ class Idt:
         if not (0 <= vector <= 0xFF):
             raise HardwareError(f"vector {vector:#x} out of range")
         self.gates[vector] = IdtEntry(handler, handler_pl, name or f"vec{vector:#x}")
-
-    def gate(self, vector: int) -> Optional[IdtEntry]:
-        return self.gates.get(vector)
 
 
 @dataclass(slots=True)

@@ -147,10 +147,6 @@ class FleetNode:
         with trace.tracing(self.tracer):
             return self.sched.run_window(horizon)
 
-    @property
-    def finished(self) -> bool:
-        return self.sched.finished
-
     # -- reporting -------------------------------------------------------
 
     def collector(self) -> MetricsCollector:
@@ -169,9 +165,6 @@ class FleetNode:
         snap.trace_events = self.tracer.recorded
         snap.trace_dropped = self.tracer.dropped
         return snap
-
-    def canonical_trace(self) -> list[str]:
-        return trace.canonical_lines(self.tracer.events())
 
     def result(self) -> dict:
         """Scenario-visible numbers; subclasses extend.  Everything here

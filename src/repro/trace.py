@@ -150,14 +150,6 @@ class Tracer:
     def instant(self, cpu_id: int, name: str, **args) -> None:
         self._emit(INSTANT, cpu_id, name, args or None)
 
-    @contextmanager
-    def span(self, cpu_id: int, name: str, **args) -> Iterator[None]:
-        self.begin(cpu_id, name, **args)
-        try:
-            yield
-        finally:
-            self.end(cpu_id, name)
-
     # -- reading ---------------------------------------------------------
 
     @property
@@ -175,10 +167,6 @@ class Tracer:
             merged.extend(ring.events)
         merged.sort(key=lambda e: e.seq)
         return merged
-
-    def clear(self) -> None:
-        """Drop the buffered events (counters stay monotonic)."""
-        self._rings.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +189,6 @@ def uninstall() -> None:
 
 def active() -> Optional[Tracer]:
     return _ACTIVE
-
-
-def enabled() -> bool:
-    return _ACTIVE is not None
 
 
 @contextmanager

@@ -50,11 +50,13 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
     ``update_va_mapping`` path costs more per entry).
 
     This is the hottest VMM path (fork/exit/mmap all funnel through it), so
-    the loop resolves each entry's leaf once, inlines the page-info column
-    bookkeeping (:meth:`validate_pte_write`/:meth:`account_pte_clear`
-    semantics, verbatim), and caches per-address-space state across runs of
-    consecutive entries — registration and PGD pinned-ness cannot change
-    mid-batch, nothing here reenters the hypercall layer."""
+    the loop resolves each entry's leaf once, keeps the per-PTE page-info
+    rules inline (an installed entry must map a frame of the calling domain
+    and may not map a page-table frame writable; it takes one type count
+    and one reference, and a cleared entry gives them back), and caches
+    per-address-space state across runs of consecutive entries —
+    registration and PGD pinned-ness cannot change mid-batch, nothing here
+    reenters the hypercall layer."""
     if faults.fire(faults.MMU_UPDATE_TRANSIENT, cpu_id=cpu.cpu_id):
         # rejected before any entry is applied: the batch is all-or-nothing
         # from the guest's point of view, so a transient refusal is safe to

@@ -168,12 +168,6 @@ class Hypervisor:
         del self.domains[domain.domain_id]
         domain.destroy()
 
-    def driver_domain(self) -> Optional[Domain]:
-        for d in self.domains.values():
-            if d.is_driver_domain:
-                return d
-        return None
-
     # ------------------------------------------------------------------
     # hypercalls
     # ------------------------------------------------------------------

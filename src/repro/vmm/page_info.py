@@ -256,43 +256,6 @@ class PageInfoTable:
         self.unpin_frame(aspace.pgd.frame)
         self._clear_type(aspace.pgd.frame)
 
-    def validate_pte_write(self, cpu: "Cpu", pte, domain_id: int) -> None:
-        """Validate one PTE about to be installed (mmu_update path).
-
-        The apply/validate *cost* is charged by the hypercall layer (it
-        differs between the batched and unbatched paths); this method only
-        performs the safety checks and the count bookkeeping."""
-        if pte is None or not pte.present:
-            return
-        frame = pte.frame
-        if self.mem.owner[frame] != domain_id:
-            self._check_frame_for(frame, domain_id)
-        t = self.type[frame]
-        if pte.writable and (t == _L1 or t == _L2):
-            raise PageValidationError(
-                f"mmu_update installs writable mapping of PT frame {frame}")
-        self.ref_count[frame] += 1
-        if t == _NONE:
-            self.type[frame] = _WRITABLE
-        self.type_count[frame] += 1
-
-    def account_pte_clear(self, cpu: "Cpu", old_pte) -> None:
-        if old_pte is None or not old_pte.present:
-            return
-        frame = old_pte.frame
-        pcount = self.type_count
-        if pcount[frame] <= 0:
-            # the entry's accounting was already dropped (unpin turns a
-            # table back into plain memory with its mappings intact, wiping
-            # the counts its entries contributed) — there is nothing left
-            # to unaccount, and decrementing anyway would let a hostile
-            # pin/map/unpin/clear sequence drive the counts negative
-            return
-        pcount[frame] -= 1
-        self.ref_count[frame] -= 1
-        if pcount[frame] == 0 and self.type[frame] == _WRITABLE:
-            self.type[frame] = _NONE
-
     # ------------------------------------------------------------------
     # ACTIVE tracking entry points (strategy 1 of §5.1.2)
     # ------------------------------------------------------------------
@@ -433,7 +396,7 @@ class PageInfoTable:
         ptype, pcount, prefs = self.type, self.type_count, self.ref_count
         for pte in leaf.entries.values():
             if pte.present and pcount[pte.frame] > 0:  # same clamp as
-                frame = pte.frame                      # account_pte_clear
+                frame = pte.frame                      # mmu_update's clear
                 pcount[frame] -= 1
                 prefs[frame] -= 1
                 if pcount[frame] == 0 and ptype[frame] == _WRITABLE:

@@ -67,11 +67,6 @@ class IoStats:
     ring_batched_entries: int = 0
     rx_dropped: int = 0
 
-    @property
-    def avg_batch(self) -> float:
-        return (self.ring_batched_entries / self.ring_batches
-                if self.ring_batches else 0.0)
-
 
 def publish(cpu: "Cpu", ring: "IoRing", side: str, stats: IoStats,
             notify: Callable[["Cpu"], None], batch: int = 0,

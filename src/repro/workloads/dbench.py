@@ -40,11 +40,6 @@ class DbenchResult:
             return 0.0
         return (self.bytes_moved / (1024 * 1024)) / (self.elapsed_us / 1e6)
 
-    @property
-    def notify_suppression_ratio(self) -> float:
-        total = self.notifies_sent + self.notifies_suppressed
-        return self.notifies_suppressed / total if total else 0.0
-
 
 def dbench_task(kernel: "Kernel", cpu: "Cpu", clients: int = 4,
                 files_per_client: int = 6, writes_per_file: int = 8,

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import Machine, Mercury, faults, small_config
+from repro.core import switch, transfer
 from repro.core.mercury import Mode
 from repro.core.switch import Direction
-from repro.errors import ModeSwitchError
+from repro.errors import ModeSwitchError, SwitchAborted
 from repro.hw.cpu import PrivilegeLevel
 from repro.hw.interrupts import VEC_SV_ATTACH
+from repro.scenarios.checkpoint import state_digest
 
 
 def test_attach_then_detach_roundtrip(mercury):
@@ -170,3 +173,104 @@ def test_interrupts_reenabled_after_switch(mercury):
     assert mercury.machine.boot_cpu.interrupts_enabled
     mercury.detach()
     assert mercury.machine.boot_cpu.interrupts_enabled
+
+
+# ---------------------------------------------------------------------------
+# the transactional commit: a failed switch is undone by the engine alone
+# ---------------------------------------------------------------------------
+
+def _stack(ncpus: int, direction: str) -> Mercury:
+    """A booted stack in the mode ``direction`` switches away from."""
+    mercury = Mercury(Machine(small_config(num_cpus=ncpus)))
+    mercury.create_kernel(image_pages=16)
+    if direction == "detach":
+        assert mercury.attach() is not None
+    return mercury
+
+
+def _switch(mercury: Mercury, direction: str):
+    return mercury.attach() if direction == "attach" else mercury.detach()
+
+
+TRANSFER_STEPS = {
+    "attach": ("transfer_page_tables_to_virtual", "transfer_segments",
+               "transfer_irq_bindings_to_virtual"),
+    "detach": ("transfer_page_tables_to_native", "transfer_segments",
+               "transfer_irq_bindings_to_native"),
+}
+
+
+@pytest.mark.parametrize("ncpus", [1, 2], ids=["up", "smp"])
+@pytest.mark.parametrize("direction,step", [
+    (direction, step) for direction, steps in TRANSFER_STEPS.items()
+    for step in steps])
+def test_mid_transfer_failure_rolls_back(direction, step, ncpus,
+                                         monkeypatch):
+    """A non-transient error escaping a transfer step after it did its
+    work: the undo log alone puts the stack back digest-exact, the error
+    reaches the caller, and the next switch commits."""
+    mercury = _stack(ncpus, direction)
+    before = state_digest(mercury)
+    mode, vo, active = mercury.mode, mercury.kernel.vo, mercury.vmm.active
+    real = getattr(transfer, step)
+    wrecked = []
+
+    def wreck(*args, **kwargs):
+        real(*args, **kwargs)
+        if not wrecked:  # the step's own undo may call it again
+            wrecked.append(step)
+            raise RuntimeError("simulated transfer wreck")
+
+    monkeypatch.setattr(transfer, step, wreck)
+    with pytest.raises(RuntimeError, match="transfer wreck"):
+        _switch(mercury, direction)
+    monkeypatch.undo()
+
+    assert mercury.mode is mode
+    assert mercury.kernel.vo is vo
+    assert mercury.vmm.active is active
+    assert state_digest(mercury) == before
+    assert mercury.engine.switch_rollbacks == 1
+    assert _switch(mercury, direction) is not None
+    assert mercury.mode is not mode
+
+
+@pytest.mark.parametrize("flavor", ["persistent", "transient"])
+@pytest.mark.parametrize("direction", ["attach", "detach"])
+@pytest.mark.parametrize("ncpus", [3, 4])
+def test_failed_last_secondary_undoes_every_earlier_reload(ncpus, direction,
+                                                           flavor,
+                                                           monkeypatch):
+    """Only a secondary that is not the first one leaves earlier
+    secondaries' reloads to undo: with the last CPU failing, every
+    earlier secondary is reloaded back once per failed attempt."""
+    mercury = _stack(ncpus, direction)
+    before = state_digest(mercury)
+    start_mode = mercury.mode
+    undone = []
+    real = switch.reload_secondary_rollback
+
+    def recording(cpu, kernel, prev_idt=None):
+        undone.append(cpu.cpu_id)
+        real(cpu, kernel, prev_idt)
+
+    monkeypatch.setattr(switch, "reload_secondary_rollback", recording)
+    plan = faults.FaultPlan()
+    plan.arm(faults.RELOAD_SECONDARY, cpu_id=ncpus - 1,
+             times=None if flavor == "persistent" else 1)
+    earlier = list(range(1, ncpus - 1))
+    with faults.injected(plan):
+        if flavor == "persistent":
+            with pytest.raises(SwitchAborted):
+                _switch(mercury, direction)
+        else:
+            assert _switch(mercury, direction) is not None
+
+    if flavor == "persistent":
+        attempts = mercury.engine.max_retries + 1
+        assert sorted(undone) == sorted(earlier * attempts)
+        assert mercury.mode is start_mode
+        assert state_digest(mercury) == before
+    else:
+        assert sorted(undone) == earlier
+        assert mercury.mode is not start_mode

@@ -14,7 +14,8 @@ import dataclasses
 import pytest
 
 from repro import Machine, Mercury, faults, small_config
-from repro.core.invariants import backend_rings
+from repro.core.accounting import AccountingStrategy
+from repro.core.invariants import backend_rings, check_all
 from repro.core.mercury import Mode
 from repro.core.recovery import RecoveryManager
 from repro.errors import VmmCorruption
@@ -200,3 +201,29 @@ def test_collector_follows_the_vmm_a_microreboot_installs():
     served = mercury.vmm.hypercalls_served
     assert served > 0
     assert collector.snapshot().hypercalls == served
+
+
+def test_microreboot_under_active_accounting_rebuilds_page_counts():
+    """ACTIVE attach trusts the page-info counts, so the fresh VMM of a
+    microreboot must rebuild them from the OS's live address spaces: the
+    recovered stack passes ``check_all``, reaping the children leaves no
+    negative count, and the next attach is clean too."""
+    mercury = Mercury(Machine(small_config()),
+                      strategy=AccountingStrategy.ACTIVE)
+    kernel = mercury.create_kernel(image_pages=16)
+    cpu = mercury.machine.boot_cpu
+    children = [kernel.procs.get(kernel.syscall(cpu, "fork"))
+                for _ in range(3)]
+    mercury.attach()
+    Watchdog(mercury, suspect_scans=1)
+    RecoveryManager(mercury)
+    faults.inject_vmm_fault(faults.VMM_REFCOUNT_RUNAWAY, mercury)
+    assert mercury.recovery.recover().success
+    assert check_all(mercury) == []
+
+    mercury.detach()
+    for child in children:
+        kernel.run_and_reap(cpu, child)
+    assert min(mercury.vmm.page_info.type_count) >= 0
+    mercury.attach()
+    assert check_all(mercury) == []

@@ -4,17 +4,20 @@ topology.
 For each site the matrix proves the §4.3 dependability claim twice over:
 
 - **persistent fault** — the switch terminally aborts
-  (:class:`~repro.errors.SwitchAborted`) and the kernel is bit-for-bit back
-  in its pre-switch mode: VO pointer, VMM activation, segment DPLs, IDT
-  ownership, pinned-frame set, registered address spaces, refcounts.  The
-  next un-faulted switch then commits cleanly and the kernel still runs
-  workloads.
+  (:class:`~repro.errors.SwitchAborted`) and the kernel is back in its
+  pre-switch mode, state-digest exact, on the same VO object with the same
+  registered address spaces.  The next un-faulted switch then commits
+  cleanly and the kernel still runs workloads.
 - **single transient fault** — the engine rolls back, backs off, retries,
   and commits on its own; the caller never sees the fault.
 
 ``smp.ipi-delayed`` is the one latency-only site: the switch *commits*
 under it (a late IPI stretches the gather; it corrupts nothing), which the
 matrix asserts instead of a rollback.
+
+Each cell runs through :func:`repro.bench.crashmatrix.run_cell`, the one
+implementation of these checks that the crash-matrix bench runs too; a
+cell fails with the labels of the checks it failed.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from __future__ import annotations
 import pytest
 
 from repro import Machine, Mercury, faults, small_config
+from repro.bench.crashmatrix import matrix_cells, run_cell
 from repro.core.invariants import check_all
-from repro.core.mercury import Mode
 from repro.errors import SwitchAborted
-from repro.metrics import MetricsCollector, MetricsSnapshot
+from repro.metrics import MetricsCollector
 from repro.scenarios.checkpoint import state_digest
 
 SITE_NAMES = [s.name for s in faults.SWITCH_SITES]
@@ -39,16 +42,6 @@ def _stack(ncpus: int) -> Mercury:
     return mercury
 
 
-def _switch(mercury: Mercury, direction: str):
-    return mercury.attach() if direction == "attach" else mercury.detach()
-
-
-def _metrics(mercury: Mercury) -> MetricsSnapshot:
-    """The dependability counters through their public API."""
-    return MetricsCollector(mercury.machine, kernel=mercury.kernel,
-                            mercury=mercury).snapshot()
-
-
 def _smoke(mercury: Mercury) -> None:
     """The kernel must still run real work after the recovery."""
     kernel = mercury.kernel
@@ -58,64 +51,14 @@ def _smoke(mercury: Mercury) -> None:
     assert check_all(mercury) == []
 
 
-def _prepare(ncpus: int, direction: str, site_name: str) -> Mercury:
-    spec = faults.site(site_name)
-    if spec.smp_only and ncpus == 1:
-        pytest.skip("site only exists on SMP machines")
-    mercury = _stack(ncpus)
-    if direction == "detach":
-        assert mercury.attach() is not None
-    return mercury
-
-
 @pytest.mark.parametrize("ncpus", TOPOLOGIES, ids=["up", "smp"])
 @pytest.mark.parametrize("direction", DIRECTIONS)
 @pytest.mark.parametrize("site_name", SITE_NAMES)
 def test_persistent_fault_aborts_and_rolls_back(site_name, direction, ncpus):
-    mercury = _prepare(ncpus, direction, site_name)
-    start_mode = mercury.mode
-    before = state_digest(mercury)
-    # object identity is outside any digest: checked directly
-    vo_before = mercury.kernel.vo
-    aspaces_before = (list(mercury.domain.aspaces)
-                      if mercury.domain is not None else [])
-
-    plan = faults.FaultPlan()
-    plan.arm(site_name, times=None)
-    latency_only = site_name == faults.IPI_DELAYED
-    with faults.injected(plan):
-        if latency_only:
-            rec = _switch(mercury, direction)
-            assert rec is not None
-            assert mercury.mode is not start_mode
-        else:
-            with pytest.raises(SwitchAborted) as ei:
-                _switch(mercury, direction)
-            assert ei.value.retries == mercury.engine.max_retries
-    assert plan.injected >= 1
-
-    if not latency_only:
-        # transactionally back where we started
-        assert mercury.mode is start_mode
-        assert state_digest(mercury) == before
-        assert mercury.kernel.vo is vo_before
-        aspaces_after = (list(mercury.domain.aspaces)
-                         if mercury.domain is not None else [])
-        assert len(aspaces_after) == len(aspaces_before)
-        assert all(a is b for a, b in zip(aspaces_after, aspaces_before))
-        snap = _metrics(mercury)
-        assert snap.switch_aborts == 1
-        assert snap.switch_rollbacks >= 1
-    assert check_all(mercury) == []
-
-    # the un-faulted switch away from the current mode commits cleanly
-    follow_up = direction
-    if latency_only:  # already switched; prove the way back works instead
-        follow_up = "detach" if direction == "attach" else "attach"
-    rec = _switch(mercury, follow_up)
-    assert rec is not None
-    assert check_all(mercury) == []
-    _smoke(mercury)
+    cell = run_cell(site_name, direction, ncpus, "persistent")
+    if cell.skipped:
+        pytest.skip("site only exists on SMP machines")
+    assert cell.failures == []
 
 
 @pytest.mark.parametrize("ncpus", TOPOLOGIES, ids=["up", "smp"])
@@ -123,30 +66,10 @@ def test_persistent_fault_aborts_and_rolls_back(site_name, direction, ncpus):
 @pytest.mark.parametrize("site_name", SITE_NAMES)
 def test_single_transient_fault_recovers_unattended(site_name, direction,
                                                     ncpus):
-    mercury = _prepare(ncpus, direction, site_name)
-    start_mode = mercury.mode
-
-    plan = faults.FaultPlan()
-    plan.arm(site_name, times=1)
-    with faults.injected(plan):
-        rec = _switch(mercury, direction)
-
-    assert rec is not None
-    assert mercury.mode is not start_mode
-    assert plan.injected == 1
-    snap = _metrics(mercury)
-    if site_name == faults.IPI_DELAYED:
-        assert rec.retries == 0  # committed despite the late IPI
-    elif site_name == faults.REFCOUNT_STUCK:
-        assert rec.retries >= 1
-        assert rec.rollbacks == 0  # refused at the gate, nothing unwound
-    else:
-        assert rec.retries >= 1
-        assert rec.rollbacks >= 1
-        assert snap.switch_rollbacks >= 1
-    assert snap.switch_aborts == 0
-    assert check_all(mercury) == []
-    _smoke(mercury)
+    cell = run_cell(site_name, direction, ncpus, "transient")
+    if cell.skipped:
+        pytest.skip("site only exists on SMP machines")
+    assert cell.failures == []
 
 
 @pytest.mark.parametrize("ncpus", TOPOLOGIES, ids=["up", "smp"])
@@ -203,9 +126,14 @@ def test_attach_rollback_restores_dirty_roots_exactly(ncpus):
 
 def test_matrix_covers_every_registered_switch_site():
     """The matrix parametrization is derived from the registry, so a new
-    site is automatically matrix-tested — this guards the derivation."""
+    site is automatically matrix-tested — this guards the derivation, and
+    that the bench runs exactly the cells these tests run."""
     assert set(SITE_NAMES) == {s.name for s in faults.SWITCH_SITES}
     assert len(SITE_NAMES) >= 7
+    assert sorted(matrix_cells()) == sorted(
+        (site_name, direction, ncpus, flavor) for site_name in SITE_NAMES
+        for direction in DIRECTIONS for ncpus in TOPOLOGIES
+        for flavor in ("persistent", "transient"))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +181,8 @@ def test_quiescent_vmm_fault_recovers_fingerprint_exact(site_name, ncpus):
     assert check_all(mercury) == []
     assert watchdog.scan() is None, "residual corruption after recovery"
 
-    snap = _metrics(mercury)
+    snap = MetricsCollector(mercury.machine, kernel=mercury.kernel,
+                            mercury=mercury).snapshot()
     assert snap.watchdog_detections >= 1
     assert snap.recoveries == 1
     assert snap.recovery_failures == 0

@@ -65,6 +65,22 @@ def test_fs_corruption_healed(mercury):
     assert inode.size <= len(inode.blocks) * 4096
 
 
+def test_multiple_anomalies_all_healed(mercury):
+    """Several OS anomalies at once are all repaired in one pass, and the
+    switches around the repair commit."""
+    k = mercury.kernel
+    cpu = mercury.machine.boot_cpu
+    fd = k.syscall(cpu, "open", "/f", True)
+    k.syscall(cpu, "write", fd, "x", 100)
+    k.fs.inodes["/f"].nlink = -1
+    t = k.scheduler.current
+    k.scheduler.runqueue.extend([t, t])
+    records = SelfHealer(mercury).scan()
+    assert {r.sensor_name for r in records} == {"runqueue", "fs-metadata"}
+    assert all(r.healed for r in records)
+    assert mercury.mode is Mode.NATIVE
+
+
 def test_frame_ref_skew_healed(mercury):
     k = mercury.kernel
     leaked = k.machine.memory.alloc(k.owner_id)

@@ -102,6 +102,29 @@ def test_cli_quick_table(capsys):
     assert "X-0" in out and "M-V" not in out  # quick: two columns
 
 
+def test_cli_trace_writes_balanced_chrome_trace(tmp_path, capsys):
+    """``trace --trace-json FILE`` writes a Chrome trace_event file that
+    loads as JSON, covers every CPU, and closes each begin with a matching
+    end on the same thread."""
+    import json
+    from repro.__main__ import main
+    path = tmp_path / "switch.json"
+    assert main(["trace", "--cpus", "2", "--mem-kb", "16384",
+                 "--trace-json", str(path)]) == 0
+    assert str(path) in capsys.readouterr().out
+    events = json.loads(path.read_text())["traceEvents"]
+    assert {ev["tid"] for ev in events} == {0, 1}
+    open_spans: dict = {}
+    for ev in events:
+        stack = open_spans.setdefault(ev["tid"], [])
+        if ev["ph"] == "B":
+            stack.append(ev["name"])
+        elif ev["ph"] == "E":
+            assert stack and stack.pop() == ev["name"], ev
+    assert all(stack == [] for stack in open_spans.values())
+    assert sum(ev["ph"] == "B" for ev in events) > 0
+
+
 def test_cli_rejects_unknown_target():
     from repro.__main__ import main
     with pytest.raises(SystemExit):

@@ -1,4 +1,7 @@
-"""Page type/count tracking: validation, pinning, isolation, recompute."""
+"""Page type/count tracking: validation, pinning, isolation, recompute.
+
+Per-PTE writes are checked where the guest makes them: through the
+``mmu_update`` hypercall of a registered domain."""
 
 import pytest
 
@@ -14,6 +17,23 @@ def env(machine):
     table = PageInfoTable(mem)
     aspace = AddressSpace(mem, owner=0)
     return machine.boot_cpu, mem, table, aspace
+
+
+@pytest.fixture
+def guest(machine, warm_vmm):
+    """Domain 0 with one registered address space on an active VMM, plus
+    ``write(vaddr, pte_or_None)``: one ``mmu_update`` hypercall, the path
+    every guest PTE write takes."""
+    dom = warm_vmm.create_domain("d", domain_id=0, is_driver_domain=True)
+    warm_vmm.activate()
+    aspace = AddressSpace(machine.memory, owner=0)
+    dom.register_aspace(aspace)
+    cpu = machine.boot_cpu
+
+    def write(vaddr, pte):
+        warm_vmm.hypercall(cpu, dom, "mmu_update", [(aspace, vaddr, pte)])
+
+    return cpu, machine.memory, warm_vmm.page_info, aspace, write
 
 
 def test_validate_pgd_types_pages(env):
@@ -63,28 +83,27 @@ def test_readonly_mapping_of_pt_page_is_fine(env):
     table.validate_pgd(cpu, reader, domain_id=0)  # no exception
 
 
-def test_pte_write_validation(env):
-    cpu, mem, table, aspace = env
+def test_pte_write_validation(guest):
+    cpu, mem, table, aspace, write = guest
     data = mem.alloc(0)
     aspace.set_pte(0x1000, Pte(frame=data))
     table.validate_pgd(cpu, aspace, domain_id=0)
     new_frame = mem.alloc(0)
-    table.validate_pte_write(cpu, Pte(frame=new_frame), domain_id=0)
+    write(0x2000, Pte(frame=new_frame))
     assert table.type[new_frame] == PageType.WRITABLE
     foreign = mem.alloc(42)
     with pytest.raises(PageValidationError):
-        table.validate_pte_write(cpu, Pte(frame=foreign), domain_id=0)
+        write(0x3000, Pte(frame=foreign))
 
 
-def test_pte_write_cannot_alias_pt_page(env):
-    cpu, mem, table, aspace = env
+def test_pte_write_cannot_alias_pt_page(guest):
+    cpu, mem, table, aspace, write = guest
     data = mem.alloc(0)
     aspace.set_pte(0x1000, Pte(frame=data))
     table.validate_pgd(cpu, aspace, domain_id=0)
     leaf_frame = aspace.leaf_for(0x1000).frame
     with pytest.raises(PageValidationError):
-        table.validate_pte_write(cpu, Pte(frame=leaf_frame, writable=True),
-                                 domain_id=0)
+        write(0x2000, Pte(frame=leaf_frame, writable=True))
 
 
 def test_unpin_clears_types(env):
@@ -98,27 +117,24 @@ def test_unpin_clears_types(env):
     assert aspace.pgd_frame not in table.pinned
 
 
-def test_account_pte_clear_releases_type(env):
-    cpu, mem, table, aspace = env
+def test_pte_clear_releases_type(guest):
+    cpu, mem, table, aspace, write = guest
     frame = mem.alloc(0)
-    pte = Pte(frame=frame)
-    table.validate_pte_write(cpu, pte, domain_id=0)
-    table.account_pte_clear(cpu, pte)
+    write(0x1000, Pte(frame=frame))
+    write(0x1000, None)
     assert table.type[frame] == PageType.NONE
     assert table.type_count[frame] == 0
 
 
-def test_shared_frame_counts(env):
-    cpu, mem, table, aspace = env
+def test_shared_frame_counts(guest):
+    cpu, mem, table, aspace, write = guest
     frame = mem.alloc(0)
-    a = Pte(frame=frame)
-    b = Pte(frame=frame)
-    table.validate_pte_write(cpu, a, domain_id=0)
-    table.validate_pte_write(cpu, b, domain_id=0)
+    write(0x1000, Pte(frame=frame))
+    write(0x2000, Pte(frame=frame))
     assert table.type_count[frame] == 2
-    table.account_pte_clear(cpu, a)
+    write(0x1000, None)
     assert table.type[frame] == PageType.WRITABLE  # still mapped once
-    table.account_pte_clear(cpu, b)
+    write(0x2000, None)
     assert table.type[frame] == PageType.NONE
 
 
