@@ -32,6 +32,7 @@ the balancer adds nothing to the fleet's determinism obligations.
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from typing import Dict, Iterable, List
 
 POLICIES = ("round-robin", "least-outstanding", "switch-aware")
@@ -71,13 +72,23 @@ class LoadBalancer:
         if not self.state:
             raise ValueError("balancer needs at least one machine")
         self._rr_last = -1
+        #: routable machines in index order, kept by :meth:`mark`
+        self._routable = [i for i in sorted(self.state)
+                          if self._routable_in(self.state[i])]
 
     # -- state transitions ------------------------------------------------
 
     def mark(self, index: int, state: MachineState) -> None:
+        """The one writer of :attr:`state`; it keeps the routable list."""
         if index not in self.state:
             raise KeyError(f"unknown machine {index}")
+        was = self._routable_in(self.state[index])
         self.state[index] = state
+        now = self._routable_in(state)
+        if now and not was:
+            insort(self._routable, index)
+        elif was and not now:
+            self._routable.remove(index)
 
     def mark_draining(self, index: int) -> None:
         self.mark(index, MachineState.DRAINING)
@@ -108,19 +119,16 @@ class LoadBalancer:
 
     # -- routing ----------------------------------------------------------
 
-    def _routable(self) -> List[int]:
-        allow_draining = self.policy != "switch-aware"
-        out = []
-        for index in sorted(self.state):
-            st = self.state[index]
-            if st is MachineState.READY or (
-                    allow_draining and st is MachineState.DRAINING):
-                out.append(index)
-        return out
+    def _routable_in(self, state: MachineState) -> bool:
+        """Whether a machine in ``state`` takes requests under this
+        policy (the module docstring's table)."""
+        return state is MachineState.READY or (
+            state is MachineState.DRAINING
+            and self.policy != "switch-aware")
 
     def pick(self) -> int:
         """Choose the target for the next request (does not dispatch)."""
-        routable = self._routable()
+        routable = self._routable
         if not routable:
             raise NoRoutableMachine(
                 f"no routable machine under policy {self.policy!r}: "
@@ -133,8 +141,10 @@ class LoadBalancer:
                     return index
             self._rr_last = routable[0]
             return routable[0]
-        # least-outstanding and switch-aware differ only in _routable()
-        return min(routable, key=lambda i: (self.outstanding[i], i))
+        # least-outstanding and switch-aware differ only in the routable
+        # set; min keeps the first minimum in index order, so ties break on
+        # the lower index
+        return min(routable, key=self.outstanding.__getitem__)
 
     def serving_machines(self) -> List[int]:
         return [i for i in sorted(self.state)

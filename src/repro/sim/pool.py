@@ -17,7 +17,9 @@ Barrier protocol (window ``W``, horizons on the ``W`` grid)::
     loop:
       batch   = pending messages with deliver_cycle <= horizon,
                 sorted by (deliver_cycle, src, src_seq, dst)
-      reports = every shard: inject its slice of batch, run_window(horizon)
+      reports = every shard: inject its slice of batch, run its due nodes
+                to horizon (a node is due in the first window, when it
+                gets a message, or when its next work is <= horizon)
       pending += all outbound messages from reports
       done when all shards finished, no runnable work, nothing pending
       deadlock when only blocked tasks remain and nothing is in flight
@@ -28,7 +30,10 @@ Every quantity steering the loop (batch membership and order, the horizon
 schedule, termination) is computed from *global* information, so the
 schedule cannot depend on how machines were partitioned — that, plus
 per-machine local purity and latency >= W (see :mod:`repro.sim.shard`),
-is the whole determinism argument.
+is the whole determinism argument.  Skipping a node that is not due
+changes nothing it would have computed (:meth:`~repro.sim.shard.Shard.step`
+gives the argument), so the schedule is the one stepping every node in
+every window would produce.
 """
 
 from __future__ import annotations
@@ -90,6 +95,9 @@ class _InlineShard:
         report, self._report = self._report, None
         return report
 
+    def blocked(self) -> list:
+        return self._shard.blocked()
+
     def collect(self) -> dict:
         return self._shard.collect()
 
@@ -99,7 +107,8 @@ class _InlineShard:
 
 def _shard_worker(conn, shard_id, indices, builder, seed, kwargs,
                   min_latency) -> None:
-    """Worker-process loop: build once, then step/collect/exit on demand.
+    """Worker-process loop: build once, then step/blocked/collect/exit on
+    demand.
     Errors are forwarded as ("error", text) so the parent can raise with
     context instead of hanging on a dead pipe."""
     try:
@@ -111,6 +120,8 @@ def _shard_worker(conn, shard_id, indices, builder, seed, kwargs,
             if op == "step":
                 horizon, inbound = arg
                 conn.send(("report", shard.step(horizon, inbound)))
+            elif op == "blocked":
+                conn.send(("blocked", shard.blocked()))
             elif op == "collect":
                 conn.send(("data", shard.collect()))
             elif op == "exit":
@@ -146,6 +157,9 @@ class _ProcessShard:
         try:
             kind, payload = self._conn.recv()
         except EOFError:
+            # EOF can arrive before the child is reaped; until then its
+            # exitcode reads None
+            self._proc.join(timeout=10)
             raise ShardError(
                 f"shard {self.shard_id} worker died (exitcode="
                 f"{self._proc.exitcode})") from None
@@ -161,6 +175,10 @@ class _ProcessShard:
 
     def step_end(self) -> ShardReport:
         return self._expect("report")
+
+    def blocked(self) -> list:
+        self._conn.send(("blocked", None))
+        return self._expect("blocked")
 
     def collect(self) -> dict:
         self._conn.send(("collect", None))
@@ -310,8 +328,8 @@ class ShardedSim:
                 if all_finished:
                     return windows, messages
                 blocked = ", ".join(
-                    f"m{idx}:{name}" for r in reports
-                    for idx, name in r.blocked)
+                    f"m{idx}:{name}" for handle in handles
+                    for idx, name in handle.blocked())
                 raise SimDeadlock(
                     f"fleet wedged at horizon {horizon}: no runnable "
                     f"work, no messages in flight; blocked: {blocked}")
@@ -329,14 +347,12 @@ class ShardedSim:
             data = handle.collect()
             node_results.update(data["results"])
             snapshots.update(data["snapshots"])
-            for index, (rows, dropped) in data["rings"].items():
-                events = trace.import_ring(rows)
-                errors = trace.validate(events, dropped)
+            for index, (lines, errors) in data["traces"].items():
                 if errors:
                     raise ShardError(
                         f"machine {index} trace ill-formed: "
                         + "; ".join(errors[:3]))
-                canonical[index] = trace.canonical_lines(events)
+                canonical[index] = lines
         merged = MetricsSnapshot.merge(
             snapshots[i] for i in sorted(snapshots))
         return FleetResult(

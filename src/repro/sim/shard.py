@@ -11,7 +11,11 @@ The determinism contract has three legs:
 
 1. **Local purity.**  A machine's evolution is a pure function of its
    build parameters and the sequence of inbound messages (with their
-   delivery cycles).  Nothing else crosses the machine boundary.
+   delivery cycles).  Nothing else crosses the machine boundary: in
+   particular a task's ``WaitFor`` predicate reads only its own node's
+   state, so it can turn true only when that node runs (a task, a timer,
+   or a delivered message) — the rule :meth:`Shard.step` relies on to
+   leave idle nodes alone.
 2. **Conservative lookahead.**  Every message carries latency >= the
    barrier window, so a message posted during one window can only take
    effect in a later one — no shard can ever need information another
@@ -29,7 +33,8 @@ algorithm on a single shard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from repro import trace
@@ -185,14 +190,10 @@ NodeBuilder = Callable[..., FleetNode]
 class ShardReport:
     """What a shard tells the pool after one window (picklable)."""
 
-    shard_id: int
     outbound: list[FleetMessage]
     finished: bool
     #: earliest cycle any hosted machine has runnable work at, or None
     next_cycle: Optional[int]
-    #: (machine index, task name) pairs still blocked, for deadlock reports
-    blocked: list = field(default_factory=list)
-    delivered: int = 0
 
 
 class Shard:
@@ -202,12 +203,22 @@ class Shard:
         self.shard_id = shard_id
         self.min_latency = min_latency
         self.nodes: dict[int, FleetNode] = {}
+        #: each node's ``next_work_cycle()`` as of its last step
+        self._key: dict[int, Optional[int]] = {}
+        #: ``(key, index)`` heap; an entry whose cycle no longer equals
+        #: ``_key[index]`` is stale and skipped
+        self._work: list[tuple[int, int]] = []
+        self._unfinished: set[int] = set()
 
     def add(self, node: FleetNode) -> None:
         if node.index in self.nodes:
             raise ShardError(f"duplicate machine index {node.index}")
         node.min_latency = self.min_latency
         self.nodes[node.index] = node
+        # keyed at cycle 0, so every node runs in the first window
+        self._key[node.index] = 0
+        heapq.heappush(self._work, (0, node.index))
+        self._unfinished.add(node.index)
 
     def _deliver(self, msg: FleetMessage) -> None:
         node = self.nodes.get(msg.dst)
@@ -219,44 +230,73 @@ class Shard:
             msg.deliver_cycle, lambda m=msg, n=node: n.on_message(m))
 
     def step(self, horizon: int, inbound: list[FleetMessage]) -> ShardReport:
-        """Inject this window's batch, run every node to ``horizon``, and
-        report outbound messages plus progress state.
+        """Inject this window's batch, run every *due* node to ``horizon``,
+        and report outbound messages plus progress state.
 
         ``inbound`` arrives pre-sorted in canonical order; scheduling the
         deliveries in that order assigns each machine's clock tickets
-        identically under every partition."""
+        identically under every partition.
+
+        A node is due when it gets an inbound message in this window or
+        its key (``next_work_cycle()`` after its last step, 0 before its
+        first) is at or before ``horizon``.  Skipping the others is
+        exact: for a node with no inbound message whose key is None or
+        beyond the horizon, ``run_window(horizon)`` would change nothing
+        but ``sched.steps``.  Its blocked predicates read only its own
+        state (leg 1), unchanged since its last ``_admit_unblocked``; its
+        ready head and clock head lie past the horizon, so the loop
+        returns at once; with neither, its last step ended on a
+        ``machine.poll()`` that returned 0.  Its clock, seq tickets,
+        trace ring and outbox stay untouched, and so do its key and
+        whether it has finished.  Only stepped nodes are re-keyed, so no
+        per-window work here scales with the number of nodes."""
+        due: set[int] = set()
         for msg in inbound:
             self._deliver(msg)
+            due.add(msg.dst)
+        key, work = self._key, self._work
+        while work and work[0][0] <= horizon:
+            cycle, index = heapq.heappop(work)
+            if key[index] == cycle:
+                due.add(index)
         outbound: list[FleetMessage] = []
-        all_finished = True
-        next_cycles: list[int] = []
-        blocked: list = []
-        for index in sorted(self.nodes):
+        for index in sorted(due):
             node = self.nodes[index]
-            finished = node.advance(horizon)
-            all_finished = all_finished and finished
+            if node.advance(horizon):
+                self._unfinished.discard(index)
+            else:
+                self._unfinished.add(index)
             outbound.extend(node.take_outbox())
-            cycle = node.sched.next_work_cycle()
-            if cycle is not None:
-                next_cycles.append(cycle)
-            blocked.extend((index, name)
-                           for name in node.sched.blocked_names())
+            old = key[index]
+            cycle = key[index] = node.sched.next_work_cycle()
+            # an unchanged key beyond the horizon still has its entry
+            if cycle is not None and not (cycle == old and old > horizon):
+                heapq.heappush(work, (cycle, index))
+        while work and key[work[0][1]] != work[0][0]:
+            heapq.heappop(work)
         return ShardReport(
-            shard_id=self.shard_id,
             outbound=outbound,
-            finished=all_finished,
-            next_cycle=min(next_cycles) if next_cycles else None,
-            blocked=blocked,
-            delivered=len(inbound))
+            finished=not self._unfinished,
+            next_cycle=work[0][0] if work else None)
+
+    def blocked(self) -> list:
+        """(machine index, task name) of every blocked task; the pool asks
+        only when it is about to report a deadlock."""
+        return [(index, name) for index in sorted(self.nodes)
+                for name in self.nodes[index].sched.blocked_names()]
 
     def collect(self) -> dict:
-        """Final per-node data, in picklable primitives + dataclasses."""
-        return {
-            "results": {i: self.nodes[i].result()
-                        for i in sorted(self.nodes)},
-            "snapshots": {i: self.nodes[i].snapshot()
-                          for i in sorted(self.nodes)},
-            "rings": {i: (trace.export_ring(self.nodes[i].tracer),
-                          self.nodes[i].tracer.dropped)
-                      for i in sorted(self.nodes)},
-        }
+        """Final per-node data, in picklable primitives + dataclasses.
+        Each node's trace is finalised here, next to its ring: its
+        canonical lines and the ring's :func:`~repro.trace.validate`
+        errors."""
+        data: dict = {"results": {}, "snapshots": {}, "traces": {}}
+        for index in sorted(self.nodes):
+            node = self.nodes[index]
+            events = node.tracer.events()
+            data["results"][index] = node.result()
+            data["snapshots"][index] = node.snapshot()
+            data["traces"][index] = (
+                trace.canonical_lines(events),
+                trace.validate(events, node.tracer.dropped))
+        return data

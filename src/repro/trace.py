@@ -527,27 +527,6 @@ def canonical_lines(events: list[TraceEvent]) -> list[str]:
     return lines
 
 
-# ---------------------------------------------------------------------------
-# ring transport (sharded simulation)
-# ---------------------------------------------------------------------------
-
-def export_ring(tracer: Tracer) -> list[tuple]:
-    """Flatten a tracer's buffered events to plain tuples.
-
-    Shard worker processes ship their rings back to the parent over a
-    pipe; tuples of primitives keep the payload small and decouple the
-    wire format from the :class:`TraceEvent` class."""
-    return [(ev.kind, ev.name, ev.cpu_id, ev.ts, ev.seq,
-             dict(ev.args) if ev.args else None)
-            for ev in tracer.events()]
-
-
-def import_ring(rows: list[tuple]) -> list[TraceEvent]:
-    """Rebuild :class:`TraceEvent` objects from :func:`export_ring` rows."""
-    return [TraceEvent(kind, name, cpu_id, ts, seq, args)
-            for kind, name, cpu_id, ts, seq, args in rows]
-
-
 def merge_canonical(per_machine: dict[int, list[str]]) -> list[str]:
     """Merge per-machine canonical lines into one fleet-wide listing.
 

@@ -81,6 +81,20 @@ def test_validation():
         LoadBalancer([1]).mark_down(7)
 
 
+def _reference_pick(lb, rr_last):
+    """The pick recomputed from scratch: sort every machine's state, then
+    round-robin after ``rr_last`` or take the least-outstanding machine
+    with the lower index winning ties (None when nothing is routable)."""
+    ok = (MachineState.READY,) if lb.policy == "switch-aware" else (
+        MachineState.READY, MachineState.DRAINING)
+    routable = [i for i in sorted(lb.state) if lb.state[i] in ok]
+    if not routable:
+        return None
+    if lb.policy == "round-robin":
+        return next((i for i in routable if i > rr_last), routable[0])
+    return min(routable, key=lambda i: (lb.outstanding[i], i))
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=1, max_value=8),
        policy=st.sampled_from(("round-robin", "least-outstanding",
@@ -88,10 +102,12 @@ def test_validation():
        ops=st.lists(st.integers(min_value=0, max_value=30), max_size=40))
 def test_pick_never_returns_unroutable_machine(n, policy, ops):
     """Whatever the dispatch/state history, a pick is READY (or DRAINING
-    only under the drain-blind policies)."""
+    only under the drain-blind policies) and equals the from-scratch
+    reference pick."""
     lb = LoadBalancer(range(n), policy=policy)
     states = (MachineState.READY, MachineState.DRAINING,
               MachineState.SWITCHING, MachineState.DOWN, MachineState.SPARE)
+    rr_last = -1
     for op in ops:
         machine, action = op % n, op % 5
         if action == 4:
@@ -101,10 +117,14 @@ def test_pick_never_returns_unroutable_machine(n, policy, ops):
                 pass
         else:
             lb.mark(machine, states[action])
+        expected = _reference_pick(lb, rr_last)
         try:
             pick = lb.pick()
         except NoRoutableMachine:
+            assert expected is None
             continue
+        assert pick == expected
+        rr_last = pick
         lb.dispatched(pick)
         ok = (MachineState.READY,) if policy == "switch-aware" else (
             MachineState.READY, MachineState.DRAINING)

@@ -1,5 +1,6 @@
 """Barrier-protocol unit tests: timer cancellation across shard windows,
-lookahead enforcement, cross-shard unblocking, and fleet deadlock.
+lookahead enforcement, cross-shard unblocking, fleet deadlock, stepping
+only the nodes that are due, and worker failures.
 
 The timer-cancel pair is the regression the sharded refactor must never
 reintroduce: a :class:`~repro.hw.clock.TimerHandle` cancelled as the
@@ -10,12 +11,14 @@ other local effect, so a later window can never resurrect the handle.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.hw.machine import Machine
 from repro.params import MachineConfig
 from repro.sim import (FleetNode, Shard, ShardedSim, ShardError,
-                       SimDeadlock, Sleep, WaitFor)
+                       SimDeadlock, Sleep, SleepUntil, WaitFor)
 
 WINDOW = 200_000
 
@@ -84,6 +87,9 @@ def test_cancelled_timer_never_fires_after_barrier(workers):
     assert res.node_results[0]["timer_fired"] is False
     assert res.node_results[0]["handle_pending"] is False
     assert res.node_results[0]["messages_received"] == 1
+    # the dead timer leaves no phantom window behind: the fleet ends in
+    # the window that delivered the cancel
+    assert res.windows == 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -156,14 +162,17 @@ class PokeNode(FleetNode):
         self.post(0, "poke")
 
 
-def _waiter_fleet(poke, workers):
-    def build(index, seed, **kwargs):
-        if index == 0:
-            return WaiterNode(index, seed)
-        return PokeNode(index, seed, poke=poke)
+def _build_waiter(index, seed, poke=True):
+    """Module-level, so spawned shard workers can import it."""
+    if index == 0:
+        return WaiterNode(index, seed)
+    return PokeNode(index, seed, poke=poke)
 
-    return ShardedSim(build, 2, workers=workers, transport="inline",
-                      window_cycles=WINDOW)
+
+def _waiter_fleet(poke, workers, transport="inline"):
+    return ShardedSim(_build_waiter, 2, workers=workers,
+                      transport=transport, window_cycles=WINDOW,
+                      builder_kwargs={"poke": poke})
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -175,10 +184,157 @@ def test_message_unblocks_waiter_across_shards(workers):
     assert woken is not None and woken >= 50_000 + WINDOW
 
 
+@pytest.mark.parametrize("workers,transport",
+                         [(1, "inline"), (2, "inline"), (2, "process")],
+                         ids=["1", "2", "2-process"])
+def test_blocked_fleet_with_no_messages_deadlocks(workers, transport):
+    """Every shard handle answers the pool's blocked-task request, so the
+    report names the waiter whichever process hosts it."""
+    with pytest.raises(SimDeadlock, match="blocked: m0:waiter$"):
+        _waiter_fleet(poke=False, workers=workers,
+                      transport=transport).run()
+
+
+# ---------------------------------------------------------------------------
+# only due nodes are stepped
+# ---------------------------------------------------------------------------
+
+class SleeperNode(FleetNode):
+    """Sleeps 50 windows ahead; records every window it is advanced in."""
+
+    WAKE_AT = 50 * WINDOW + 7
+
+    def __init__(self, index, seed, **kwargs):
+        super().__init__(index, _machine())
+        self.advanced = []
+        self.pinged_at = None
+        self.woken_at = None
+        self.spawn_traced(self._task(), name="sleeper")
+
+    def _task(self):
+        yield SleepUntil(self.WAKE_AT)
+        self.woken_at = self.machine.clock.cycles
+
+    def advance(self, horizon):
+        self.advanced.append(horizon)
+        return super().advance(horizon)
+
+    def on_message(self, msg):
+        super().on_message(msg)
+        self.pinged_at = self.machine.clock.cycles
+
+    def result(self):
+        out = super().result()
+        out["pinged_at"] = self.pinged_at
+        out["woken_at"] = self.woken_at
+        return out
+
+
+class TickerNode(FleetNode):
+    """Has work in each of 60 windows and pings machine 0 in window 21."""
+
+    def __init__(self, index, seed, **kwargs):
+        super().__init__(index, _machine())
+        self.spawn_traced(self._task(), name="ticker")
+
+    def _task(self):
+        for k in range(1, 60):
+            yield SleepUntil(k * WINDOW + 11)
+            if k == 20:
+                self.post(0, "ping")
+
+
+def test_idle_node_is_stepped_only_when_due():
+    """The sleeper is advanced in the first window, in the window its
+    ping lands in, and in the window it wakes in — not in the 57 others
+    the ticker keeps the fleet running for — and its result is what
+    stepping it in every window gives."""
+    nodes = {}
+
+    def build(index, seed):
+        node = nodes[index] = (SleeperNode if index == 0
+                               else TickerNode)(index, seed)
+        return node
+
+    res = ShardedSim(build, 2, window_cycles=WINDOW).run()
+    assert res.windows == 60
+    assert nodes[0].advanced == [WINDOW, 22 * WINDOW, 51 * WINDOW]
+    assert res.node_results[0] == {
+        "cycles": SleeperNode.WAKE_AT, "messages_received": 1,
+        "messages_sent": 0, "pinged_at": 21 * WINDOW + 11,
+        "woken_at": SleeperNode.WAKE_AT}
+
+
+class RunAheadNode(FleetNode):
+    """One slice runs the clock five windows ahead, then the task waits
+    for a message."""
+
+    def __init__(self, index, seed, **kwargs):
+        super().__init__(index, _machine())
+        self.woken_at = None
+        self.spawn_traced(self._task(), name="run-ahead")
+
+    def _task(self):
+        self.machine.clock.advance(5 * WINDOW)
+        yield WaitFor(lambda: bool(self.inbox), desc="fleet message")
+        self.woken_at = self.machine.clock.cycles
+
+    def result(self):
+        out = super().result()
+        out["woken_at"] = self.woken_at
+        return out
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_blocked_fleet_with_no_messages_deadlocks(workers):
-    with pytest.raises(SimDeadlock, match="waiter"):
-        _waiter_fleet(poke=False, workers=workers).run()
+def test_message_behind_receiver_clock_still_wakes_it(workers):
+    """The poke is due at 50_000 + WINDOW, long behind the receiver's
+    clock; the receiver has no work of its own, yet the inbound message
+    makes it due, and the late delivery fires at its next poll."""
+    def build(index, seed):
+        if index == 0:
+            return RunAheadNode(index, seed)
+        return PokeNode(index, seed)
+
+    res = ShardedSim(build, 2, workers=workers, transport="inline",
+                     window_cycles=WINDOW).run()
+    assert res.node_results[0]["messages_received"] == 1
+    assert res.node_results[0]["woken_at"] == 5 * WINDOW
+
+
+# ---------------------------------------------------------------------------
+# shard-side trace finalisation and worker failures
+# ---------------------------------------------------------------------------
+
+def _build_bad_trace(index, seed):
+    """Machine 0's ring holds an END with no BEGIN and nothing dropped."""
+    node = FleetNode(index, _machine())
+    if index == 0:
+        node.tracer.end(0, "orphan")
+    return node
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ill_formed_node_trace_is_reported(workers):
+    sim = ShardedSim(_build_bad_trace, 2, workers=workers,
+                     window_cycles=WINDOW)
+    with pytest.raises(ShardError, match="machine 0 trace ill-formed: "
+                       "cpu0: end 'orphan' with no open span"):
+        sim.run()
+
+
+def _build_dying(index, seed):
+    """Kills shard 0's worker process while it builds machine 0."""
+    if index == 0:
+        os._exit(3)
+    return FleetNode(index, _machine())
+
+
+def test_dead_worker_reports_its_exitcode():
+    sim = ShardedSim(_build_dying, 2, workers=2, transport="process",
+                     window_cycles=WINDOW)
+    with pytest.raises(ShardError,
+                       match=r"shard 0 worker died \(exitcode=3\)"):
+        sim.run()
 
 
 def test_snapshot_ignores_process_global_fault_counter():
