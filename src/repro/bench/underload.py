@@ -25,8 +25,7 @@ from repro.bench.configs import build_config
 from repro.core.switch import Direction
 from repro.metrics import MetricsCollector
 from repro.params import MachineConfig
-from repro.sim import (FleetNode, ShardedSim, SimScheduler, Sleep,
-                       SleepUntil, WaitFor)
+from repro.sim import FleetNode, ShardedSim, Sleep, SleepUntil, WaitFor
 from repro.sim.pool import DEFAULT_WINDOW_CYCLES, FleetResult
 from repro.workloads.iperf import iperf_task
 from repro.workloads.kbuild import kbuild_task
@@ -111,63 +110,8 @@ def switch_storm_task(mercury: "Mercury", rounds: int,
             lat.append(clock.cycles - t0)
 
 
-def run_switch_under_load(files: int = 10,
-                          iperf_bytes: int = 1024 * 1024,
-                          rounds: int = 5,
-                          num_cpus: int = 2,
-                          mem_kb: int = 262_144,
-                          max_retries: int = 64,
-                          gaps_ms: tuple = (7.0, 3.0, 11.0, 5.0)
-                          ) -> UnderLoadResult:
-    """Run kbuild + iperf under the simulation scheduler with a storm of
-    ``rounds`` attach/detach cycles landing between/inside their slices."""
-    config = dataclasses.replace(MachineConfig(),
-                                 mem_kb=mem_kb).with_cpus(num_cpus)
-    sut = build_config("M-N", config)
-    mercury = sut.mercury
-    engine = mercury.engine
-    # the storm must outlast workload-induced busy windows, never abort
-    engine.max_retries = max_retries
-    machine = sut.machine
-    freq = machine.clock.freq_mhz
-    work_cpu = machine.cpus[1] if num_cpus > 1 else machine.boot_cpu
-
-    result = UnderLoadResult(rounds=rounds, freq_mhz=freq)
-    gaps_cycles = [int(ms * 1000 * freq) for ms in gaps_ms]
-
-    sched = SimScheduler(machine)
-    tracer = trace.Tracer(machine.clock)
-    with trace.tracing(tracer):
-        kbuild = sched.spawn(
-            kbuild_task(sut.kernel, work_cpu, files=files),
-            name="kbuild", cpu=work_cpu, kernel=sut.kernel)
-        iperf = sched.spawn(
-            iperf_task(sut.kernel, sut.peer_kernel, "tcp", iperf_bytes),
-            name="iperf", cpu=machine.boot_cpu, kernel=sut.kernel)
-        sched.spawn(
-            switch_storm_task(mercury, rounds, gaps_cycles, result),
-            name="switch-storm", cpu=machine.boot_cpu)
-        sched.run()
-    events = tracer.events()
-    problems = trace.validate(events, dropped=tracer.dropped)
-    if problems:
-        raise AssertionError(f"malformed under-load trace: {problems[:3]}")
-
-    result.busy_attempts = engine.failed_attempts
-    result.aborts = engine.switch_aborts
-    result.records = len(engine.records)
-    result.retry_histogram = dict(engine.retry_histogram)
-    result.per_switch_retries = [r.retries for r in engine.records]
-    result.kbuild_elapsed_us = kbuild.result.elapsed_us
-    result.iperf_mbit_s = iperf.result.mbit_s
-    result.final_cycles = machine.clock.cycles
-    result.canonical_trace = trace.canonical_lines(events)
-    result.trace_events = events
-    return result
-
-
 # ---------------------------------------------------------------------------
-# the fleet scenario: N storm machines under the sharded simulation
+# the storm machine: alone, or N of them under the sharded simulation
 # ---------------------------------------------------------------------------
 
 class UnderLoadNode(FleetNode):
@@ -176,7 +120,8 @@ class UnderLoadNode(FleetNode):
     ``(i+1) % fleet`` on a fixed cycle grid (``SleepUntil`` keeps the
     cadence independent of how long kbuild slices run), so the fleet
     exercises real cross-shard traffic while every box storms its own
-    switch engine."""
+    switch engine.  With ``beats=0`` there is no heartbeat task: machine
+    0 alone is :func:`run_switch_under_load`'s storm."""
 
     def __init__(self, index: int, seed: int, fleet_size: int = 3,
                  files: int = 3, iperf_bytes: int = 256 * 1024,
@@ -189,6 +134,7 @@ class UnderLoadNode(FleetNode):
         super().__init__(index, self.sut.machine)
         self.fleet_size = fleet_size
         self.mercury = self.sut.mercury
+        # the storm must outlast workload-induced busy windows, never abort
         self.mercury.engine.max_retries = 64
         self.heartbeats_seen = 0
         freq = self.machine.clock.freq_mhz
@@ -209,8 +155,9 @@ class UnderLoadNode(FleetNode):
         self.spawn_traced(
             switch_storm_task(self.mercury, rounds, gaps_cycles, self.load),
             name="switch-storm", cpu=self.machine.boot_cpu)
-        self.spawn_traced(self._heartbeat(beats, beat_period),
-                          name="heartbeat", cpu=self.machine.boot_cpu)
+        if beats:
+            self.spawn_traced(self._heartbeat(beats, beat_period),
+                              name="heartbeat", cpu=self.machine.boot_cpu)
 
     def _heartbeat(self, beats: int, period: int) -> Generator:
         for beat in range(1, beats + 1):
@@ -243,6 +190,39 @@ class UnderLoadNode(FleetNode):
             "heartbeats_seen": self.heartbeats_seen,
         })
         return out
+
+
+def run_switch_under_load(files: int = 10,
+                          iperf_bytes: int = 1024 * 1024,
+                          rounds: int = 5,
+                          num_cpus: int = 2,
+                          mem_kb: int = 262_144) -> UnderLoadResult:
+    """Run kbuild + iperf under the simulation scheduler with a storm of
+    ``rounds`` attach/detach cycles landing between/inside their slices:
+    one :class:`UnderLoadNode` without a heartbeat, run to completion."""
+    node = UnderLoadNode(0, 0, files=files, iperf_bytes=iperf_bytes,
+                         rounds=rounds, num_cpus=num_cpus, mem_kb=mem_kb,
+                         beats=0)
+    with trace.tracing(node.tracer):
+        node.sched.run()
+    events = node.tracer.events()
+    problems = trace.validate(events, dropped=node.tracer.dropped)
+    if problems:
+        raise AssertionError(f"malformed under-load trace: {problems[:3]}")
+
+    engine = node.mercury.engine
+    result = node.load
+    result.busy_attempts = engine.failed_attempts
+    result.aborts = engine.switch_aborts
+    result.records = len(engine.records)
+    result.retry_histogram = dict(engine.retry_histogram)
+    result.per_switch_retries = [r.retries for r in engine.records]
+    result.kbuild_elapsed_us = node._kbuild.result.elapsed_us
+    result.iperf_mbit_s = node._iperf.result.mbit_s
+    result.final_cycles = node.machine.clock.cycles
+    result.canonical_trace = trace.canonical_lines(events)
+    result.trace_events = events
+    return result
 
 
 def build_underload_node(index: int, seed: int,

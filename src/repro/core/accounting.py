@@ -162,11 +162,9 @@ class ActiveAccountant:
 
     def __init__(self, page_info: "PageInfoTable"):
         self.page_info = page_info
-        self.tracked_ops = 0
 
     def _charge(self, cpu: "Cpu") -> None:
         cpu.charge(cpu.cost.cyc_active_track_per_op)
-        self.tracked_ops += 1
 
     # hooks called by NativeVO -------------------------------------------------
 

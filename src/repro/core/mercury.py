@@ -180,7 +180,6 @@ class Mercury:
         if wait:
             self._drain_until_committed(before)
         if len(self.engine.records) > before:
-            self.mode = Mode.PARTIAL_VIRTUAL
             return self.engine.records[-1]
         return None
 
@@ -199,7 +198,6 @@ class Mercury:
         if wait:
             self._drain_until_committed(before)
         if len(self.engine.records) > before:
-            self.mode = Mode.NATIVE
             return self.engine.records[-1]
         return None
 

@@ -86,7 +86,6 @@ def sensitive(fn):
                 raise ConsistencyViolation("VO refcount underflow")
             self.refcount -= 1
 
-    wrapper.__sensitive__ = True
     return wrapper
 
 
@@ -114,7 +113,6 @@ class VirtualizationObject:
         self.data = VoData()
         self.refcount = 0
         self.entries = 0          # lifetime count of sensitive-code entries
-        self._cost = None         # set on install
 
     # -- reference counting (§5.1.1) ---------------------------------------
 

@@ -62,13 +62,11 @@ class LoadBalancer:
         self.policy = policy
         self.state: Dict[int, MachineState] = {}
         self.outstanding: Dict[int, int] = {}
-        self.dispatches: Dict[int, int] = {}
         spare_set = set(spares)
         for index in machines:
             self.state[index] = (MachineState.SPARE if index in spare_set
                                  else MachineState.READY)
             self.outstanding[index] = 0
-            self.dispatches[index] = 0
         if not self.state:
             raise ValueError("balancer needs at least one machine")
         self._rr_last = -1
@@ -106,7 +104,6 @@ class LoadBalancer:
 
     def dispatched(self, index: int) -> None:
         self.outstanding[index] += 1
-        self.dispatches[index] += 1
 
     def completed(self, index: int) -> None:
         if self.outstanding[index] <= 0:

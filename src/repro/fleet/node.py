@@ -14,29 +14,34 @@ Requests, responses, and every control exchange are cross-machine
 determinism contract of :mod:`repro.sim.pool` applies unchanged: a
 ``workers=k`` fleet run is byte-identical to ``workers=1``.
 
-Message vocabulary::
+Every control exchange is one :meth:`~repro.sim.shard.FleetNode.call`:
+the caller posts the control kind and waits until the callee posts the
+paired answer back.  Only chaos injections do not wait: the cluster wave
+posts each one with :meth:`~repro.sim.shard.FleetNode.ask` and takes
+their answers together at its end.  Control kinds and their answers::
 
-    req            frontend -> server   (req_id, service_cycles)
-    rsp            server  -> frontend  req_id
-    ctl.update     frontend -> server   wave ordinal (rolling live update)
-    ctl.updated    server  -> frontend  (index, attach_us, detach_us)
-    ctl.maintain   frontend -> server   spare
-    ctl.maintained server  -> frontend  index
-    ctl.evacuate   frontend -> server   spare
-    ctl.evacuated  server  -> frontend  index
-    chaos.inject   frontend -> server   (site, variant)
-    chaos.recovered server -> frontend  (index, site, detected, mttr)
-    mig.state      server  -> spare     src (the migration stream)
-    mig.ack        spare   -> server    src
-    mig.back-req   server  -> spare     src
-    mig.back       spare   -> server    src
-    ctl.shutdown   frontend -> server   —
+    control         answer           caller -> callee     payloads
+    ctl.update      ctl.updated      frontend -> server   wave ordinal;
+                                                          (index, attach_us, detach_us)
+    ctl.maintain    ctl.maintained   frontend -> server   spare; index
+    ctl.evacuate    ctl.evacuated    frontend -> server   spare; index
+    chaos.inject    chaos.recovered  frontend -> server   (site, variant);
+                                                          (index, site, detected,
+                                                           mttr, elapsed)
+    mig.state       mig.ack          server  -> spare     src; src
+    mig.back-req    mig.back         server  -> spare     src; src
+
+and three one-way kinds::
+
+    req             frontend -> server   (req_id, service_cycles)
+    rsp             server  -> frontend  req_id
+    ctl.shutdown    frontend -> server   —
 
 The per-machine mechanics reuse the single-machine §6 scenario modules:
 the rolling update applies a real :class:`~repro.scenarios.liveupdate.
 KernelPatch` through :class:`~repro.scenarios.liveupdate.LiveUpdater`;
-maintenance and evacuation move no OS state: each direction charges a
-constant :data:`~repro.scenarios.migration.FLEET_STREAM_PAGES`-page
+maintenance and evacuation move no OS state yet: each migration leg
+charges a constant :data:`~repro.scenarios.migration.FLEET_STREAM_PAGES`-page
 stream through :func:`~repro.scenarios.migration.send_pages`; chaos rides
 :func:`repro.faults.inject_vmm_fault`, the VMI
 :class:`~repro.watchdog.Watchdog`, and the ReHype-style
@@ -60,7 +65,6 @@ from repro.hw.machine import Machine
 from repro.metrics import MetricsCollector
 from repro.params import MachineConfig
 from repro.scenarios.liveupdate import KernelPatch, LiveUpdater
-from repro.scenarios.cluster import HardwareMonitor
 from repro.scenarios.migration import FLEET_STREAM_PAGES, send_pages
 from repro.sim import FleetNode, Sleep, SleepUntil, WaitFor, Yield
 from repro.watchdog import Watchdog
@@ -105,19 +109,26 @@ class ServiceNode(FleetNode):
             name=f"fleet{index}-linux", image_pages=16)
         self.mercury.engine.max_retries = 64
         self.updater = LiveUpdater(self.mercury)
-        self.monitor = HardwareMonitor()
 
         self._queue: deque = deque()
+        #: control messages, run one at a time in arrival order
         self._ctl: deque = deque()
+        #: control kind -> the op that runs it and posts its answer; an op
+        #: that waits on a call of its own is a generator
+        self._ops = {
+            "ctl.update": self._op_update,
+            "ctl.maintain": self._op_maintain,
+            "ctl.evacuate": self._op_evacuate,
+            "chaos.inject": self._op_chaos,
+            "mig.state": self._op_host_state,
+            "mig.back-req": self._op_return_state,
+        }
         self.done = False
-        self.retired = False
         self.served = 0
         self.updates_applied = 0
         self.maintenances = 0
         self.evacuated = False
         self.chaos_recoveries = 0
-        self._mig_ack = False
-        self._mig_back = False
         #: machines whose execution environment this spare hosts
         self._hosted: set = set()
 
@@ -154,20 +165,17 @@ class ServiceNode(FleetNode):
             self._queue.append(msg.payload)
         elif kind == "ctl.shutdown":
             self.done = True
-        elif kind == "mig.ack":
-            self._mig_ack = True
-        elif kind == "mig.back":
-            self._mig_back = True
-        elif kind in ("ctl.update", "ctl.maintain", "ctl.evacuate",
-                      "chaos.inject", "mig.state", "mig.back-req"):
-            self._ctl.append((kind, msg.src, msg.payload))
+        elif kind in self._ops:
+            self._ctl.append(msg)
+        else:
+            self.file_answer(msg)
 
     # -- the request server -----------------------------------------------
 
     def _server_task(self) -> Generator:
         cpu = self.machine.boot_cpu
         while True:
-            yield WaitFor(lambda: self._queue or self.done or self.retired,
+            yield WaitFor(lambda: self._queue or self.done,
                           desc="requests")
             if self._queue:
                 req_id, svc = self._queue.popleft()
@@ -210,27 +218,14 @@ class ServiceNode(FleetNode):
     def _control_task(self) -> Generator:
         while True:
             yield WaitFor(lambda: self._ctl or self.done, desc="control")
-            if self._ctl:
-                kind, src, payload = self._ctl.popleft()
-                yield from self._run_op(kind, src, payload)
-                continue
-            return
+            if not self._ctl:
+                return
+            msg = self._ctl.popleft()
+            waiting = self._ops[msg.kind](msg.payload)
+            if waiting is not None:
+                yield from waiting
 
-    def _run_op(self, kind: str, src: int, payload) -> Generator:
-        if kind == "ctl.update":
-            yield from self._op_update(payload)
-        elif kind == "ctl.maintain":
-            yield from self._op_maintain(payload)
-        elif kind == "ctl.evacuate":
-            yield from self._op_evacuate(payload)
-        elif kind == "chaos.inject":
-            yield from self._op_chaos(*payload)
-        elif kind == "mig.state":
-            yield from self._op_host_state(payload)
-        elif kind == "mig.back-req":
-            yield from self._op_return_state(payload)
-
-    def _op_update(self, ordinal: int) -> Generator:
+    def _op_update(self, ordinal: int) -> None:
         """Rolling live kernel update (§6.4): transiently attach, patch,
         detach — the machine was drained, so both switches commit on the
         quiescent fast path."""
@@ -240,23 +235,22 @@ class ServiceNode(FleetNode):
         self.post(0, "ctl.updated",
                   payload=(self.index, round(rec.attach_us, 3),
                            round(rec.detach_us, 3)))
-        return
-        yield  # pragma: no cover - generator marker
+
+    def _migrate_out(self, spare: int) -> Generator:
+        """The outbound leg of maintenance and evacuation:
+        full-virtualize, stream the execution environment to ``spare``,
+        and wait until it hosts it."""
+        self.mercury.full_virtualize()
+        send_pages(self.machine.boot_cpu, FLEET_STREAM_PAGES)
+        yield from self.call(spare, "mig.state", "mig.ack", self.index)
 
     def _op_maintain(self, spare: int) -> Generator:
         """Predictive hardware maintenance (§6.3): full-virtualize,
         migrate the execution environment to ``spare``, service the
         hardware, migrate back, return to native."""
-        self.mercury.full_virtualize()
-        send_pages(self.machine.boot_cpu, FLEET_STREAM_PAGES)
-        self._mig_ack = False
-        self.post(spare, "mig.state", payload=self.index)
-        yield WaitFor(lambda: self._mig_ack, desc="mig.ack")
+        yield from self._migrate_out(spare)
         self.machine.boot_cpu.charge(MAINTENANCE_CYCLES)
-        self.monitor.temperature_c = 45.0  # serviced: prediction clears
-        self._mig_back = False
-        self.post(spare, "mig.back-req", payload=self.index)
-        yield WaitFor(lambda: self._mig_back, desc="mig.back")
+        yield from self.call(spare, "mig.back-req", "mig.back", self.index)
         send_pages(self.machine.boot_cpu, FLEET_STREAM_PAGES)
         self.mercury.departial()
         if not self.guests:  # a standing driver domain stays attached
@@ -267,17 +261,12 @@ class ServiceNode(FleetNode):
     def _op_evacuate(self, spare: int) -> Generator:
         """Failure-predicted evacuation (§6.5): one-way migration to the
         promoted spare; this machine then takes the predicted failure."""
-        self.mercury.full_virtualize()
-        send_pages(self.machine.boot_cpu, FLEET_STREAM_PAGES)
-        self._mig_ack = False
-        self.post(spare, "mig.state", payload=self.index)
-        yield WaitFor(lambda: self._mig_ack, desc="mig.ack")
+        yield from self._migrate_out(spare)
         self.evacuated = True
-        self.retired = True
         self.post(0, "ctl.evacuated", payload=self.index)
         self.done = True
 
-    def _op_host_state(self, src: int) -> Generator:
+    def _op_host_state(self, src: int) -> None:
         """Spare side of a migration stream: go partial-virtual to host
         the inbound execution environment, absorb the pages, ack."""
         if self.mercury.mode is Mode.NATIVE:
@@ -285,24 +274,22 @@ class ServiceNode(FleetNode):
         send_pages(self.machine.boot_cpu, FLEET_STREAM_PAGES)
         self._hosted.add(src)
         self.post(src, "mig.ack", payload=src)
-        return
-        yield  # pragma: no cover - generator marker
 
-    def _op_return_state(self, src: int) -> Generator:
-        """Spare side of the §6.3 return trip."""
+    def _op_return_state(self, src: int) -> None:
+        """Spare side of the §6.3 return trip.  The answer goes out before
+        the detach, whose cost would otherwise delay its delivery."""
         self._hosted.discard(src)
         send_pages(self.machine.boot_cpu, FLEET_STREAM_PAGES)
         self.post(src, "mig.back", payload=src)
         if not self._hosted and not self.guests and \
                 self.mercury.mode is Mode.PARTIAL_VIRTUAL:
             self.mercury.detach()  # nobody hosted: back to full speed
-        return
-        yield  # pragma: no cover - generator marker
 
-    def _op_chaos(self, site: str, variant: int) -> Generator:
+    def _op_chaos(self, fault: tuple) -> Generator:
         """Chaos fault under load: attach, corrupt one VMM structure,
         let the VMI watchdog detect it, microreboot, return to native —
         while the server task keeps serving between scans."""
+        site, variant = fault
         clock = self.machine.clock
         if self.mercury.mode is Mode.NATIVE:
             self.mercury.attach()
@@ -392,7 +379,6 @@ class FrontendNode(FleetNode):
         self.requests = requests
         # the wave starts once a quarter of the requests have completed
         self.wave_after = requests // 4
-        self.log_requests = log_requests
         self._rng = random.Random(f"fleet-ops:{seed}")
 
         self.phase = "steady"
@@ -401,17 +387,18 @@ class FrontendNode(FleetNode):
         self.dispatched = 0
         self.completed = 0
         self.forced_dispatches = 0
-        self.request_log: list = []    # (req_id, target, cycle, phase)
+        #: (req_id, target, cycle, phase) per request, kept only with
+        #: ``log_requests``
+        self.request_log: Optional[list] = [] if log_requests else None
         self.drain_log: list = []      # per-machine wave intervals
         self.traffic_done = False
         self.wave_done = False
         self.wave_start_cycle = -1
         self.wave_end_cycle = -1
-        self._updated: dict = {}       # index -> (attach_us, detach_us)
-        self._maintained: set = set()
-        self._evacuated: set = set()
-        self.chaos_log: list = []
+        #: the rolling update's answers: (index, attach_us, detach_us)
         self.update_records: list = []
+        #: the chaos injections' answers, taken at the end of the wave
+        self.chaos_log: list = []
 
         # scenario-specific wave plan, drawn up-front from the seeded rng
         serving = [i for i in server_indices
@@ -433,12 +420,9 @@ class FrontendNode(FleetNode):
             self._victims = []
             self._chaos_plan = []
         if scenario == "maintenance":
+            # the machines whose failure the §6.5 sensor bank predicts
             self._flagged = sorted(self._rng.sample(
                 serving, min(maintain_count, len(serving) - 1)))
-            for i in self._flagged:
-                # the §6.5 sensor bank predicts these machines' failures
-                monitor = HardwareMonitor(temperature_c=95.0)
-                assert monitor.predicts_failure()
         else:
             self._flagged = []
 
@@ -453,23 +437,13 @@ class FrontendNode(FleetNode):
 
     def on_message(self, msg) -> None:
         super().on_message(msg)
-        kind = msg.kind
-        if kind == "rsp":
-            req_id = msg.payload
-            target, t0, phase = self._open.pop(req_id)
+        if msg.kind == "rsp":
+            target, t0, phase = self._open.pop(msg.payload)
             self.hist[phase].record(self.machine.clock.cycles - t0)
             self.balancer.completed(target)
             self.completed += 1
-        elif kind == "ctl.updated":
-            index, attach_us, detach_us = msg.payload
-            self._updated[index] = (attach_us, detach_us)
-            self.update_records.append(msg.payload)
-        elif kind == "ctl.maintained":
-            self._maintained.add(msg.payload)
-        elif kind == "ctl.evacuated":
-            self._evacuated.add(msg.payload)
-        elif kind == "chaos.recovered":
-            self.chaos_log.append(msg.payload)
+        else:
+            self.file_answer(msg)
 
     # -- traffic ----------------------------------------------------------
 
@@ -493,7 +467,8 @@ class FrontendNode(FleetNode):
             now = self.machine.clock.cycles
             self.balancer.dispatched(target)
             self._open[req_id] = (target, now, self.phase)
-            self.request_log.append((req_id, target, now, self.phase))
+            if self.request_log is not None:
+                self.request_log.append((req_id, target, now, self.phase))
             self.dispatched += 1
             self.post(target, "req", payload=(req_id, svc))
         self.traffic_done = True
@@ -537,9 +512,9 @@ class FrontendNode(FleetNode):
         rejoins."""
         for ordinal, index in enumerate(self.balancer.serving_machines()):
             entry = yield from self._drain(index)
-            self.post(index, "ctl.update", payload=ordinal)
-            yield WaitFor(lambda i=index: i in self._updated,
-                          desc=f"update m{index}")
+            record = yield from self.call(index, "ctl.update",
+                                          "ctl.updated", ordinal)
+            self.update_records.append(record)
             self.balancer.mark_ready(index)
             entry["ready_at"] = self.machine.clock.cycles
 
@@ -554,9 +529,8 @@ class FrontendNode(FleetNode):
                      and self.balancer.state[i] is MachineState.READY]
             spare = min(peers,
                         key=lambda i: (self.balancer.outstanding[i], i))
-            self.post(index, "ctl.maintain", payload=spare)
-            yield WaitFor(lambda i=index: i in self._maintained,
-                          desc=f"maintain m{index}")
+            yield from self.call(index, "ctl.maintain", "ctl.maintained",
+                                 spare)
             self.balancer.mark_ready(index)
             entry["ready_at"] = self.machine.clock.cycles
 
@@ -569,23 +543,25 @@ class FrontendNode(FleetNode):
         events += [("evacuate", 8_000_000 * (n + 1), victim, "", 0)
                    for n, victim in enumerate(self._victims)]
         events.sort(key=lambda e: (e[1], e[0], e[2]))
+        recoveries = []
         for kind, offset, victim, site, variant in events:
             yield SleepUntil(self.wave_start_cycle + offset)
             if kind == "chaos":
-                self.post(victim, "chaos.inject", payload=(site, variant))
+                recoveries.append(self.ask(victim, "chaos.inject",
+                                           "chaos.recovered",
+                                           (site, variant)))
                 continue
             entry = yield from self._drain(victim)
             spare = self._spare_pool.pop(0)
-            self.post(victim, "ctl.evacuate", payload=spare)
-            yield WaitFor(lambda i=victim: i in self._evacuated,
-                          desc=f"evacuate m{victim}")
+            yield from self.call(victim, "ctl.evacuate", "ctl.evacuated",
+                                 spare)
             # the predicted failure arrives on the evacuated machine;
             # the promoted spare takes its place in rotation
             self.balancer.mark_down(victim)
             self.balancer.mark_ready(spare)
             entry["ready_at"] = self.machine.clock.cycles
-        yield WaitFor(lambda: len(self.chaos_log) >= len(self._chaos_plan),
-                      desc="chaos recovered")
+        self.chaos_log = yield from self.take_answers(
+            recoveries, desc="chaos recovered")
 
     # -- shutdown ---------------------------------------------------------
 
@@ -612,6 +588,8 @@ class FrontendNode(FleetNode):
 
     def result(self) -> dict:
         out = super().result()
+        # the wave ends only once every machine it drained has answered
+        wave = sorted(entry["machine"] for entry in self.drain_log)
         out.update({
             "scenario": self.scenario,
             "policy": self.balancer.policy,
@@ -622,13 +600,14 @@ class FrontendNode(FleetNode):
             "forced_dispatches": self.forced_dispatches,
             "wave_start_cycle": self.wave_start_cycle,
             "wave_end_cycle": self.wave_end_cycle,
-            "updated_machines": sorted(self._updated),
-            "maintained_machines": sorted(self._maintained),
-            "evacuated_machines": sorted(self._evacuated),
+            "updated_machines": wave if self.scenario == "liveupdate" else [],
+            "maintained_machines":
+                wave if self.scenario == "maintenance" else [],
+            "evacuated_machines": wave if self.scenario == "cluster" else [],
             "chaos_log": sorted(self.chaos_log),
             "drain_log": self.drain_log,
             "percentiles": self.percentiles(),
         })
-        if self.log_requests:
+        if self.request_log is not None:
             out["request_log"] = self.request_log
         return out

@@ -25,7 +25,6 @@ class NativeBlockDriver:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self.irqs_handled = 0
 
     def read_block(self, cpu: "Cpu", block: int) -> object:
         req = BlockRequest(op="read", block=block)
@@ -54,10 +53,7 @@ class NativeBlockDriver:
     def irq(self, cpu: "Cpu", vector: int) -> None:
         """Disk completion interrupt: acknowledge completions."""
         cpu.charge(cpu.cost.cyc_disk_irq)
-        disk = self.kernel.machine.disk
-        while disk.completed:
-            disk.completed.popleft()
-            self.irqs_handled += 1
+        self.kernel.machine.disk.completed.clear()
 
 
 class NativeNetDriver:
@@ -65,7 +61,6 @@ class NativeNetDriver:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self.irqs_handled = 0
 
     def transmit(self, cpu: "Cpu", pkt: Packet, more: bool = False) -> None:
         # ``more`` is the stack's batching hint; a direct-attached NIC has
@@ -77,5 +72,4 @@ class NativeNetDriver:
         nic = self.kernel.machine.nic
         while nic.rx_queue:
             pkt = nic.rx_queue.popleft()
-            self.irqs_handled += 1
             self.kernel.net_rx(cpu, pkt)

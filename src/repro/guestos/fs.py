@@ -94,10 +94,7 @@ class FileSystem:
         self.inodes: dict[str, Inode] = {}
         self.cache = BufferCache()
         self._next_block = 1024  # blocks below are superblock/journal area
-        self._journal_tx_open = False
         self.journal_commits = 0
-        self.creates = 0
-        self.unlinks = 0
 
     # ------------------------------------------------------------------
     # namespace
@@ -111,7 +108,6 @@ class FileSystem:
                 raise FileSystemError(f"no such file: {path}")
             inode = Inode(path)
             self.inodes[path] = inode
-            self.creates += 1
             self._journal(cpu)
         return inode
 
@@ -121,7 +117,6 @@ class FileSystem:
         inode.nlink -= 1
         if inode.nlink == 0:
             del self.inodes[path]
-        self.unlinks += 1
         self._journal(cpu)
 
     def stat(self, cpu: "Cpu", path: str) -> dict:

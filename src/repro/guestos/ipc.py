@@ -50,7 +50,6 @@ class Pipe:
         self._bytes = 0
         self.read_open = True
         self.write_open = True
-        self.total_written = 0
 
     def write(self, data: object, nbytes: int) -> int:
         if not self.read_open:
@@ -61,7 +60,6 @@ class Pipe:
             raise SyscallError("EAGAIN", "pipe full")
         self._chunks.append((data, nbytes))
         self._bytes += nbytes
-        self.total_written += nbytes
         return nbytes
 
     def read(self) -> tuple[Optional[object], int]:
@@ -95,8 +93,6 @@ class IpcManager:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self.pipes_created = 0
-        self.signals_delivered = 0
 
     # ------------------------------------------------------------------
     # pipes
@@ -111,7 +107,6 @@ class IpcManager:
         task.next_fd += 2
         task.pipe_fds[rfd] = (pipe, "r")
         task.pipe_fds[wfd] = (pipe, "w")
-        self.pipes_created += 1
         return rfd, wfd
 
     def pipe_write(self, cpu: "Cpu", task: "Task", fd: int, data: object,
@@ -166,7 +161,6 @@ class IpcManager:
         (signal frame setup + handler dispatch) is only paid when a
         handler actually runs; the default action is a cheap kernel-side
         decision."""
-        self.signals_delivered += 1
         task.signals.delivered += 1
         handler = task.signals.handlers.get(sig)
         if handler is not None:

@@ -66,8 +66,6 @@ class Kernel:
         self.block_driver = NativeBlockDriver(self) if has_devices else None
         self.net_driver = NativeNetDriver(self) if has_devices else None
         self._net_addr = machine.nic.addr
-        #: memory-balloon frontend, when one is connected (splitio wiring)
-        self.balloon_front = None
 
         #: every live address space (Mercury's state transfer walks these)
         self.aspaces: list["AddressSpace"] = []

@@ -545,7 +545,6 @@ def connect_split_balloon(guest: "Kernel", driver: "Kernel",
                 back.driver_domain.domain_id).ref,
             mmu_log=mmu_log, stats=vmm.io_stats),
         lambda front: front.upcall(guest.boot_cpu))
-    guest.balloon_front = front
     return front, back
 
 

@@ -29,6 +29,12 @@ The determinism contract has three legs:
 Together these make a ``workers=k`` run byte-identical to the
 ``workers=1`` serial fallback, which executes the very same barrier
 algorithm on a single shard.
+
+A request that needs an answer is one :meth:`FleetNode.call`.  Answers
+are filed in one store per node, keyed by ``(answer kind, sender)``: an
+answer no call waits for, a second one before the first is taken, and
+one never taken are each a :class:`ShardError`.  Nodes keep no other
+record of delivered messages.
 """
 
 from __future__ import annotations
@@ -41,11 +47,13 @@ from repro import trace
 from repro.hw.machine import Machine
 from repro.metrics import MetricsCollector, MetricsSnapshot
 from repro.sim.scheduler import SimError, SimScheduler
+from repro.sim.task import WaitFor
 
 
 class ShardError(SimError):
-    """Fleet misuse: lookahead violation, unknown destination, a worker
-    process that died, or a barrier loop that cannot make progress."""
+    """Fleet misuse: lookahead violation, unknown destination, an answer
+    no call waits for, a worker process that died, or a barrier loop that
+    cannot make progress."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,6 @@ class FleetMessage:
     dst: int
     kind: str
     payload: Any
-    send_cycle: int
     deliver_cycle: int
     src_seq: int
 
@@ -73,6 +80,10 @@ def sort_batch(messages: list[FleetMessage]) -> list[FleetMessage]:
     return sorted(messages, key=FleetMessage.sort_key)
 
 
+#: an answer slot that :meth:`FleetNode.ask` opened and no answer filled
+_UNANSWERED = object()
+
+
 class FleetNode:
     """One machine of the fleet: scheduler + tracer + message endpoints.
 
@@ -80,7 +91,9 @@ class FleetNode:
     pool runs builders under :func:`~repro.hw.machine.isolated_machine_ids`
     so identity is a pure function of ``(index, seed)``), spawn workload
     tasks with :meth:`spawn_traced`, react to messages in
-    :meth:`on_message`, and report scenario numbers from :meth:`result`.
+    :meth:`on_message` (passing answers to :meth:`file_answer`), exchange
+    request and answer with :meth:`call`, and report scenario numbers
+    from :meth:`result`.
     """
 
     def __init__(self, index: int, machine: Machine,
@@ -93,8 +106,10 @@ class FleetNode:
         #: minimum cross-machine latency, imposed by the pool (= the
         #: barrier window); set when the node joins a shard
         self.min_latency = 0
-        self.inbox: list[FleetMessage] = []
         self._outbox: list[FleetMessage] = []
+        #: the answer store: ``(answer kind, sender) -> payload``, holding
+        #: ``_UNANSWERED`` from :meth:`ask` until the answer is filed
+        self._answers: dict[tuple[str, int], Any] = {}
         self.messages_sent = 0
         self.messages_received = 0
         #: node-local fault attribution — scenarios that inject faults
@@ -118,8 +133,7 @@ class FleetNode:
                 f"barriers need latency >= the window")
         now = self.machine.clock.cycles
         msg = FleetMessage(src=self.index, dst=dst, kind=kind,
-                           payload=payload, send_cycle=now,
-                           deliver_cycle=now + latency,
+                           payload=payload, deliver_cycle=now + latency,
                            src_seq=self.machine.clock.next_seq())
         self._outbox.append(msg)
         self.messages_sent += 1
@@ -133,10 +147,53 @@ class FleetNode:
     def on_message(self, msg: FleetMessage) -> None:
         """Delivery callback, fired by the node's own clock at
         ``deliver_cycle`` (or at the next poll if the local clock already
-        ran past it).  Default: record into :attr:`inbox`."""
-        self.inbox.append(msg)
+        ran past it).  Default: count the delivery."""
         self.messages_received += 1
         trace.instant(0, "fleet.msg-deliver", kind=msg.kind)
+
+    # -- calls -----------------------------------------------------------
+
+    def ask(self, dst: int, kind: str, answer: str,
+            payload: Any = None) -> tuple[str, int]:
+        """Post ``kind`` to machine ``dst`` and open the store slot its
+        ``answer`` fills; returns the slot's key."""
+        key = (answer, dst)
+        if key in self._answers:
+            raise ShardError(f"machine {self.index} already waits for "
+                             f"{answer!r} from machine {dst}")
+        self._answers[key] = _UNANSWERED
+        self.post(dst, kind, payload)
+        return key
+
+    def take_answers(self, keys: list, desc: str) -> Generator:
+        """Wait until every slot in ``keys`` is filled, then empty them;
+        returns their payloads in ``keys`` order."""
+        answers = self._answers
+        yield WaitFor(lambda: all(answers[key] is not _UNANSWERED
+                                  for key in keys), desc=desc)
+        return [answers.pop(key) for key in keys]
+
+    def call(self, dst: int, kind: str, answer: str,
+             payload: Any = None) -> Generator:
+        """Post ``kind`` to machine ``dst``, wait until ``dst`` sends
+        ``answer``, and return that message's payload."""
+        key = self.ask(dst, kind, answer, payload)
+        (reply,) = yield from self.take_answers(
+            [key], desc=f"{answer} from m{dst}")
+        return reply
+
+    def file_answer(self, msg: FleetMessage) -> None:
+        """Fill the slot of the call waiting for ``msg``."""
+        key, answers = (msg.kind, msg.src), self._answers
+        if key not in answers:
+            raise ShardError(
+                f"machine {self.index} got {msg.kind!r} from machine "
+                f"{msg.src}, which no call waits for")
+        if answers[key] is not _UNANSWERED:
+            raise ShardError(
+                f"machine {self.index} got a second {msg.kind!r} from "
+                f"machine {msg.src} before the first was taken")
+        answers[key] = msg.payload
 
     # -- execution -------------------------------------------------------
 
@@ -293,6 +350,10 @@ class Shard:
         data: dict = {"results": {}, "snapshots": {}, "traces": {}}
         for index in sorted(self.nodes):
             node = self.nodes[index]
+            if node._answers:
+                raise ShardError(
+                    f"machine {index} ended its run with answers never "
+                    f"taken: {sorted(node._answers)}")
             events = node.tracer.events()
             data["results"][index] = node.result()
             data["snapshots"][index] = node.snapshot()

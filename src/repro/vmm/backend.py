@@ -301,7 +301,6 @@ class BalloonBack(_NapiBackend):
         reclaim, the exact frames to surrender) and kick the frontend."""
         self.target_pages = pages
         self.victim_frames = tuple(victims)
-        self.guest_domain.mem_target = pages
         cpu.charge(cpu.cost.cyc_event_channel)
         self.notify_frontend(cpu)
 

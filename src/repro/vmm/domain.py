@@ -57,8 +57,6 @@ class Domain:
         self.aspace_by_pgd: dict[int, "AddressSpace"] = {}
         #: guest-installed trap table (vector -> handler) the VMM forwards to
         self.trap_table: dict[int, object] = {}
-        self.event_pending: set[int] = set()
-        self.event_mask: set[int] = set()
         self.alive = True
         #: the guest kernel object (set by the OS layer; opaque to the VMM)
         self.guest = None
@@ -70,9 +68,6 @@ class Domain:
         #: domain below this, and the fleet balancer refuses to route to a
         #: domain under it
         self.mem_floor = 0
-        #: last reservation target posted by the elastic controller
-        #: (None = no balloon request outstanding)
-        self.mem_target: Optional[int] = None
 
     @property
     def below_floor(self) -> bool:

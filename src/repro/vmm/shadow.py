@@ -49,7 +49,6 @@ class ShadowPager:
         self.shadows: dict[int, AddressSpace] = {}
         self._guests: dict[int, AddressSpace] = {}
         self.syncs = 0
-        self.builds = 0
 
     # ------------------------------------------------------------------
     # p2m: in this simulator guests address host frames directly, so the
@@ -78,7 +77,6 @@ class ShadowPager:
                                       user=gpte.user, cow=gpte.cow))
         self.shadows[id(guest_aspace)] = shadow
         self._guests[id(guest_aspace)] = guest_aspace
-        self.builds += 1
         return shadow
 
     def build_all(self, cpu: "Cpu", aspaces: list[AddressSpace]) -> int:

@@ -182,6 +182,24 @@ def test_cluster_evacuation_promotes_spares():
     assert fr["completed"] == fr["requests"]
 
 
+def test_frontend_keeps_no_request_log_unless_asked(monkeypatch):
+    """The per-request log is kept only with ``log_requests`` on."""
+    from repro.fleet import orchestrator
+
+    nodes = []
+    build = orchestrator.build_fleet_node
+
+    def keep(index, seed, **kwargs):
+        nodes.append(build(index, seed, **kwargs))
+        return nodes[-1]
+
+    monkeypatch.setattr(orchestrator, "build_fleet_node", keep)
+    res = _run("liveupdate", 3, seed=4, workers=1, log_requests=False)
+    assert res.frontend["completed"] == res.frontend["requests"]
+    assert "request_log" not in res.frontend
+    assert not nodes[0].request_log
+
+
 # -- metrics carry ---------------------------------------------------------
 
 def test_merged_snapshot_carries_fleet_latency_histogram():

@@ -1,6 +1,6 @@
 """Barrier-protocol unit tests: timer cancellation across shard windows,
 lookahead enforcement, cross-shard unblocking, fleet deadlock, stepping
-only the nodes that are due, and worker failures.
+only the nodes that are due, request/answer calls, and worker failures.
 
 The timer-cancel pair is the regression the sharded refactor must never
 reintroduce: a :class:`~repro.hw.clock.TimerHandle` cancelled as the
@@ -142,7 +142,8 @@ class WaiterNode(FleetNode):
         self.spawn_traced(self._task(), name="waiter")
 
     def _task(self):
-        yield WaitFor(lambda: bool(self.inbox), desc="fleet message")
+        yield WaitFor(lambda: self.messages_received > 0,
+                      desc="fleet message")
         self.woken_at = self.machine.clock.cycles
 
     def result(self):
@@ -276,7 +277,8 @@ class RunAheadNode(FleetNode):
 
     def _task(self):
         self.machine.clock.advance(5 * WINDOW)
-        yield WaitFor(lambda: bool(self.inbox), desc="fleet message")
+        yield WaitFor(lambda: self.messages_received > 0,
+                      desc="fleet message")
         self.woken_at = self.machine.clock.cycles
 
     def result(self):
@@ -299,6 +301,96 @@ def test_message_behind_receiver_clock_still_wakes_it(workers):
                      window_cycles=WINDOW).run()
     assert res.node_results[0]["messages_received"] == 1
     assert res.node_results[0]["woken_at"] == 5 * WINDOW
+
+
+# ---------------------------------------------------------------------------
+# request/answer calls
+# ---------------------------------------------------------------------------
+
+class CallerNode(FleetNode):
+    """Machine 0 files every message it gets as an answer.  ``mode``
+    "call" calls machine 1 once, "ask" asks it and never takes the
+    answer, "none" asks nothing."""
+
+    def __init__(self, index, seed, mode="call", **kwargs):
+        super().__init__(index, _machine())
+        self.reply = self.resumed_at = None
+        if mode != "none":
+            self.spawn_traced(self._task(mode), name="caller")
+
+    def _task(self, mode):
+        yield Sleep(1_000)
+        if mode == "ask":
+            self.ask(1, "ping", "pong", payload=7)
+            return
+        self.reply = yield from self.call(1, "ping", "pong", payload=7)
+        self.resumed_at = self.machine.clock.cycles
+
+    def on_message(self, msg):
+        super().on_message(msg)
+        self.file_answer(msg)
+
+    def result(self):
+        out = super().result()
+        out["reply"] = self.reply
+        out["resumed_at"] = self.resumed_at
+        return out
+
+
+class EchoNode(FleetNode):
+    """Machine 1 answers a ``ping`` with ``echoes`` pongs carrying six
+    times its payload; ``stray`` sends machine 0 one pong unasked."""
+
+    def __init__(self, index, seed, echoes=1, stray=False, **kwargs):
+        super().__init__(index, _machine())
+        self.echoes = echoes
+        if stray:
+            self.spawn_traced(self._stray(), name="stray")
+
+    def _stray(self):
+        yield Sleep(1_000)
+        self.post(0, "pong", payload=1)
+
+    def on_message(self, msg):
+        super().on_message(msg)
+        for _ in range(self.echoes):
+            self.post(msg.src, "pong", payload=msg.payload * 6)
+
+
+def _call_fleet(workers, caller="call", **echo):
+    def build(index, seed):
+        if index == 0:
+            return CallerNode(index, seed, mode=caller)
+        return EchoNode(index, seed, **echo)
+
+    return ShardedSim(build, 2, workers=workers, transport="inline",
+                      window_cycles=WINDOW).run()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_call_returns_the_answer_when_it_is_delivered(workers):
+    """The ping leaves at cycle 1_000 and reaches machine 1 one window
+    later; its pong takes one more window, and the caller resumes at
+    that delivery with the pong's payload."""
+    res = _call_fleet(workers)
+    assert res.node_results[0]["reply"] == 42
+    assert res.node_results[0]["resumed_at"] == 1_000 + 2 * WINDOW
+    assert res.node_results[1]["messages_received"] == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("caller,echo,error", [
+    ("none", {"stray": True},
+     "machine 0 got 'pong' from machine 1, which no call waits for"),
+    ("call", {"echoes": 2},
+     "machine 0 got a second 'pong' from machine 1 before the first was "
+     "taken"),
+    ("ask", {},
+     r"machine 0 ended its run with answers never taken: \[\('pong', 1\)\]"),
+], ids=["unasked", "duplicate", "never-taken"])
+def test_answer_protocol_errors_raise(workers, caller, echo, error):
+    with pytest.raises(ShardError, match=error):
+        _call_fleet(workers, caller, **echo)
 
 
 # ---------------------------------------------------------------------------
