@@ -13,8 +13,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.vobject import VirtualizationObject, sensitive
+from repro.errors import OutOfMemory
 from repro.hw.cpu import PrivilegeLevel
-from repro.params import PAGE_SIZE
+from repro.hw.paging import region_items
+from repro.params import PAGE_SIZE, PT_ENTRIES
 
 if TYPE_CHECKING:
     from repro.core.accounting import ActiveAccountant, MmuAccounting
@@ -137,24 +139,32 @@ class NativeVO(VirtualizationObject):
             self.accountant.on_update_pte(cpu, aspace, vaddr, pte)
 
     @sensitive
-    def apply_pte_region(self, cpu, aspace: "AddressSpace", updates: list) -> None:
+    def apply_pte_region(self, cpu, aspace: "AddressSpace", leaves: list) -> None:
         self._dirty_roots.add(aspace.pgd.frame)
-        cpu.charge(cpu.cost.cyc_pte_write * len(updates))
+        cpu.charge(cpu.cost.cyc_pte_write
+                   * sum(len(updates) for _, updates in leaves))
         accountant = self.accountant
         if accountant is None:
-            # hot path (fork child install, exec teardown, mmap populate):
-            # plain stores, one lump charge for the whole region
-            set_pte = aspace.set_pte
-            clear_pte = aspace.clear_pte
-            drop = cpu.tlb.drop
-            for vaddr, pte in updates:
-                if pte is None:
-                    clear_pte(vaddr)
-                    drop(vaddr // PAGE_SIZE, None)
-                else:
-                    set_pte(vaddr, pte)
+            # hot path (fork child install, teardown, mmap populate): one
+            # dict pass per leaf, one lump charge for the whole region, and
+            # the cleared vpns leave the TLB
+            invalidate = cpu.tlb.invalidate_leaf
+            for pgd_idx, updates in leaves:
+                base_vpn = pgd_idx * PT_ENTRIES
+                try:
+                    cleared = aspace.write_leaf(pgd_idx, updates)
+                except OutOfMemory:
+                    # the missing leaf could not be made at its first
+                    # install: only the clears before it were issued
+                    for idx, pte in updates.items():
+                        if pte is not None:
+                            break
+                        cpu.tlb.invalidate(base_vpn + idx)
+                    raise
+                if cleared:
+                    invalidate(base_vpn, cleared)
             return
-        for vaddr, pte in updates:
+        for vaddr, pte in region_items(leaves):
             old = aspace.get_pte(vaddr)
             if pte is None:
                 removed = aspace.clear_pte(vaddr)

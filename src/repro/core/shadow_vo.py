@@ -16,6 +16,7 @@ from repro.core.virtual_vo import VirtualVO
 from repro.core.vobject import sensitive
 from repro.errors import HypercallError
 from repro.hw.cpu import PrivilegeLevel
+from repro.hw.paging import region_items
 
 if TYPE_CHECKING:
     from repro.hw.machine import Machine
@@ -108,9 +109,9 @@ class ShadowVirtualVO(VirtualVO):
 
     @sensitive
     def apply_pte_region(self, cpu, aspace: "AddressSpace",
-                         updates: list) -> None:
+                         leaves: list) -> None:
         # shadow mode cannot batch: every write is an individual trap
-        for vaddr, pte in updates:
+        for vaddr, pte in region_items(leaves):
             cpu.charge(cpu.cost.cyc_pte_write)
             if pte is None:
                 aspace.clear_pte(vaddr)

@@ -32,7 +32,9 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.vobject import VirtualizationObject, sensitive
 from repro.errors import HypercallError
 from repro.hw.cpu import PrivilegeLevel
+from repro.hw.paging import region_items
 from repro.params import PAGE_SIZE
+from repro.vmm.hypercalls import mmu_update_chunks, mmu_update_region
 
 if TYPE_CHECKING:
     from repro.core.accounting import MmuAccounting
@@ -130,15 +132,14 @@ class VirtualVO(VirtualizationObject):
         if not st.queue:
             return
         queue, st.queue, st.pending = st.queue, [], {}
-        batch = cpu.cost.mmu_batch_size
-        for i in range(0, len(queue), batch):
+        for start, end in mmu_update_chunks(cpu, len(queue)):
             try:
-                self._hcall(cpu, "mmu_update", queue[i:i + batch])
+                self._hcall(cpu, "mmu_update", queue[start:end])
             except HypercallError:
                 # a transient refusal applies nothing from the batch —
                 # restore it (plus the unsent remainder) so the next flush
                 # point retries instead of silently dropping PTE updates
-                rest = queue[i:] + st.queue
+                rest = queue[start:] + st.queue
                 st.queue = rest
                 st.pending = {(id(a), v): p for a, v, p in rest}
                 raise
@@ -280,29 +281,22 @@ class VirtualVO(VirtualizationObject):
         cpu.tlb.invalidate(vaddr // PAGE_SIZE)
 
     @sensitive
-    def apply_pte_region(self, cpu, aspace: "AddressSpace", updates: list) -> None:
+    def apply_pte_region(self, cpu, aspace: "AddressSpace", leaves: list) -> None:
         if not self._pinned(aspace):
+            # unpinned tables are plain memory: one dict pass per leaf
             self._dirty_roots.add(aspace.pgd.frame)
-            cpu.charge(cpu.cost.cyc_pte_write * len(updates))
-            set_pte = aspace.set_pte
-            clear_pte = aspace.clear_pte
-            for vaddr, pte in updates:
-                if pte is None:
-                    clear_pte(vaddr)
-                else:
-                    set_pte(vaddr, pte)
+            cpu.charge(cpu.cost.cyc_pte_write
+                       * sum(len(updates) for _, updates in leaves))
+            for pgd_idx, updates in leaves:
+                aspace.write_leaf(pgd_idx, updates)
             return
         st = self._lazy_state(cpu)
         if st.depth > 0:
-            for vaddr, pte in updates:
+            for vaddr, pte in region_items(leaves):
                 self._queue_update(cpu, st, aspace, vaddr, pte)
             return
         # pinned, no region open: batched mmu_update multicalls
-        batch = cpu.cost.mmu_batch_size
-        for i in range(0, len(updates), batch):
-            chunk = [(aspace, vaddr, pte)
-                     for vaddr, pte in updates[i:i + batch]]
-            self._hcall(cpu, "mmu_update", chunk)
+        mmu_update_region(self.vmm, cpu, self.domain, aspace, leaves)
 
     @sensitive
     def new_address_space(self, cpu, aspace: "AddressSpace") -> None:

@@ -184,11 +184,14 @@ class VirtualizationObject:
         raise NotImplementedError
 
     def apply_pte_region(self, cpu: "Cpu", aspace: "AddressSpace",
-                         updates: list) -> None:
-        """Apply a batch of ``(vaddr, Pte-or-None)`` updates to one address
-        space.  Region paths (mmap populate, munmap) use this: a native
-        kernel just streams the stores; a para-virtual kernel folds them
-        into batched ``mmu_update`` multicalls."""
+                         leaves: list) -> None:
+        """Apply a region write to one address space: ``leaves`` is
+        ``[(pgd_idx, {idx: Pte-or-None})]`` in application order, each leaf
+        once, a Pte installing and None clearing a slot.  The bulk paths
+        (fork's child tables, teardown, munmap, and mapping a frame run for
+        an image, mmap populate or a balloon region) use this: a native
+        kernel stores each leaf in one dict pass; a para-virtual kernel
+        hands the region to the VMM as batched ``mmu_update`` multicalls."""
         raise NotImplementedError
 
     # -- lazy-MMU batching (Xen-Linux's lazy MMU mode) -------------------------

@@ -110,38 +110,20 @@ class ProcessTable:
         child.next_fd = parent.next_fd
         child.stack_cached_selector_dpl = kernel.vo.data.kernel_segment_dpl
 
-        # COW the parent's mapped pages into the child.  The parent-side
-        # re-protections go through the VO under a lazy-MMU region (in
-        # virtual mode: one batched mmu_update instead of a trap per PTE);
-        # the child's entries are collected and installed as one region
-        # write (the child is unpinned, so these are plain stores).
-        child_updates = []
-        add_update = child_updates.append
-        frame_refs = kernel.vmem._frame_refs
-        refs_get = frame_refs.get
-        smp = kernel.machine.config.num_cpus > 1
-        cyc_lock = cost.cyc_lock
+        # COW the parent's mapped pages into the child, one leaf at a time.
+        # The parent-side re-protections go through the VO under a lazy-MMU
+        # region (in virtual mode: one batched mmu_update instead of a trap
+        # per PTE); the child's leaves are collected and installed as one
+        # region write (the child is unpinned, so these are plain stores).
+        child_leaves = []
         parent_as = parent.aspace
         with kernel.lazy_mmu(cpu):
-            # kernel.vo is re-read per entry: update_pte_flags pumps the
-            # sim scheduler, so the installed VO is not loop-invariant
             for pgd_idx, leaf in list(parent_as.pgd.entries.items()):
-                vaddr_base = pgd_idx * PT_SPAN
-                for idx, pte in list(leaf.entries.items()):
-                    if not pte.present:
-                        continue
-                    vaddr = vaddr_base + idx * PAGE_SIZE
-                    if pte.writable:
-                        kernel.vo.update_pte_flags(cpu, parent_as, vaddr,
-                                                   writable=False, cow=True)
-                    add_update((vaddr, Pte(
-                        frame=pte.frame, present=True, writable=False,
-                        user=pte.user, cow=True)))
-                    frame = pte.frame
-                    frame_refs[frame] = refs_get(frame, 1) + 1
-                    if smp:  # page_table_lock bounces per entry on SMP
-                        cpu.charge(cyc_lock)
-            kernel.vo.apply_pte_region(cpu, child_as, child_updates)
+                copied = self._cow_copy_leaf(cpu, parent_as, pgd_idx,
+                                             leaf.entries)
+                if copied:
+                    child_leaves.append((pgd_idx, copied))
+            kernel.vo.apply_pte_region(cpu, child_as, child_leaves)
 
         kernel.vo.new_address_space(cpu, child_as)
         kernel.register_aspace(child_as)
@@ -149,6 +131,49 @@ class ProcessTable:
         kernel.scheduler.enqueue(child)
         self.forks += 1
         return child
+
+    def _cow_copy_leaf(self, cpu: "Cpu", parent_as: AddressSpace,
+                       pgd_idx: int, entries: dict) -> dict:
+        """Fork's copy of one parent leaf: the child's read-only+COW entry
+        for every present one, each taking a share of its frame.
+
+        A writable entry is re-protected through the VO — a sensitive call
+        and so a preempt point — so a leaf with one is copied an entry at a
+        time.  A leaf without one has nothing to re-protect and copies in
+        one pass, its SMP lock bounces charged in one lump."""
+        kernel = self.kernel
+        frame_refs = kernel.vmem._frame_refs
+        refs_get = frame_refs.get
+        smp = kernel.machine.config.num_cpus > 1
+        cyc_lock = cpu.cost.cyc_lock
+        if not any(pte.writable and pte.present for pte in entries.values()):
+            copied = {idx: Pte(pte.frame, True, False, pte.user,
+                               False, False, True)
+                      for idx, pte in entries.items() if pte.present}
+            for pte in copied.values():
+                frame = pte.frame
+                frame_refs[frame] = refs_get(frame, 1) + 1
+            if smp:  # page_table_lock bounces per entry on SMP
+                cpu.charge(cyc_lock * len(copied))
+            return copied
+        vaddr_base = pgd_idx * PT_SPAN
+        copied = {}
+        # kernel.vo is re-read per entry: update_pte_flags pumps the sim
+        # scheduler, so the installed VO is not loop-invariant
+        for idx, pte in list(entries.items()):
+            if not pte.present:
+                continue
+            if pte.writable:
+                kernel.vo.update_pte_flags(cpu, parent_as,
+                                           vaddr_base + idx * PAGE_SIZE,
+                                           writable=False, cow=True)
+            copied[idx] = Pte(pte.frame, True, False, pte.user,
+                              False, False, True)
+            frame = pte.frame
+            frame_refs[frame] = refs_get(frame, 1) + 1
+            if smp:
+                cpu.charge(cyc_lock)
+        return copied
 
     def exec(self, cpu: "Cpu", task: Task, name: str, image_pages: int) -> None:
         """Replace the task's image: tear down the old address space and
@@ -197,22 +222,20 @@ class ProcessTable:
         """Unmap everything, dropping frame references (frees unshared
         frames), then unregister + destroy the page tables.
 
-        The unmap is one batched clear-all through ``apply_pte_region``
+        The unmap is one clear-all region through ``apply_pte_region``
         (multi-entry ``mmu_update`` in virtual mode) rather than a trap per
-        PTE; frames are released only after the clears are applied, so the
-        allocator never recycles a frame a live PTE still points at."""
+        PTE, collected a leaf at a time; frames are released only after the
+        clears are applied, so the allocator never recycles a frame a live
+        PTE still points at."""
         kernel = self.kernel
-        updates = []
+        leaves = []
         frames = []
-        add_update = updates.append
-        add_frame = frames.append
         for pgd_idx, leaf in aspace.pgd.entries.items():
-            vaddr = pgd_idx * PT_SPAN
-            for idx, pte in leaf.entries.items():
-                add_update((vaddr + idx * PAGE_SIZE, None))
-                if pte.present:
-                    add_frame(pte.frame)
-        kernel.vo.apply_pte_region(cpu, aspace, updates)
+            entries = leaf.entries
+            if entries:
+                leaves.append((pgd_idx, dict.fromkeys(entries)))
+                frames += [pte.frame for pte in entries.values() if pte.present]
+        kernel.vo.apply_pte_region(cpu, aspace, leaves)
         kernel.vmem.release_frames(cpu, frames)
         kernel.unregister_aspace(aspace)
         kernel.vo.destroy_address_space(cpu, aspace)

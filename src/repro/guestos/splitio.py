@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import NetworkError, RingError
 from repro.hw.devices import Packet
-from repro.hw.paging import Pte
 from repro.params import PAGE_SIZE
 from repro.vmm.backend import (BalloonBack, BalloonRingEntry, BlkBack,
                                BlkRingEntry, NetBack, NetRingEntry)
@@ -366,11 +365,9 @@ class BalloonFront(_RingFront):
         base = vmem.mmap(cpu, task, n * PAGE_SIZE, name="balloon")
         frames = [self.pool.pop() for _ in range(n)]
         cpu.charge(cpu.cost.cyc_mem_touch_per_kb * 4 * n)
-        updates = [(base + i * PAGE_SIZE, Pte(frame=frames[i], writable=True))
-                   for i in range(n)]
         for f in frames:
             vmem.claim_frame(f)
-        self.kernel.vo.apply_pte_region(cpu, task.aspace, updates)
+        vmem.map_run(cpu, task, base, frames, writable=True)
         for i, f in enumerate(frames):
             self._rmap[f] = (task, base + i * PAGE_SIZE)
             self._order.append(f)

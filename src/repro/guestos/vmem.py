@@ -104,19 +104,20 @@ class VirtualMemory:
 
     def release_frames(self, cpu: "Cpu", frames: list) -> None:
         """Drop one reference on each of ``frames`` (teardown/munmap bulk
-        path — same semantics as :meth:`release_frame` per frame, without
-        a method dispatch per page)."""
+        path — same semantics as :meth:`release_frame` per frame), then
+        free the frames left with none in one ``free_many``."""
         frame_refs = self._frame_refs
         get = frame_refs.get
         pop = frame_refs.pop
-        free = self.kernel.machine.memory.free
+        dead = []
         for frame in frames:
             refs = get(frame, 1) - 1
             if refs <= 0:
                 pop(frame, None)
-                free(frame)
+                dead.append(frame)
             else:
                 frame_refs[frame] = refs
+        self.kernel.machine.memory.free_many(dead)
 
     def frame_refs(self, frame: int) -> int:
         return self._frame_refs.get(frame, 0)
@@ -138,10 +139,24 @@ class VirtualMemory:
         frames = mem.alloc_many(self.kernel.owner_id, pages)
         cpu.charge(per_page * pages)
         self._frame_refs.update(dict.fromkeys(frames, 1))
-        base = vma.start
-        updates = [(base + i * PAGE_SIZE, Pte(frame=frames[i]))
-                   for i in range(pages)]
-        self.kernel.vo.apply_pte_region(cpu, task.aspace, updates)
+        self.map_run(cpu, task, vma.start, frames, writable=True)
+
+    def map_run(self, cpu: "Cpu", task: "Task", base: int, frames: list,
+                writable: bool) -> None:
+        """Map ``frames`` at consecutive pages from ``base`` as one region
+        write, built a leaf at a time (image, mmap populate and balloon
+        regions)."""
+        leaves = []
+        vpn = base // PAGE_SIZE
+        done = 0
+        while done < len(frames):
+            pgd_idx, idx = divmod(vpn + done, PT_ENTRIES)
+            take = min(len(frames) - done, PT_ENTRIES - idx)
+            leaves.append((pgd_idx, {
+                idx + i: Pte(frame, True, writable)
+                for i, frame in enumerate(frames[done:done + take])}))
+            done += take
+        self.kernel.vo.apply_pte_region(cpu, task.aspace, leaves)
 
     def mmap(self, cpu: "Cpu", task: "Task", length: int, *,
              writable: bool = True, populate: bool = False,
@@ -162,10 +177,7 @@ class VirtualMemory:
             frames = mem.alloc_many(self.kernel.owner_id, pages)
             cpu.charge(per_page * pages)
             self._frame_refs.update(dict.fromkeys(frames, 1))
-            updates = [(base + i * PAGE_SIZE,
-                        Pte(frame=frames[i], writable=writable))
-                       for i in range(pages)]
-            self.kernel.vo.apply_pte_region(cpu, task.aspace, updates)
+            self.map_run(cpu, task, base, frames, writable)
         return base
 
     def munmap(self, cpu: "Cpu", task: "Task", base: int, length: int) -> None:
@@ -175,23 +187,27 @@ class VirtualMemory:
         if vma is None or vma.start != base or vma.end != end:
             raise SyscallError("EINVAL", f"munmap of unmapped range {base:#x}")
         task.vmas.remove(vma)
-        updates = []
+        # clear the range's present entries a leaf at a time, in vpn order
+        leaves = []
         freed = []
-        # walk the range leaf-by-leaf instead of a full table walk per page
         pgd_entries = task.aspace.pgd.entries
         vpn = base // PAGE_SIZE
-        leaf = None
-        leaf_idx = -1
-        for i in range(pages):
-            pgd_idx, idx = divmod(vpn + i, PT_ENTRIES)
-            if pgd_idx != leaf_idx:
-                leaf = pgd_entries.get(pgd_idx)
-                leaf_idx = pgd_idx
-            pte = leaf.entries.get(idx) if leaf is not None else None
-            if pte is not None and pte.present:
-                updates.append((base + i * PAGE_SIZE, None))
-                freed.append(pte.frame)
-        self.kernel.vo.apply_pte_region(cpu, task.aspace, updates)
+        end_vpn = vpn + pages
+        while vpn < end_vpn:
+            pgd_idx, lo = divmod(vpn, PT_ENTRIES)
+            hi = min(end_vpn - pgd_idx * PT_ENTRIES, PT_ENTRIES)
+            vpn = (pgd_idx + 1) * PT_ENTRIES
+            leaf = pgd_entries.get(pgd_idx)
+            if leaf is None:
+                continue
+            entries = leaf.entries
+            get = entries.get
+            hits = [i for i in range(lo, hi)
+                    if (pte := get(i)) is not None and pte.present]
+            if hits:
+                leaves.append((pgd_idx, dict.fromkeys(hits)))
+                freed += [entries[i].frame for i in hits]
+        self.kernel.vo.apply_pte_region(cpu, task.aspace, leaves)
         self.release_frames(cpu, freed)
 
     def steal_page(self, cpu: "Cpu", task: "Task", vaddr: int) -> Optional[int]:

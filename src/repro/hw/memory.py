@@ -16,7 +16,7 @@ round-trip them through checkpoints and migrations.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -69,21 +69,59 @@ class PhysicalMemory:
         self.owner[frame] = owner
         return frame
 
+    def next_frames(self, n: int) -> list[int]:
+        """The frames the next ``n`` single-frame allocations would return,
+        in order, without allocating (fewer if memory runs out first)."""
+        frames = self._recycled[:-n - 1:-1] if n > 0 else []
+        fresh = self._next_fresh
+        frames.extend(range(fresh, min(fresh + n - len(frames),
+                                       self.num_frames)))
+        return frames
+
     def alloc_many(self, owner: int, n: int) -> list[int]:
+        """Allocate ``n`` frames to ``owner`` in one pass: the same frames,
+        in the same order, as ``n`` :meth:`alloc` calls; all or nothing."""
         if n > self.free_frames:
             raise OutOfMemory(f"requested {n} frames, {self.free_frames} free")
-        return [self.alloc(owner) for _ in range(n)]
+        frames = self.next_frames(n)
+        recycled = self._recycled
+        taken = min(len(recycled), len(frames))
+        del recycled[len(recycled) - taken:]
+        self._next_fresh += len(frames) - taken
+        own = self.owner
+        for frame in frames:
+            own[frame] = owner
+        return frames
 
     def free(self, frame: int) -> None:
-        # _check inlined: free runs per frame on every teardown path
-        if not 0 <= frame < self.num_frames:
-            raise InvalidPhysicalAddress(f"frame {frame} out of range")
-        if self.owner[frame] == OWNER_FREE:
-            raise InvalidPhysicalAddress(f"double free of frame {frame}")
-        self.owner[frame] = OWNER_FREE
-        self._contents.pop(frame, None)
-        self.frame_objects.pop(frame, None)
-        self._recycled.append(frame)
+        self.free_many((frame,))
+
+    def free_many(self, frames: Sequence[int]) -> None:
+        """Free a batch of frames in one pass, exactly as one :meth:`free`
+        per frame in order: freed frames go onto the recycle stack in that
+        order, and a bad frame (out of range, or already free — including
+        one listed twice) raises after the frames before it were freed."""
+        own = self.owner
+        num = self.num_frames
+        error = None
+        for i, frame in enumerate(frames):
+            if not 0 <= frame < num:
+                error = f"frame {frame} out of range"
+            elif own[frame] == OWNER_FREE:
+                error = f"double free of frame {frame}"
+            else:
+                own[frame] = OWNER_FREE
+                continue
+            frames = frames[:i]
+            break
+        contents = self._contents
+        objects = self.frame_objects
+        for frame in frames:
+            contents.pop(frame, None)
+            objects.pop(frame, None)
+        self._recycled.extend(frames)
+        if error is not None:
+            raise InvalidPhysicalAddress(error)
 
     def reassign(self, frame: int, new_owner: int) -> None:
         """Transfer ownership of a frame (used when a VMM claims frames of a

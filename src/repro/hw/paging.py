@@ -15,7 +15,7 @@ transfers a mode switch performs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Collection, Iterator, Optional
 
 from repro.errors import PageFault
 from repro.hw.memory import PhysicalMemory
@@ -65,6 +65,15 @@ def vpn_split(vaddr: int) -> tuple[int, int]:
     return vpn // PT_ENTRIES, vpn % PT_ENTRIES
 
 
+def region_items(leaves: list) -> Iterator[tuple[int, Optional[Pte]]]:
+    """Walk a per-leaf region ``[(pgd_idx, {idx: pte_or_None})]`` entry by
+    entry, in application order, as ``(vaddr, pte_or_None)``."""
+    for pgd_idx, updates in leaves:
+        base = pgd_idx * PT_SPAN
+        for idx, pte in updates.items():
+            yield base + idx * PAGE_SIZE, pte
+
+
 class AddressSpace:
     """A full virtual address space: one PGD plus its leaf tables.
 
@@ -91,10 +100,15 @@ class AddressSpace:
         pgd_idx = vaddr // PT_SPAN
         leaf = self.pgd.entries.get(pgd_idx)
         if leaf is None and create:
-            frame = self.mem.alloc(self.owner)
-            leaf = PageTablePage(frame, level=1)
-            self.mem.frame_objects[frame] = leaf
-            self.pgd.entries[pgd_idx] = leaf
+            leaf = self.new_leaf(pgd_idx)
+        return leaf
+
+    def new_leaf(self, pgd_idx: int) -> PageTablePage:
+        """Allocate the missing leaf page-table page at ``pgd_idx``."""
+        frame = self.mem.alloc(self.owner)
+        leaf = PageTablePage(frame, level=1)
+        self.mem.frame_objects[frame] = leaf
+        self.pgd.entries[pgd_idx] = leaf
         return leaf
 
     def pt_pages(self) -> Iterator[PageTablePage]:
@@ -107,8 +121,10 @@ class AddressSpace:
         return 1 + len(self.pgd.entries)
 
     # -- mapping (structural only; no cost accounting) ---------------------
-    # These run per-PTE on every bulk path (fork, exit, mmu_update), so the
-    # vpn arithmetic is computed once inline instead of through vpn_split.
+    # The single-entry forms run per PTE on the fault paths and in
+    # mmu_update's per-entry rules, so the vpn arithmetic is computed once
+    # inline instead of through vpn_split; bulk paths write a leaf at a
+    # time through write_leaf.
 
     def set_pte(self, vaddr: int, pte: Pte) -> None:
         vpn = vaddr // PAGE_SIZE
@@ -123,6 +139,37 @@ class AddressSpace:
         if leaf is None:
             return None
         return leaf.entries.pop(vpn % PT_ENTRIES, None)
+
+    def write_leaf(self, pgd_idx: int, updates: dict) -> Collection[int]:
+        """Apply one leaf's share of a region write: ``updates`` maps leaf
+        index -> Pte (install) or None (clear), in application order.
+
+        The result equals one :meth:`set_pte`/:meth:`clear_pte` per entry in
+        that order — one ``dict.update`` for the installs plus a pop per
+        clear, because the indices are distinct.  A missing leaf is created
+        at the first install (an all-clear or empty batch creates none).
+        Returns the cleared indices (a dict or set)."""
+        leaf = self.pgd.entries.get(pgd_idx)
+        values = updates.values()
+        if all(values):            # installs only (None is the one falsy)
+            cleared = ()
+        elif not any(values):      # clears only
+            cleared = updates
+        else:
+            cleared = {i for i, pte in updates.items() if pte is None}
+            updates = {i: pte for i, pte in updates.items() if pte is not None}
+        if cleared and leaf is not None:
+            pop = leaf.entries.pop
+            for i in cleared:
+                pop(i, None)
+        if cleared is updates:
+            return cleared
+        if leaf is None:
+            if not updates:
+                return cleared
+            leaf = self.new_leaf(pgd_idx)
+        leaf.entries.update(updates)
+        return cleared
 
     def get_pte(self, vaddr: int) -> Optional[Pte]:
         vpn = vaddr // PAGE_SIZE

@@ -10,7 +10,7 @@ writes flush everything (as on pre-PCID x86).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Collection, Optional
 
 
 class Tlb:
@@ -50,6 +50,20 @@ class Tlb:
     def invalidate(self, vpn: int) -> None:
         """invlpg: drop one translation."""
         self._entries.pop(vpn, None)
+
+    def invalidate_leaf(self, base_vpn: int, idxs: Collection[int]) -> None:
+        """invlpg of ``base_vpn + i`` for every leaf index ``i`` in ``idxs``
+        (a dict or set).  A batch larger than the TLB scans the resident
+        entries instead of popping every vpn; the survivors keep their FIFO
+        order either way."""
+        entries = self._entries
+        if len(idxs) > len(entries):
+            for vpn in [v for v in entries if v - base_vpn in idxs]:
+                del entries[vpn]
+        else:
+            drop = self.drop
+            for i in idxs:
+                drop(base_vpn + i, None)
 
     def flush(self) -> None:
         """Full flush (CR3 write / explicit flush)."""

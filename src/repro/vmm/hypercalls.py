@@ -15,10 +15,12 @@ violations raise :class:`~repro.errors.PageValidationError` — a guest can
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro import faults
 from repro.errors import HypercallError, PageValidationError
+from repro.hw.paging import region_items
 from repro.params import PAGE_SIZE, PT_ENTRIES
 from repro.vmm.page_info import _L1, _L2, _NONE, _WRITABLE
 
@@ -27,6 +29,16 @@ if TYPE_CHECKING:
     from repro.hw.paging import AddressSpace, Pte
     from repro.vmm.domain import Domain
     from repro.vmm.hypervisor import Hypervisor
+
+
+#: smallest region whose count bookkeeping runs as numpy passes over the
+#: page-info columns: below it the fixed cost of the passes exceeds the
+#: per-entry ``mmu_update`` loop they replace
+COLUMNAR_MIN = 64
+
+_frame = attrgetter("frame")
+_present = attrgetter("present")
+_writable = attrgetter("writable")
 
 
 def _require_registered(domain: "Domain", aspace: "AddressSpace") -> None:
@@ -49,14 +61,16 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
     *batched* per-PTE rate unless the caller overrides (the unbatched
     ``update_va_mapping`` path costs more per entry).
 
-    This is the hottest VMM path (fork/exit/mmap all funnel through it), so
-    the loop resolves each entry's leaf once, keeps the per-PTE page-info
-    rules inline (an installed entry must map a frame of the calling domain
-    and may not map a page-table frame writable; it takes one type count
-    and one reference, and a cleared entry gives them back), and caches
-    per-address-space state across runs of consecutive entries —
-    registration and PGD pinned-ness cannot change mid-batch, nothing here
-    reenters the hypercall layer."""
+    These are the sequential rules every guest page-table write obeys: the
+    lazy-MMU flush and ``update_va_mapping`` come here directly, and a
+    region write (:func:`mmu_update_region`) does wherever its columnar
+    pass declines.  The loop resolves each entry's leaf once, keeps the
+    per-PTE page-info rules inline (an installed entry must map a frame of
+    the calling domain and may not map a page-table frame writable; it
+    takes one type count and one reference, and a cleared entry gives them
+    back), and caches per-address-space state across runs of consecutive
+    entries — registration and PGD pinned-ness cannot change mid-batch,
+    nothing here reenters the hypercall layer."""
     if faults.fire(faults.MMU_UPDATE_TRANSIENT, cpu_id=cpu.cpu_id):
         # rejected before any entry is applied: the batch is all-or-nothing
         # from the guest's point of view, so a transient refusal is safe to
@@ -138,6 +152,143 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
         vmm.mmu_batches += 1
         vmm.mmu_batched_updates += applied
     return applied
+
+
+def mmu_update_chunks(cpu: "Cpu", n: int) -> Iterator[tuple[int, int]]:
+    """Where the guest cuts ``n`` queued PTE writes into batched
+    :func:`mmu_update` hypercalls: ``(start, end)`` of each call in order,
+    ``mmu_batch_size`` entries a call, ``ceil(n / mmu_batch_size)`` calls.
+    The lazy-MMU flush and both paths of :func:`mmu_update_region` take
+    their hypercall boundaries from here."""
+    batch = cpu.cost.mmu_batch_size
+    for start in range(0, n, batch):
+        yield start, min(start + batch, n)
+
+
+def mmu_update_region(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
+                      aspace: "AddressSpace", leaves: list) -> None:
+    """Apply a per-leaf region write to ``aspace``: ``leaves`` is
+    ``[(pgd_idx, {idx: pte_or_None})]`` in application order, each leaf
+    listed once.
+
+    The guest issues it as the batched :func:`mmu_update` hypercalls of
+    :func:`mmu_update_chunks` over the region's ``n`` entries, and the
+    outcome is exactly theirs: every charge (each hypercall's trap and its
+    trace mark, the per-entry rate, the adoption of a new leaf inside the
+    hypercall that carries the leaf's first install), every counter, the
+    leaf dicts in order, the page-info columns and the TLB.  A region of
+    at least :data:`COLUMNAR_MIN` entries with no fault plan armed is
+    applied a leaf at a time with columnar count bookkeeping
+    (:func:`_apply_region_columnar`); a smaller region, or one
+    that pass declines, goes through :func:`mmu_update` chunk by chunk —
+    the sequential rules, which also raise on a bad entry after applying
+    the entries before it."""
+    n = sum(len(updates) for _, updates in leaves)
+    if not n:
+        return
+    if (n >= COLUMNAR_MIN and faults._ACTIVE is None
+            and _apply_region_columnar(vmm, cpu, domain, aspace, leaves, n)):
+        return
+    updates = [(aspace, vaddr, pte) for vaddr, pte in region_items(leaves)]
+    for start, end in mmu_update_chunks(cpu, n):
+        vmm.hypercall(cpu, domain, "mmu_update", updates[start:end])
+
+
+def _apply_region_columnar(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
+                           aspace: "AddressSpace", leaves: list,
+                           n: int) -> bool:
+    """:func:`mmu_update_region` a leaf at a time, with the page-info
+    counts of all ``n`` entries in one
+    :meth:`~repro.vmm.page_info.PageInfoTable.account_batch`.
+
+    Returns False, having changed nothing, wherever the result could
+    differ from the sequential rules: the VMM would refuse the call, a
+    leaf is listed twice or mixes installs and clears, an install lands on
+    an occupied slot, memory cannot hold the new leaves, a leaf to adopt
+    would fail its retype, or ``account_batch`` declines (a frame touched
+    twice, a bad install, a clear at the ``n > 0`` clamp)."""
+    if not vmm.active or aspace not in domain.aspaces:
+        return False
+    if len({pgd_idx for pgd_idx, _ in leaves}) != len(leaves):
+        return False
+    page_info = vmm.page_info
+    ptype = page_info.type
+    pinned = page_info.pinned_map[aspace.pgd.frame] != 0
+    pgd_entries = aspace.pgd.entries
+    installed: list = []
+    writable: list = []
+    cleared: list = []
+    #: (position of the leaf's first entry, pgd_idx, leaf or None) for
+    #: every leaf the region creates or, under a pinned PGD, adopts
+    grown = []
+    pos = 0
+    for pgd_idx, updates in leaves:
+        leaf = pgd_entries.get(pgd_idx)
+        entries = leaf.entries if leaf is not None else {}
+        values = updates.values()
+        if all(values):            # installs only (None is the one falsy)
+            if entries and not entries.keys().isdisjoint(updates):
+                return False
+            present = (values if all(map(_present, values))
+                       else [pte for pte in values if pte.present])
+            installed += map(_frame, present)
+            writable += map(_writable, present)
+            if values and (leaf is None
+                           or (pinned and ptype[leaf.frame] != _L1
+                               and ptype[leaf.frame] != _L2)):
+                grown.append((pos, pgd_idx, leaf))
+        elif not any(values):      # clears only
+            olds = list(map(entries.get, updates))
+            if all(olds) and all(map(_present, olds)):
+                cleared += map(_frame, olds)
+            else:
+                cleared += [pte.frame for pte in olds
+                            if pte is not None and pte.present]
+        else:                      # no producer mixes them in one leaf
+            return False
+        pos += len(updates)
+    missing = sum(1 for _, _, leaf in grown if leaf is None)
+    new_frames = aspace.mem.next_frames(missing)
+    if len(new_frames) < missing:
+        return False
+    fresh = iter(new_frames)
+    adopted = []
+    plan = []
+    for first, pgd_idx, leaf in grown:
+        frame = leaf.frame if leaf is not None else next(fresh)
+        t = ptype[frame]
+        adopt = pinned and t != _L1 and t != _L2
+        if adopt:
+            if t != _NONE:
+                return False
+            adopted.append(frame)
+        plan.append((first, pgd_idx, adopt))
+    if not page_info.account_batch(installed, writable, cleared,
+                                   domain.domain_id, adopted):
+        return False
+    # from here on nothing can fail: replay the hypercalls' charges and
+    # marks chunk by chunk, then write the leaves
+    rate = cpu.cost.cyc_mmu_update_batched
+    clk = cpu.clock
+    k = 0
+    for start, end in mmu_update_chunks(cpu, n):
+        vmm.admit(cpu, "mmu_update")
+        clk.cycles += rate * (end - start)
+        vmm.mmu_batches += 1
+        while k < len(plan) and plan[k][0] < end:
+            _, pgd_idx, adopt = plan[k]
+            leaf = pgd_entries.get(pgd_idx)
+            if leaf is None:
+                leaf = aspace.new_leaf(pgd_idx)
+            if adopt:
+                page_info.adopt_new_leaf(cpu, leaf)
+            k += 1
+    invalidate = cpu.tlb.invalidate_leaf
+    for pgd_idx, updates in leaves:
+        aspace.write_leaf(pgd_idx, updates)
+        invalidate(pgd_idx * PT_ENTRIES, updates)
+    vmm.mmu_batched_updates += n
+    return True
 
 
 def update_va_mapping(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",

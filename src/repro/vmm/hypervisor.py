@@ -174,6 +174,11 @@ class Hypervisor:
 
     def hypercall(self, cpu: "Cpu", domain: Domain, name: str, *args):
         """Dispatch one hypercall from ``domain`` running on ``cpu``."""
+        return self.admit(cpu, name)(self, cpu, domain, *args)
+
+    def admit(self, cpu: "Cpu", name: str):
+        """Enter one hypercall: refuse it unless the VMM is active, charge
+        the trap, count it and mark the trace.  Returns its handler."""
         if self.state != VmmState.ACTIVE:
             raise HypercallError(f"hypercall {name!r} while VMM {self.state}")
         try:
@@ -186,7 +191,7 @@ class Hypervisor:
         counts[name] = counts.get(name, 0) + 1
         if trace._ACTIVE is not None:  # hot path: skip the hook call
             trace.instant(cpu.cpu_id, "hypercall", call=name)
-        return fn(self, cpu, domain, *args)
+        return fn
 
     # ------------------------------------------------------------------
     # trap interception (privileged instructions from PL1 guests)

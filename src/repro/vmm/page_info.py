@@ -22,6 +22,10 @@ by frame number, plus a pinned byte-map.  Scalar indexing into these columns
 is a plain C-level load/store, which matters because the validation and
 count bookkeeping below run per-PTE on the hottest guest paths
 (``mmu_update``), and because a reset is a single memset-style slice write.
+Zero-copy numpy views of the type and count columns serve the batch form of
+the same rules, :meth:`PageInfoTable.account_batch`: a large region write
+updates the columns in a few vectorized passes, and falls back to the
+per-entry rules wherever entries could interact.
 The pinned map is owned by this class: external code pins and unpins through
 :meth:`pin_frame`/:meth:`unpin_frame` (or the bulk variants) and reads
 through the set-like :attr:`pinned` view or the raw :attr:`pinned_map`.
@@ -38,7 +42,9 @@ from __future__ import annotations
 import enum
 from array import array
 from collections.abc import Set as AbstractSet
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import PageValidationError
 from repro.params import PT_ENTRIES
@@ -141,6 +147,11 @@ class PageInfoTable:
         self.type = bytearray(n)
         self.type_count = array("i", bytes(4 * n))
         self.ref_count = array("i", bytes(4 * n))
+        #: zero-copy numpy views of the three columns for the batch passes
+        #: (the columns are never rebound: reset() rewrites them in place)
+        self._type_np = np.frombuffer(self.type, dtype=np.uint8)
+        self._count_np = np.frombuffer(self.type_count, dtype=np.int32)
+        self._refs_np = np.frombuffer(self.ref_count, dtype=np.int32)
         #: pinned page-table frames as a byte-map (1 = pinned); mutate only
         #: through pin_frame/unpin_frame so the count stays coherent
         self.pinned_map = bytearray(n)
@@ -226,6 +237,53 @@ class PageInfoTable:
         cpu.charge(cpu.cost.cyc_pte_validate * PT_ENTRIES)
         self._set_type(aspace.pgd.frame, PageType.L2_PAGETABLE)
         self.pin_frame(aspace.pgd.frame)
+
+    def account_batch(self, installed: Sequence[int],
+                      writable: Sequence[bool], cleared: Sequence[int],
+                      domain_id: int, retyped: Sequence[int] = ()) -> bool:
+        """The per-entry count rules of ``mmu_update`` for a whole batch, as
+        numpy passes over the columns: each installed frame (``writable`` says how it is mapped)
+        takes one type count and one reference and turns NONE into
+        WRITABLE; each cleared frame gives them back and turns WRITABLE
+        into NONE when its count reaches zero.
+
+        The passes equal the entry-by-entry result only when no two
+        entries touch the same frame and no entry fails, so the batch is
+        checked first and refused — False, columns untouched — if a frame
+        is out of range or named twice (``retyped``, frames the caller
+        retypes in the same batch, count as named), if an install maps a
+        foreign frame or a page-table frame writable, or if a clear meets
+        the ``n > 0`` clamp.  The caller then applies the sequential rules,
+        which raise where they always did."""
+        named = [*installed, *cleared, *retyped]
+        if named and (min(named) < 0 or max(named) >= len(self.type)
+                      or len(set(named)) < len(named)):
+            return False
+        frames = np.array(named, dtype=np.intp)
+        fi = frames[:len(installed)]
+        fc = frames[len(installed):len(installed) + len(cleared)]
+        ptype, pcount, prefs = self._type_np, self._count_np, self._refs_np
+        if fi.size:
+            if (self.mem.owner_np[fi] != domain_id).any():
+                return False
+            t = ptype[fi]
+            if (np.array(writable, dtype=bool)
+                    & ((t == _L1) | (t == _L2))).any():
+                return False
+        if fc.size:
+            n = pcount[fc]
+            if (n <= 0).any():
+                return False
+        if fi.size:
+            ptype[fi[t == _NONE]] = _WRITABLE
+            pcount[fi] += 1
+            prefs[fi] += 1
+        if fc.size:
+            pcount[fc] = n - 1
+            prefs[fc] -= 1
+            last = fc[n == 1]
+            ptype[last[ptype[last] == _WRITABLE]] = _NONE
+        return True
 
     def adopt_new_leaf(self, cpu: "Cpu", leaf: "PageTablePage") -> None:
         """A validated mmu_update just instantiated a fresh leaf under a

@@ -227,8 +227,8 @@ def test_apply_pte_region_batches(virt):
     frames = [machine.memory.alloc(0) for _ in range(40)]
     served0 = vmm.hypercalls_served
     vo.apply_pte_region(cpu, aspace,
-                        [(0x10000 + i * 4096, Pte(frame=f))
-                         for i, f in enumerate(frames)])
+                        [(0, {0x10 + i: Pte(frame=f)
+                              for i, f in enumerate(frames)})])
     batches = vmm.hypercalls_served - served0
     assert 1 <= batches <= (40 // cpu.cost.mmu_batch_size) + 1
     assert aspace.mapped_count() == 40

@@ -76,3 +76,23 @@ def test_property_never_stale_after_invalidate(ops):
         hit = tlb.lookup(vpn)
         if hit is not None:
             assert vpn in live and hit[0] == live[vpn]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=70),
+       st.sets(st.integers(0, 20), max_size=80),
+       st.integers(0, 2))
+def test_property_invalidate_leaf_equals_per_vpn_invalidate(fills, idxs,
+                                                           leaf):
+    """Dropping a leaf's vpns at once leaves the same entries, in the same
+    FIFO order, as one invlpg per vpn — whether the batch is smaller than
+    the TLB (pop each vpn) or larger (scan the TLB)."""
+    batch, single = Tlb(capacity=16), Tlb(capacity=16)
+    for vpn in fills:
+        batch.fill(vpn, vpn, True)
+        single.fill(vpn, vpn, True)
+    base = leaf * 10
+    batch.invalidate_leaf(base, idxs)
+    for i in idxs:
+        single.invalidate(base + i)
+    assert list(batch._entries.items()) == list(single._entries.items())

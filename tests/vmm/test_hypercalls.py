@@ -161,3 +161,49 @@ def test_stack_switch_records_sp(env):
     cpu, machine, vmm, dom, aspace = env
     vmm.hypercall(cpu, dom, "stack_switch", 0xdeadbeef)
     assert dom.vcpus[0].kernel_sp == 0xdeadbeef
+
+
+def test_region_bad_entry_raises_after_the_entries_before_it():
+    """A region write through the virtual VO on a pinned root: 70 kernel
+    frames into a leaf that does not exist yet, a frame of another owner
+    at index 39.  The region travels as ceil(70 / 32) = 3 batched
+    mmu_update hypercalls; the second raises at its eighth entry after
+    applying the seven before it, and the third is never issued."""
+    from repro import Machine, Mercury, small_config
+    from repro.params import PT_ENTRIES, PT_SPAN
+
+    mercury = Mercury(Machine(small_config()))
+    kernel = mercury.create_kernel(image_pages=8)
+    mercury.attach()
+    cpu = mercury.machine.boot_cpu
+    vmm = mercury.vmm
+    cost = cpu.cost
+    aspace = kernel.scheduler.current.aspace
+    mem = mercury.machine.memory
+    frames = [mem.alloc(kernel.owner_id) for _ in range(70)]
+    frames[39] = mem.alloc(31)
+    pgd_idx = 0x4000_0000 // PT_SPAN
+    assert aspace.pgd.entries.get(pgd_idx) is None
+    calls = vmm.hypercall_counts.get("mmu_update", 0)
+    batches, batched = vmm.mmu_batches, vmm.mmu_batched_updates
+    t0 = cpu.clock.cycles
+
+    with pytest.raises(PageValidationError, match="owned by 31"):
+        kernel.vo.apply_pte_region(cpu, aspace, [
+            (pgd_idx, {i: Pte(frame=f) for i, f in enumerate(frames)})])
+
+    leaf = aspace.pgd.entries[pgd_idx]
+    assert list(leaf.entries) == list(range(39))
+    assert [pte.frame for pte in leaf.entries.values()] == frames[:39]
+    assert all(vmm.page_info.type_count[f] == 1 for f in frames[:39])
+    assert vmm.page_info.type_count[frames[39]] == 0
+    assert vmm.page_info.type[leaf.frame] == PageType.L1_PAGETABLE
+    assert leaf.frame in vmm.page_info.pinned
+    assert vmm.hypercall_counts["mmu_update"] - calls == 2
+    assert (vmm.mmu_batches - batches, vmm.mmu_batched_updates - batched) \
+        == (1, 32)
+    elapsed = cpu.clock.cycles - t0
+    assert elapsed == (cost.cyc_vo_indirect + 2 * cost.cyc_hypercall
+                       + 40 * cost.cyc_mmu_update_batched
+                       + cost.cyc_pte_validate * PT_ENTRIES)
+    assert elapsed == 59_647

@@ -176,3 +176,72 @@ def test_is_pt_frame(env):
     table.track_new_pt_page(aspace.pgd_frame, level=2)
     assert table.is_pt_frame(aspace.pgd_frame)
     assert not table.is_pt_frame(mem.alloc(0))
+
+
+def _columns(table):
+    return (bytes(table.type), table.type_count.tobytes(),
+            table.ref_count.tobytes())
+
+
+def test_account_batch_declines_where_entries_interact(env):
+    """The columnar pass refuses, leaving every column as it was, each case
+    where its result could differ from one entry at a time."""
+    cpu, mem, table, aspace = env
+    a, b, c = (mem.alloc(0) for _ in range(3))
+    foreign = mem.alloc(99)
+    table.validate_pgd(cpu, aspace, domain_id=0)   # the PGD reads as L2
+    table.account_batch([b], [True], [], 0)         # b mapped once
+    before = _columns(table)
+    declined = [
+        ([a, a], [True, True], [], ()),             # one frame twice
+        ([b], [True], [b], ()),                     # install and clear
+        ([a], [True], [], (a,)),                    # retyped by the caller
+        ([mem.num_frames], [True], [], ()),         # out of range
+        ([-1], [True], [], ()),
+        ([foreign], [False], [], ()),               # another owner's
+        ([aspace.pgd_frame], [True], [], ()),       # writable PT frame
+        ([], [], [c], ()),                          # clear at n > 0 clamp
+    ]
+    for installed, writable, cleared, retyped in declined:
+        assert not table.account_batch(installed, writable, cleared, 0,
+                                       retyped)
+        assert _columns(table) == before
+    # a read-only mapping of a page-table frame is fine
+    assert table.account_batch([aspace.pgd_frame], [False], [], 0)
+
+
+def test_account_batch_equals_the_per_entry_rules(guest):
+    """Installs then clears through the columnar pass leave the columns
+    exactly where single-entry mmu_update calls leave them."""
+    cpu, mem, table, aspace, write = guest
+    frames = [mem.alloc(0) for _ in range(6)]
+    for i, f in enumerate(frames[:3]):
+        write(0x10000 + i * 4096, Pte(frame=f))   # counts 1, WRITABLE
+    write(0x20000, Pte(frame=frames[0], writable=False))  # frames[0]: 2
+    twin = PageInfoTable(mem)
+    twin.type[:] = table.type
+    twin.type_count[:] = table.type_count
+    twin.ref_count[:] = table.ref_count
+    for i, f in enumerate(frames[3:]):
+        write(0x30000 + i * 4096, Pte(frame=f, writable=i != 0))
+    for i in range(3):
+        write(0x10000 + i * 4096, None)
+    assert twin.account_batch(frames[3:], [False, True, True],
+                              frames[:3], 0)
+    assert _columns(twin) == _columns(table)
+    assert twin.type[frames[0]] == PageType.WRITABLE   # still mapped once
+    assert twin.type[frames[1]] == PageType.NONE
+
+
+def test_validate_leaf_bad_entry_raises_after_counting_the_entries_before_it(
+        env):
+    """Validation takes the leaf's entries in order: a foreign frame
+    raises after the entries before it took their counts."""
+    cpu, mem, table, aspace = env
+    frames = [mem.alloc(0) for _ in range(64)]
+    frames[10] = mem.alloc(99)
+    for i, f in enumerate(frames):
+        aspace.set_pte(0x40_0000 + i * 4096, Pte(frame=f))
+    with pytest.raises(PageValidationError, match="owned by 99"):
+        table.validate_leaf(cpu, aspace.leaf_for(0x40_0000), 0)
+    assert [table.type_count[f] for f in frames[:11]] == [1] * 10 + [0]
