@@ -7,13 +7,10 @@ Targets:
 - ``switch``              — the §7.4 mode-switch measurement
 - ``trace``               — a traced switch round-trip: text timeline +
   per-phase latency breakdown (``--trace-json FILE`` for chrome://tracing)
-- ``simload``             — the §5.1.1 switch-under-load scenario under the
-  deterministic simulation scheduler; emits canonical output suitable for
-  byte-for-byte diffing (the CI ``sched-determinism`` job runs it twice).
-  With ``--machines N`` it becomes the sharded-fleet scenario: N storm
-  machines in a heartbeat ring, partitioned over ``--workers`` shards —
-  the output stays byte-identical at every worker count (the CI
-  ``shard-determinism`` job diffs exactly that)
+- ``simload``             — the §5.1.1 switch-under-load scenario on one
+  machine under the deterministic simulation scheduler (``--rounds N``
+  storm rounds); emits canonical output suitable for byte-for-byte
+  diffing (the CI ``sched-determinism`` job runs it twice)
 - ``chaos``               — the VMM-fault chaos campaign: seeded fault
   episodes with VMI-watchdog detection and microreboot recovery; emits
   canonical output (the CI ``chaos-recovery`` job runs it twice);
@@ -22,11 +19,11 @@ Targets:
   open-loop arrival stream over ``--machines N`` service machines behind
   a switch-aware balancer while a rolling wave (``--scenario
   liveupdate|maintenance|cluster``) runs; emits canonical output that is
-  byte-identical at any ``--workers`` count (the CI ``fleet-smoke`` job
-  diffs exactly that); ``--fleet-summary`` prints the percentile report
-  instead; ``--guest-domains N`` hosts N ballooned guest domains per
-  service machine and serves the traffic from them under the elastic
-  memory controller (``--elastic-strategy``)
+  byte-identical at any ``--workers`` count (the CI ``fleet-smoke`` and
+  ``shard-determinism`` jobs diff exactly that); ``--fleet-summary``
+  prints the percentile report instead; ``--guest-domains N`` hosts N
+  ballooned guest domains per service machine and serves the traffic
+  from them under the elastic memory controller (``--elastic-strategy``)
 - ``elastic``             — the memory-elasticity bench: attach-time
   drift vs. balloon churn rate plus the reclaim-strategy ablation
   (hypervisor-driven vs. guest-delegated); emits canonical output (the
@@ -35,8 +32,8 @@ Targets:
 
 Options: ``--quick`` (N-L and X-0 columns only), ``--mem-kb N``,
 ``--cpus N`` (trace target), ``--trace-json FILE``, ``--rounds N``
-(simload storm rounds), ``--machines N`` / ``--workers N`` (sharded
-simload/fleet size and parallelism; workers also parallelizes chaos),
+(simload storm rounds), ``--machines N`` / ``--workers N`` (fleet
+size and shard worker processes; workers also parallelizes chaos),
 ``--episodes N`` / ``--seed N`` (chaos campaign; seed also feeds fleet),
 ``--scenario``, ``--policy``, ``--arrival``, ``--requests N``,
 ``--fleet-summary`` (fleet target).
@@ -105,21 +102,14 @@ def _trace_switch(config, num_cpus: int, json_path: str | None) -> None:
               f"(load in chrome://tracing or Perfetto)")
 
 
-def _simload(rounds: int, machines: int, workers: int) -> None:
+def _simload(rounds: int) -> None:
     """Run the switch-under-load scenario and print its canonical output.
 
-    Everything printed is a pure function of the parameters; run twice
-    (or at different ``--workers``) and ``diff`` to check scheduler and
-    sharding determinism."""
-    from repro.bench.underload import (run_fleet_under_load,
-                                       run_switch_under_load)
+    Everything printed is a pure function of ``rounds``; run twice and
+    ``diff`` to check scheduler determinism."""
+    from repro.bench.underload import run_switch_under_load
     from repro.hw.machine import reset_machine_ids
 
-    if machines > 1:
-        result = run_fleet_under_load(machines=machines, workers=workers,
-                                      rounds=rounds)
-        sys.stdout.write(result.canonical_output())
-        return
     reset_machine_ids()
     result = run_switch_under_load(rounds=rounds)
     sys.stdout.write(result.canonical_output())
@@ -143,9 +133,7 @@ def _fleet(args) -> None:
 
     from repro.fleet import run_fleet
 
-    # --machines defaults to 1 for simload; a fleet needs real machines
-    machines = args.machines if args.machines > 1 else 100
-    result = run_fleet(machines=machines, workers=args.workers,
+    result = run_fleet(machines=args.machines, workers=args.workers,
                        seed=args.seed, scenario=args.scenario,
                        policy=args.policy, arrival=args.arrival,
                        requests=args.requests,
@@ -184,12 +172,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=5,
                         help="attach/detach rounds for the simload target "
                              "(default 5)")
-    parser.add_argument("--machines", type=int, default=1,
-                        help="simload fleet size; >1 runs the sharded "
-                             "heartbeat-ring scenario (default 1)")
+    parser.add_argument("--machines", type=int, default=100,
+                        help="service machines for the fleet target "
+                             "(default 100)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the sharded simload "
-                             "fleet and the chaos campaign (default 1)")
+                        help="worker processes for the fleet and chaos "
+                             "targets (default 1)")
     parser.add_argument("--episodes", type=int, default=20,
                         help="fault episodes for the chaos target "
                              "(default 20)")
@@ -228,6 +216,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="fleet reclaim strategy (default "
                              "guest-delegated)")
     args = parser.parse_args(argv)
+    if args.target == "simload" and (args.machines, args.workers) != (
+            parser.get_default("machines"), parser.get_default("workers")):
+        parser.error("simload runs one machine; --machines and --workers "
+                     "apply to the fleet and chaos targets")
 
     keys = ("N-L", "X-0") if args.quick else CONFIG_KEYS
     config = dataclasses.replace(MachineConfig(), mem_kb=args.mem_kb)
@@ -265,8 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         _trace_switch(config, num_cpus=args.cpus, json_path=args.trace_json)
         print()
     if args.target == "simload":  # canonical output: not part of "all"
-        _simload(rounds=args.rounds, machines=args.machines,
-                 workers=args.workers)
+        _simload(rounds=args.rounds)
     if args.target == "chaos":  # canonical output: not part of "all"
         _chaos(episodes=args.episodes, seed=args.seed,
                workers=args.workers)

@@ -23,15 +23,17 @@ from typing import Generator, Iterable, TYPE_CHECKING
 from repro import trace
 from repro.bench.configs import build_config
 from repro.core.switch import Direction
-from repro.metrics import MetricsCollector
 from repro.params import MachineConfig
-from repro.sim import FleetNode, ShardedSim, Sleep, SleepUntil, WaitFor
-from repro.sim.pool import DEFAULT_WINDOW_CYCLES, FleetResult
+from repro.sim import SimScheduler, Sleep, WaitFor
 from repro.workloads.iperf import iperf_task
 from repro.workloads.kbuild import kbuild_task
 
 if TYPE_CHECKING:
     from repro.core.mercury import Mercury
+
+#: the storm's request gaps, cycled: attach and detach requests land at
+#: these spacings, some inside kbuild/iperf slices, some between them
+STORM_GAPS_MS = (7.0, 3.0, 11.0, 5.0)
 
 
 @dataclass
@@ -110,141 +112,49 @@ def switch_storm_task(mercury: "Mercury", rounds: int,
             lat.append(clock.cycles - t0)
 
 
-# ---------------------------------------------------------------------------
-# the storm machine: alone, or N of them under the sharded simulation
-# ---------------------------------------------------------------------------
-
-class UnderLoadNode(FleetNode):
-    """One fleet machine running the under-load scenario, plus a
-    drift-free heartbeat ring: machine ``i`` posts a beat to machine
-    ``(i+1) % fleet`` on a fixed cycle grid (``SleepUntil`` keeps the
-    cadence independent of how long kbuild slices run), so the fleet
-    exercises real cross-shard traffic while every box storms its own
-    switch engine.  With ``beats=0`` there is no heartbeat task: machine
-    0 alone is :func:`run_switch_under_load`'s storm."""
-
-    def __init__(self, index: int, seed: int, fleet_size: int = 3,
-                 files: int = 3, iperf_bytes: int = 256 * 1024,
-                 rounds: int = 2, num_cpus: int = 2,
-                 mem_kb: int = 262_144, beats: int = 4,
-                 beat_period: int = 3_000_000):
-        config = dataclasses.replace(MachineConfig(),
-                                     mem_kb=mem_kb).with_cpus(num_cpus)
-        self.sut = build_config("M-N", config)
-        super().__init__(index, self.sut.machine)
-        self.fleet_size = fleet_size
-        self.mercury = self.sut.mercury
-        # the storm must outlast workload-induced busy windows, never abort
-        self.mercury.engine.max_retries = 64
-        self.heartbeats_seen = 0
-        freq = self.machine.clock.freq_mhz
-        # stagger each machine's storm gaps by index so shards genuinely
-        # desynchronize (same work, different local timing)
-        gaps_ms = (7.0 + index, 3.0 + index, 11.0, 5.0)
-        gaps_cycles = [int(ms * 1000 * freq) for ms in gaps_ms]
-        work_cpu = (self.machine.cpus[1] if num_cpus > 1
-                    else self.machine.boot_cpu)
-        self.load = UnderLoadResult(rounds=rounds, freq_mhz=freq)
-        self._kbuild = self.spawn_traced(
-            kbuild_task(self.sut.kernel, work_cpu, files=files),
-            name="kbuild", cpu=work_cpu, kernel=self.sut.kernel)
-        self._iperf = self.spawn_traced(
-            iperf_task(self.sut.kernel, self.sut.peer_kernel, "tcp",
-                       iperf_bytes),
-            name="iperf", cpu=self.machine.boot_cpu, kernel=self.sut.kernel)
-        self.spawn_traced(
-            switch_storm_task(self.mercury, rounds, gaps_cycles, self.load),
-            name="switch-storm", cpu=self.machine.boot_cpu)
-        if beats:
-            self.spawn_traced(self._heartbeat(beats, beat_period),
-                              name="heartbeat", cpu=self.machine.boot_cpu)
-
-    def _heartbeat(self, beats: int, period: int) -> Generator:
-        for beat in range(1, beats + 1):
-            yield SleepUntil(beat * period)
-            self.post((self.index + 1) % self.fleet_size, "heartbeat",
-                      payload=beat)
-
-    def on_message(self, msg) -> None:
-        super().on_message(msg)
-        if msg.kind == "heartbeat":
-            self.heartbeats_seen += 1
-
-    def collector(self) -> MetricsCollector:
-        return MetricsCollector(self.machine, kernel=self.sut.kernel,
-                                mercury=self.mercury)
-
-    def result(self) -> dict:
-        engine = self.mercury.engine
-        out = super().result()
-        out.update({
-            "records": len(engine.records),
-            "busy_attempts": engine.failed_attempts,
-            "aborts": engine.switch_aborts,
-            "per_switch_retries": [r.retries for r in engine.records],
-            "attach_latency_cycles": self.load.attach_latency_cycles,
-            "detach_latency_cycles": self.load.detach_latency_cycles,
-            "kbuild_elapsed_us": round(
-                self._kbuild.result.elapsed_us, 3),
-            "iperf_mbit_s": round(self._iperf.result.mbit_s, 3),
-            "heartbeats_seen": self.heartbeats_seen,
-        })
-        return out
-
-
 def run_switch_under_load(files: int = 10,
                           iperf_bytes: int = 1024 * 1024,
                           rounds: int = 5,
                           num_cpus: int = 2,
                           mem_kb: int = 262_144) -> UnderLoadResult:
-    """Run kbuild + iperf under the simulation scheduler with a storm of
-    ``rounds`` attach/detach cycles landing between/inside their slices:
-    one :class:`UnderLoadNode` without a heartbeat, run to completion."""
-    node = UnderLoadNode(0, 0, files=files, iperf_bytes=iperf_bytes,
-                         rounds=rounds, num_cpus=num_cpus, mem_kb=mem_kb,
-                         beats=0)
-    with trace.tracing(node.tracer):
-        node.sched.run()
-    events = node.tracer.events()
-    problems = trace.validate(events, dropped=node.tracer.dropped)
+    """Run kbuild + iperf under the simulation scheduler on one M-N
+    machine with a storm of ``rounds`` attach/detach cycles landing
+    between/inside their slices, to completion."""
+    config = dataclasses.replace(MachineConfig(),
+                                 mem_kb=mem_kb).with_cpus(num_cpus)
+    sut = build_config("M-N", config)
+    machine, kernel, mercury = sut.machine, sut.kernel, sut.mercury
+    sched = SimScheduler(machine)
+    tracer = trace.Tracer(machine.clock)
+    engine = mercury.engine
+    # the storm must outlast workload-induced busy windows, never abort
+    engine.max_retries = 64
+    freq = machine.clock.freq_mhz
+    gaps_cycles = [int(ms * 1000 * freq) for ms in STORM_GAPS_MS]
+    work_cpu = machine.cpus[1] if num_cpus > 1 else machine.boot_cpu
+    result = UnderLoadResult(rounds=rounds, freq_mhz=freq)
+    with trace.tracing(tracer):
+        kbuild = sched.spawn(kbuild_task(kernel, work_cpu, files=files),
+                             name="kbuild", cpu=work_cpu, kernel=kernel)
+        iperf = sched.spawn(iperf_task(kernel, sut.peer_kernel, "tcp",
+                                       iperf_bytes),
+                            name="iperf", cpu=machine.boot_cpu, kernel=kernel)
+        sched.spawn(switch_storm_task(mercury, rounds, gaps_cycles, result),
+                    name="switch-storm", cpu=machine.boot_cpu)
+        sched.run()
+    events = tracer.events()
+    problems = trace.validate(events, dropped=tracer.dropped)
     if problems:
         raise AssertionError(f"malformed under-load trace: {problems[:3]}")
 
-    engine = node.mercury.engine
-    result = node.load
     result.busy_attempts = engine.failed_attempts
     result.aborts = engine.switch_aborts
     result.records = len(engine.records)
     result.retry_histogram = dict(engine.retry_histogram)
     result.per_switch_retries = [r.retries for r in engine.records]
-    result.kbuild_elapsed_us = node._kbuild.result.elapsed_us
-    result.iperf_mbit_s = node._iperf.result.mbit_s
-    result.final_cycles = node.machine.clock.cycles
+    result.kbuild_elapsed_us = kbuild.result.elapsed_us
+    result.iperf_mbit_s = iperf.result.mbit_s
+    result.final_cycles = machine.clock.cycles
     result.canonical_trace = trace.canonical_lines(events)
     result.trace_events = events
     return result
-
-
-def build_underload_node(index: int, seed: int,
-                         **kwargs) -> UnderLoadNode:
-    """Module-level builder for :class:`~repro.sim.pool.ShardedSim`
-    (worker processes import it by reference)."""
-    return UnderLoadNode(index, seed, **kwargs)
-
-
-def run_fleet_under_load(machines: int = 3, workers: int = 1, *,
-                         seed: int = 0, rounds: int = 2, files: int = 3,
-                         iperf_bytes: int = 256 * 1024, beats: int = 4,
-                         window_cycles: int = DEFAULT_WINDOW_CYCLES,
-                         transport: str = None) -> FleetResult:
-    """The sharded-simulation flagship scenario: ``machines`` under-load
-    boxes in a heartbeat ring, partitioned across ``workers`` shards.
-    ``FleetResult.canonical_output()`` is byte-identical at every worker
-    count and transport."""
-    sim = ShardedSim(
-        build_underload_node, machines, seed=seed, workers=workers,
-        window_cycles=window_cycles, transport=transport,
-        builder_kwargs={"fleet_size": machines, "rounds": rounds,
-                        "files": files, "iperf_bytes": iperf_bytes,
-                        "beats": beats})
-    return sim.run()

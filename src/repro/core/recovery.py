@@ -244,8 +244,7 @@ class RecoveryManager:
         from repro.vmm.hypervisor import VMM_OWNER
         mercury = self.mercury
         memory = self.machine.memory
-        for frame in memory.frames_owned_by(VMM_OWNER):
-            memory.free(int(frame))
+        memory.free_many(memory.frames_owned_by(VMM_OWNER).tolist())
         cpu.charge(CYC_EMERGENCY_REPRECACHE)
         new_vmm, info = precache_vmm(self.machine, charge_boot_time=False)
         mercury.vmm = new_vmm

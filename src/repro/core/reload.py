@@ -83,30 +83,12 @@ def reload_secondary(cpu: "Cpu", kernel: "Kernel",
                           native_target=(target_kernel_pl == PrivilegeLevel.PL0))
 
 
-def reload_secondary_rollback(cpu: "Cpu", kernel: "Kernel",
-                              prev_idt: object = None) -> None:
-    """Undo a committed secondary reload after the switch failed elsewhere.
-
-    Like :func:`reload_secondary` but with two rollback-specific rules:
-
-    - it never traverses the fault-injection seam (a rollback must be
-      infallible, so a fault still armed at the reload site must not
-      re-fire while unwinding);
-    - the hardware IDT goes back to *exactly* what this CPU held before
-      the failed switch — which may be the VMM's forwarding IDT, the
-      guest's, or unset on an AP that never switched.  Which IDT is
-      correct is decided by the control processor's IRQ-binding transfer
-      (and its undo), not per secondary."""
-    saved, cpu.pl = cpu.pl, PrivilegeLevel.PL0
-    try:
-        cpu.load_gdt(cpu.gdt)
-        if prev_idt is not None:
-            cpu.load_idt(prev_idt)
-        else:
-            cpu.idt_base = None
-        current = kernel.scheduler.current
-        if current is not None:
-            cpu.write_cr3(current.aspace.pgd_frame)
-        cpu.tlb.flush()
-    finally:
-        cpu.pl = saved
+def reload_secondary_rollback(cpu: "Cpu", kernel: "Kernel") -> None:
+    """Undo a committed secondary reload after the switch failed elsewhere:
+    the CPU's GDT, CR3 and TLB are reloaded again, outside the
+    fault-injection seam (a rollback must be infallible, so a fault still
+    armed at the reload site must not re-fire while unwinding).  The IDT
+    is left alone: which IDT each CPU holds is put back by the IRQ-binding
+    transfer's undo, which both directions journal before any secondary
+    reloads and so runs after this one."""
+    _reload_own_registers(cpu, kernel, native_target=False)

@@ -53,28 +53,11 @@ class ShadowVirtualVO(VirtualVO):
         finally:
             cpu.pl = saved
 
-    # -- lazy MMU: shadow mode cannot batch ------------------------------------
-    # Every guest page-table write traps individually and is re-translated
-    # into the shadow; there is no multicall to fold updates into, so the
-    # region markers degrade to no-ops (inherited VirtualVO queueing is
-    # bypassed because set/clear/update below never consult the queue).
-
-    def lazy_mmu_begin(self, cpu) -> None:
-        pass
-
-    def lazy_mmu_end(self, cpu) -> None:
-        pass
-
-    def lazy_mmu_flush(self, cpu) -> None:
-        pass
-
-    def lazy_mmu_drain(self, cpu) -> None:
-        pass
-
-    def lazy_mmu_pending(self) -> int:
-        return 0
-
     # -- MMU: direct guest writes + trapped shadow syncs -----------------------
+    # Every guest page-table write traps individually and is re-translated
+    # into the shadow; there is no multicall to fold updates into, so
+    # nothing below queues and the inherited lazy-MMU markers make no
+    # hypercall.
 
     @sensitive
     def set_pte(self, cpu, aspace: "AddressSpace", vaddr: int,

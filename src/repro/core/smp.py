@@ -59,7 +59,12 @@ class RendezvousResult:
 
 
 class SmpCoordinator:
-    """Executes the shared-counter/flag rendezvous protocol."""
+    """Executes the shared-counter/flag rendezvous protocol.
+
+    :meth:`coordinated_switch` is the protocol body; how the control
+    processor notifies the other cores and gathers their acknowledgements
+    is the one step a protocol variant overrides
+    (:meth:`_notify_and_gather`; see :mod:`repro.core.smp_tree`)."""
 
     def __init__(self, machine: "Machine"):
         self.machine = machine
@@ -79,6 +84,52 @@ class SmpCoordinator:
             self.ready_count += 1
         return ack
 
+    def _notify_and_gather(self, cp: "Cpu", secondaries: list["Cpu"]) -> int:
+        """Bring every secondary into the rendezvous, masked, with
+        ``ready_count`` equal to the CPU count; returns the IPIs sent.
+
+        The flat protocol: the CP IPIs each core itself (a dropped IPI
+        never reaches its core: the gather comes up short and times out),
+        then collects every acknowledgement serially."""
+        clock = self.machine.clock
+        cost = cp.cost
+        reached: list["Cpu"] = []
+        for c in secondaries:
+            if faults.fire(faults.IPI_DROPPED, cpu_id=c.cpu_id):
+                continue
+            self.machine.intc.send_ipi(cp, c.cpu_id, VEC_SV_RENDEZVOUS)
+            trace.instant(cp.cpu_id, "smp.ipi", target=f"cpu{c.cpu_id}")
+            reached.append(c)
+
+        # each secondary receives the IPI (in parallel), masks its own
+        # interrupts, and bumps the shared count.  Each acknowledgement is
+        # a *scheduled event* on the shared clock at the cycle the serial
+        # handshake reaches that core; the CP, spinning on the count,
+        # drives exactly those events to their deadlines.  Targeted
+        # :meth:`Clock.fire` (not ``run_due``) keeps unrelated due timers
+        # from running inside the masked rendezvous window.
+        with trace.span(cp.cpu_id, "smp.gather"):
+            acks = []
+            if reached:
+                deadline = clock.cycles + cost.cyc_ipi_deliver
+                for c in reached:
+                    if faults.fire(faults.IPI_DELAYED, cpu_id=c.cpu_id):
+                        deadline += cost.cyc_ipi_deliver * IPI_DELAY_FACTOR
+                    acks.append(clock.schedule(deadline - clock.cycles,
+                                               self._make_ack(c)))
+                    deadline += cost.cyc_refcount_check
+            for handle in acks:
+                clock.fire(handle)
+            ncpus = len(self.machine.cpus)
+            if faults.fire(faults.RENDEZVOUS_TIMEOUT):
+                raise RendezvousTimeout(
+                    f"injected: gather stalled at {self.ready_count}"
+                    f"/{ncpus} CPUs")
+            if self.ready_count != ncpus:
+                raise RendezvousTimeout(
+                    f"gathered {self.ready_count}/{ncpus} CPUs")
+        return len(reached)
+
     def coordinated_switch(self, cp: "Cpu",
                            cp_work: Callable[["Cpu"], None],
                            secondary_work: Callable[["Cpu"], None]
@@ -86,7 +137,6 @@ class SmpCoordinator:
         """Run ``cp_work`` on the control processor and ``secondary_work``
         on every other core, under the rendezvous protocol."""
         clock = self.machine.clock
-        cost = cp.cost
         cpus = self.machine.cpus
         secondaries = [c for c in cpus if c is not cp]
         t_start = clock.cycles
@@ -96,51 +146,11 @@ class SmpCoordinator:
         self.done_count = 0
 
         with trace.span(cp.cpu_id, "smp.rendezvous"):
-            # 1. CP notifies the other processors (a dropped IPI never
-            # reaches its core: the gather below comes up short and times
-            # out)
-            ipis = 0
-            reached: list["Cpu"] = []
-            for c in secondaries:
-                if faults.fire(faults.IPI_DROPPED, cpu_id=c.cpu_id):
-                    continue
-                self.machine.intc.send_ipi(cp, c.cpu_id, VEC_SV_RENDEZVOUS)
-                trace.instant(cp.cpu_id, "smp.ipi", target=f"cpu{c.cpu_id}")
-                reached.append(c)
-                ipis += 1
-
             try:
-                # 2. each secondary receives the IPI (in parallel), masks
-                # its own interrupts, and bumps the shared count.  Each
-                # acknowledgement is a *scheduled event* on the shared
-                # clock at the cycle the serial handshake reaches that
-                # core; the CP, spinning on the count, drives exactly
-                # those events to their deadlines.  Targeted
-                # :meth:`Clock.fire` (not ``run_due``) keeps unrelated due
-                # timers from running inside the masked rendezvous window.
-                with trace.span(cp.cpu_id, "smp.gather"):
-                    acks = []
-                    if reached:
-                        deadline = clock.cycles + cost.cyc_ipi_deliver
-                        for c in reached:
-                            if faults.fire(faults.IPI_DELAYED,
-                                           cpu_id=c.cpu_id):
-                                deadline += (cost.cyc_ipi_deliver *
-                                             IPI_DELAY_FACTOR)
-                            acks.append(clock.schedule(
-                                deadline - clock.cycles,
-                                self._make_ack(c)))
-                            deadline += cost.cyc_refcount_check
-                    for handle in acks:
-                        clock.fire(handle)
-                    if faults.fire(faults.RENDEZVOUS_TIMEOUT):
-                        raise RendezvousTimeout(
-                            f"injected: gather stalled at {self.ready_count}"
-                            f"/{len(cpus)} CPUs")
-                    if self.ready_count != len(cpus):
-                        raise RendezvousTimeout(
-                            f"gathered {self.ready_count}/{len(cpus)} CPUs")
-                    t_gathered = clock.cycles
+                # 1-2. the CP notifies the other processors and gathers
+                # their acknowledgements
+                ipis = self._notify_and_gather(cp, secondaries)
+                t_gathered = clock.cycles
 
                 # 3. CP raises the flag and performs the heavy switch work
                 self.go_flag = True

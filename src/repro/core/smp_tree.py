@@ -12,33 +12,27 @@ binary tree — each core forwards the IPI to its two children and
 aggregates its subtree's acknowledgements — so the CP's serial work is
 O(log n) and the gather completes in tree-depth rounds.
 
-Both protocols produce identical state (every core reloaded, same shared
-flags); the ablation bench compares their gather latency as the core count
-grows.
+Only the notification and gather differ: :class:`TreeSmpCoordinator`
+overrides that one step of :class:`~repro.core.smp.SmpCoordinator`, whose
+protocol body (switch work, overlapped secondary reloads, completion,
+unmasking on failure) both protocols share.  They produce identical state
+(every core reloaded, same shared flags); the ablation bench compares
+their gather latency as the core count grows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from repro.core.smp import RendezvousResult
-from repro.errors import RendezvousTimeout
+from repro.core.smp import SmpCoordinator
 from repro.hw.interrupts import VEC_SV_RENDEZVOUS
 
 if TYPE_CHECKING:
     from repro.hw.cpu import Cpu
-    from repro.hw.machine import Machine
 
 
-class TreeSmpCoordinator:
+class TreeSmpCoordinator(SmpCoordinator):
     """Binary-tree fan-out/fan-in rendezvous."""
-
-    def __init__(self, machine: "Machine"):
-        self.machine = machine
-        self.ready_count = 0
-        self.go_flag = False
-        self.done_count = 0
 
     @staticmethod
     def _children(idx: int, n: int) -> list[int]:
@@ -53,23 +47,15 @@ class TreeSmpCoordinator:
             depth += 1
         return depth
 
-    def coordinated_switch(self, cp: "Cpu",
-                           cp_work: Callable[["Cpu"], None],
-                           secondary_work: Callable[["Cpu"], None]
-                           ) -> RendezvousResult:
+    def _notify_and_gather(self, cp: "Cpu", secondaries: list["Cpu"]) -> int:
         clock = self.machine.clock
         cost = cp.cost
-        cpus = self.machine.cpus
-        n = len(cpus)
+        intc = self.machine.intc
         # order cores so the CP is the tree root
-        order = [cp.cpu_id] + [c.cpu_id for c in cpus if c is not cp]
-        t_start = clock.cycles
+        order = [cp.cpu_id] + [c.cpu_id for c in secondaries]
+        n = len(order)
 
-        self.ready_count = 0
-        self.go_flag = False
-        self.done_count = 0
-
-        # --- fan-out: each tree level forwards in parallel ---------------
+        # fan-out: each tree level forwards in parallel
         ipis = 0
         depth = self.tree_depth(n)
         for level in range(depth):
@@ -79,50 +65,20 @@ class TreeSmpCoordinator:
             lo, hi = (2 ** level) - 1, (2 ** (level + 1)) - 1
             for idx in range(lo, min(hi, n)):
                 for child in self._children(idx, n):
-                    self.machine.intc.raise_vector(order[child],
-                                                   VEC_SV_RENDEZVOUS)
+                    intc.raise_vector(order[child], VEC_SV_RENDEZVOUS)
                     level_sent += 1
             if level_sent:
                 clock.advance(cost.cyc_ipi_send + cost.cyc_ipi_deliver)
                 ipis += level_sent
 
-        # --- fan-in: acknowledgements aggregate up the tree ----------------
-        for c in cpus:
-            self.machine.intc.consume_vector(c.cpu_id, VEC_SV_RENDEZVOUS)
+        # fan-in: acknowledgements aggregate up the tree, each level one
+        # shared-variable update deep
+        for c in secondaries:
+            intc.consume_vector(c.cpu_id, VEC_SV_RENDEZVOUS)
             c.interrupts_enabled = False
-        # each level of aggregation is one shared-variable update deep
         clock.advance(cost.cyc_refcount_check * depth)
         self.ready_count = n
-        if self.ready_count != n:  # pragma: no cover - defensive
-            raise RendezvousTimeout(f"{self.ready_count}/{n}")
-        t_gathered = clock.cycles
-
-        # --- the switch work (same as the flat protocol) -------------------
-        self.go_flag = True
-        cp_work(cp)
-        t_cp_done = clock.cycles
-
-        t_secondaries_done = t_gathered
-        for c in cpus:
-            if c is cp:
-                continue
-            before = clock.cycles
-            secondary_work(c)
-            self.done_count += 1
-            delta = clock.cycles - before
-            clock.cycles = before
-            t_secondaries_done = max(t_secondaries_done, t_gathered + delta)
-
-        t_finish = max(t_cp_done, t_secondaries_done)
-        clock.cycles = max(clock.cycles, t_finish)
-        self.done_count += 1
-        for c in cpus:
-            c.interrupts_enabled = True
-
-        return RendezvousResult(
-            num_cpus=n, start=t_start, gathered=t_gathered,
-            cp_done=t_cp_done, secondaries_done=t_secondaries_done,
-            finish=t_finish, ipis_sent=ipis)
+        return ipis
 
 
 def use_tree_protocol(mercury) -> None:

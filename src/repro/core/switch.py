@@ -406,14 +406,7 @@ class ModeSwitchEngine:
                 kernel.vo.write_cr3(
                     cp, kernel.scheduler.current.aspace.pgd_frame)
 
-        def secondary_work(c: "Cpu") -> None:
-            prev_idt = c.idt_base
-            reload_secondary(c, kernel, PrivilegeLevel.PL1)
-            txn.did(f"secondary-reload-cpu{c.cpu_id}",
-                    lambda cp_, sec=c, idt=prev_idt:
-                        reload_secondary_rollback(sec, kernel, idt))
-
-        rendezvous = self._run(cpu, cp_work, secondary_work)
+        rendezvous = self._run(cpu, cp_work, txn, PrivilegeLevel.PL1)
         return state["pt_pages"], rendezvous
 
     def _to_native(self, cpu: "Cpu", txn: SwitchTransaction
@@ -449,8 +442,7 @@ class ModeSwitchEngine:
             vmm.deactivate()
             trace.instant(cp.cpu_id, "vmm.deactivate")
             txn.did("vmm-deactivate", lambda c: vmm.activate())
-            transfer.transfer_irq_bindings_to_native(cp, kernel, vmm, domain,
-                                                     txn=txn)
+            transfer.transfer_irq_bindings_to_native(cp, kernel, txn=txn)
             reload_control_processor(cp, kernel, PrivilegeLevel.PL0)
             txn.did("cp-reload",
                     lambda c: reload_control_processor(c, kernel,
@@ -460,19 +452,21 @@ class ModeSwitchEngine:
             trace.instant(cp.cpu_id, "switch.vo-swap", to="native")
             txn.did("vo-swap", lambda c: setattr(kernel, "vo", old_vo))
 
-        def secondary_work(c: "Cpu") -> None:
-            prev_idt = c.idt_base
-            reload_secondary(c, kernel, PrivilegeLevel.PL0)
-            txn.did(f"secondary-reload-cpu{c.cpu_id}",
-                    lambda cp_, sec=c, idt=prev_idt:
-                        reload_secondary_rollback(sec, kernel, idt))
-
-        rendezvous = self._run(cpu, cp_work, secondary_work)
+        rendezvous = self._run(cpu, cp_work, txn, PrivilegeLevel.PL0)
         return state["pt_pages"], rendezvous
 
-    def _run(self, cpu: "Cpu", cp_work, secondary_work
-             ) -> Optional[RendezvousResult]:
-        if len(self.machine.cpus) > 1:
-            return self.smp.coordinated_switch(cpu, cp_work, secondary_work)
-        cp_work(cpu)
-        return None
+    def _run(self, cpu: "Cpu", cp_work, txn: SwitchTransaction,
+             target_kernel_pl: PrivilegeLevel) -> Optional[RendezvousResult]:
+        """Run ``cp_work`` on the control processor and, on SMP, every
+        other core's reload (its undo journalled) under the rendezvous."""
+        if len(self.machine.cpus) == 1:
+            cp_work(cpu)
+            return None
+        kernel = self.mercury.kernel
+
+        def secondary_work(c: "Cpu") -> None:
+            reload_secondary(c, kernel, target_kernel_pl)
+            txn.did(f"secondary-reload-cpu{c.cpu_id}",
+                    lambda cp_, sec=c: reload_secondary_rollback(sec, kernel))
+
+        return self.smp.coordinated_switch(cpu, cp_work, secondary_work)

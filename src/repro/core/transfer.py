@@ -348,13 +348,11 @@ def transfer_irq_bindings_to_virtual(cpu: "Cpu", kernel: "Kernel",
 
 
 def transfer_irq_bindings_to_native(cpu: "Cpu", kernel: "Kernel",
-                                    vmm: Optional["Hypervisor"] = None,
-                                    domain: Optional["Domain"] = None,
                                     txn: Optional[SwitchTransaction] = None
                                     ) -> None:
-    """Point the hardware back at the guest's own IDT.  (``vmm``/``domain``
-    are accepted for call-site symmetry; the journalled undo restores the
-    captured per-CPU IDTs rather than re-deriving the forwarding IDT.)"""
+    """Point the hardware back at the guest's own IDT.  The journalled
+    undo restores the captured per-CPU IDTs rather than re-deriving the
+    forwarding IDT."""
     with trace.span(cpu.cpu_id, "transfer.irq-bindings"):
         if txn is not None:
             old_idts = _snapshot_idts(kernel)

@@ -412,8 +412,7 @@ def _wipe(kernel: "Kernel", cpu: "Cpu") -> None:
     for aspace in list(kernel.aspaces):
         kernel.unregister_aspace(aspace)
         kernel.vo.destroy_address_space(cpu, aspace)
-    for frame in list(mem.frames_owned_by(kernel.owner_id)):
-        mem.free(int(frame))
+    mem.free_many(mem.frames_owned_by(kernel.owner_id).tolist())
     kernel.vmem._frame_refs.clear()
     kernel.fs.inodes.clear()
     kernel.fs.cache.invalidate()
@@ -435,18 +434,16 @@ def _rebuild(kernel: "Kernel", image: CheckpointImage, cpu: "Cpu") -> None:
     kernel.vmem._frame_refs = {fmap[f]: n for f, n in image.frame_refs.items()
                                if f in fmap}
 
-    # address spaces: rebuild the structural objects over the new frames,
-    # under one lazy-MMU region — the tables are unpinned while being
-    # rebuilt (plain stores), and pinning via new_address_space flushes
-    # anything a virtual-mode restore queued before validation
+    # address spaces: rebuild the structural objects over the new frames
+    # (plain stores into unpinned tables, never through the VO), then pin
+    # each in virtual mode
     restored_aspaces: list[AddressSpace] = []
-    with kernel.lazy_mmu(cpu):
-        for a_img in image.aspaces:
-            aspace = _rebuild_aspace(kernel, a_img, fmap)
-            kernel.register_aspace(aspace)
-            restored_aspaces.append(aspace)
-            if kernel.vo.is_virtual:
-                kernel.vo.new_address_space(cpu, aspace)
+    for a_img in image.aspaces:
+        aspace = _rebuild_aspace(kernel, a_img, fmap)
+        kernel.register_aspace(aspace)
+        restored_aspaces.append(aspace)
+        if kernel.vo.is_virtual:
+            kernel.vo.new_address_space(cpu, aspace)
 
     # tasks
     by_pid: dict[int, Task] = {}

@@ -193,5 +193,4 @@ def _release(mercury: Mercury, kernel: "Kernel") -> None:
         kernel.booted = False
     else:
         mercury.shutdown_guest(kernel)
-    for frame in mem.frames_owned_by(kernel.owner_id):
-        mem.free(int(frame))
+    mem.free_many(mem.frames_owned_by(kernel.owner_id).tolist())

@@ -9,8 +9,8 @@ fire due timer events before resuming it.  What is yielded says why:
   cycle, after anything already queued for this instant (FIFO).
 - ``yield Sleep(cycles)`` — resume once simulated time has advanced.
 - ``yield SleepUntil(cycle)`` — resume at an absolute cycle deadline
-  (drift-free cadences: fleet heartbeats tick on a fixed grid no matter
-  how long the previous slice ran).
+  (drift-free schedules: a fleet frontend's arrivals land on their
+  planned cycles no matter how long the previous slice ran).
 - ``yield WaitFor(predicate)`` — block until ``predicate()`` holds.
 - ``yield Join(task)`` — block until another task finishes.
 

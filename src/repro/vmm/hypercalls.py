@@ -115,7 +115,6 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                         ptype[frame] = _NONE
             drop(vpn, None)
         else:
-            old = leaf.entries.get(idx) if leaf is not None else None
             if pte.present:
                 frame = pte.frame
                 if owner[frame] != domain_id:
@@ -125,6 +124,12 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                     raise PageValidationError(
                         f"mmu_update installs writable mapping of PT frame "
                         f"{frame}")
+            # make a missing leaf before counting, so running out of
+            # memory for it leaves no count without a PTE
+            if leaf is None:
+                leaf = aspace.leaf_for(vaddr, create=True)
+            old = leaf.entries.get(idx)
+            if pte.present:
                 prefs[frame] += 1
                 if t == _NONE:
                     ptype[frame] = _WRITABLE
@@ -137,8 +142,6 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                     prefs[frame] -= 1
                     if n == 1 and ptype[frame] == _WRITABLE:
                         ptype[frame] = _NONE
-            if leaf is None:
-                leaf = aspace.leaf_for(vaddr, create=True)
             leaf.entries[idx] = pte
             # the write may have instantiated a new leaf PT page under a
             # pinned PGD (an L2-entry install): validate-and-adopt it

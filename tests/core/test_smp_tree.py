@@ -1,7 +1,11 @@
 """The tree rendezvous (a §8 extension): O(log n) IPI fan-out and gather."""
 
-from repro import Machine, Mercury, small_config
+import pytest
+
+from repro import Machine, Mercury, faults, small_config
 from repro.core.smp_tree import TreeSmpCoordinator, use_tree_protocol
+from repro.errors import SwitchAborted
+from repro.scenarios.checkpoint import state_digest
 
 
 def _smp_mercury(ncpus, tree=False):
@@ -66,3 +70,21 @@ def test_tree_workload_roundtrip():
     k.run_and_reap(cpu, k.procs.get(pid))
     mc.detach()
     assert k.fs.exists("/tree")
+
+
+@pytest.mark.parametrize("direction", ["attach", "detach"])
+@pytest.mark.parametrize("ncpus", [3, 4])
+def test_tree_failed_switch_unmasks_every_cpu(ncpus, direction):
+    """A switch the last secondary's reload keeps failing is aborted with
+    every CPU responsive again and the stack digest-exact, as under the
+    flat protocol: the tree shares its failure path."""
+    mc = _smp_mercury(ncpus, tree=True)
+    if direction == "detach":
+        assert mc.attach() is not None
+    before = state_digest(mc)
+    plan = faults.FaultPlan()
+    plan.arm(faults.RELOAD_SECONDARY, cpu_id=ncpus - 1, times=None)
+    with faults.injected(plan), pytest.raises(SwitchAborted):
+        mc.attach() if direction == "attach" else mc.detach()
+    assert [c.interrupts_enabled for c in mc.machine.cpus] == [True] * ncpus
+    assert state_digest(mc) == before

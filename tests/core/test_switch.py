@@ -250,9 +250,9 @@ def test_failed_last_secondary_undoes_every_earlier_reload(ncpus, direction,
     undone = []
     real = switch.reload_secondary_rollback
 
-    def recording(cpu, kernel, prev_idt=None):
+    def recording(cpu, kernel):
         undone.append(cpu.cpu_id)
-        real(cpu, kernel, prev_idt)
+        real(cpu, kernel)
 
     monkeypatch.setattr(switch, "reload_secondary_rollback", recording)
     plan = faults.FaultPlan()

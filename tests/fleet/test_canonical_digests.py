@@ -27,8 +27,6 @@ DIGESTS = {
         "02e87a81aef256ef87ff50af59db0a736d0a2952aa4fcf6bf803576c6c162b98",
     "simload":
         "804f23aeea4f804716322bec092b3c60dc3bea76d9cec6d42159d683459ffec0",
-    "simload --machines 4 --workers 1":
-        "a914b7c5d7552ce83530e35410d01ce59d7f91689c07f315a84c18269bd81d48",
 }
 
 

@@ -227,10 +227,12 @@ def test_orchestrator_validation():
         FleetOrchestrator(machines=1)
 
 
-def test_process_transport_matches_inline():
+@pytest.mark.parametrize("workers", [2, 4])
+def test_process_transport_matches_inline(workers):
     serial = _run("liveupdate", 3, seed=21, workers=1)
     procs = run_fleet(scenario="liveupdate", machines=3, seed=21,
-                      workers=2, requests=36, transport="process",
+                      workers=workers, requests=36, transport="process",
                       mean_gap_cycles=150_000, mean_service_cycles=120_000,
                       log_requests=True)
     assert procs.canonical_output() == serial.canonical_output()
+    assert procs.fleet.metrics == serial.fleet.metrics

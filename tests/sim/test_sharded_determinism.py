@@ -2,17 +2,16 @@
 
 Hypothesis drives randomized fleets (size, seed, traffic shape) through
 the inline transport at k ∈ {1, 2, 4} and requires byte-identical
-canonical output, traces, and merged metrics.  Separate deterministic
-tests cover the process transport (real spawned workers) against the
-serial run, using the module-level fleet builder from
-:mod:`repro.bench.underload` so spawn children can import it.
+canonical output, traces, and merged metrics.  The process transport
+(real spawned workers) is checked on the service fleet
+(``tests/fleet/test_fleet_ops.py::test_process_transport_matches_inline``);
+the episode benches' worker fan-out is checked here.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.machine import Machine
@@ -95,34 +94,8 @@ def test_every_posted_payload_arrives_exactly_once():
 
 
 # ---------------------------------------------------------------------------
-# the process transport: real spawned workers vs. the serial fallback
+# worker fan-out of the episode benches
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_process_transport_matches_serial(workers):
-    from repro.bench.underload import run_fleet_under_load
-
-    serial = run_fleet_under_load(machines=4, workers=1, rounds=1,
-                                  files=2, iperf_bytes=64 * 1024, beats=2)
-    procs = run_fleet_under_load(machines=4, workers=workers, rounds=1,
-                                 files=2, iperf_bytes=64 * 1024, beats=2,
-                                 transport="process")
-    assert procs.canonical_output() == serial.canonical_output()
-    assert procs.metrics == serial.metrics
-
-
-def test_fleet_heartbeat_ring_closes():
-    from repro.bench.underload import run_fleet_under_load
-
-    res = run_fleet_under_load(machines=3, workers=1, rounds=1, files=2,
-                               iperf_bytes=64 * 1024, beats=2)
-    for row in res.node_results.values():
-        assert row["heartbeats_seen"] == 2
-        assert row["records"] == 2          # one attach + one detach
-        assert row["aborts"] == 0
-        assert row["kbuild_elapsed_us"] > 0
-        assert row["iperf_mbit_s"] > 0
-
 
 def test_chaos_campaign_worker_invariance():
     from repro.bench.chaoscampaign import run_chaos_campaign

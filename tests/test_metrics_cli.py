@@ -129,3 +129,12 @@ def test_cli_rejects_unknown_target():
     from repro.__main__ import main
     with pytest.raises(SystemExit):
         main(["table9"])
+
+
+@pytest.mark.parametrize("flags", [["--machines", "4"], ["--workers", "2"]])
+def test_cli_simload_rejects_fleet_flags(flags, capsys):
+    """simload is one machine: a fleet flag is an error, not ignored."""
+    from repro.__main__ import main
+    with pytest.raises(SystemExit):
+        main(["simload", *flags])
+    assert "simload runs one machine" in capsys.readouterr().err

@@ -207,3 +207,41 @@ def test_region_bad_entry_raises_after_the_entries_before_it():
                        + 40 * cost.cyc_mmu_update_batched
                        + cost.cyc_pte_validate * PT_ENTRIES)
     assert elapsed == 59_647
+
+
+@pytest.mark.parametrize("entries", [1, 64])
+def test_install_whose_leaf_memory_cannot_hold_counts_nothing(entries):
+    """Memory runs out making the missing leaf of an install: the write
+    raises OutOfMemory having taken no type or reference count for the PTE
+    it never wrote, and the page-info columns still equal a recompute.
+    One entry goes through the VO's single-PTE path; a region of 64 comes
+    to mmu_update because the columnar pass cannot make its leaf."""
+    from repro import Machine, Mercury, check_all, small_config
+    from repro.errors import OutOfMemory
+    from repro.params import PT_SPAN
+
+    mercury = Mercury(Machine(small_config()))
+    kernel = mercury.create_kernel(image_pages=8)
+    mercury.attach()
+    cpu = mercury.machine.boot_cpu
+    aspace = kernel.scheduler.current.aspace
+    mem = mercury.machine.memory
+    frames = mem.alloc_many(kernel.owner_id, entries)
+    mem.alloc_many(kernel.owner_id, mem.free_frames)
+    vaddr = 0x4000_0000
+    pgd_idx = vaddr // PT_SPAN
+    assert pgd_idx not in aspace.pgd.entries
+
+    with pytest.raises(OutOfMemory):
+        if entries == 1:
+            kernel.vo.set_pte(cpu, aspace, vaddr, Pte(frame=frames[0]))
+        else:
+            kernel.vo.apply_pte_region(cpu, aspace, [
+                (pgd_idx, {i: Pte(frame=f) for i, f in enumerate(frames)})])
+
+    page_info = mercury.vmm.page_info
+    assert pgd_idx not in aspace.pgd.entries
+    assert aspace.get_pte(vaddr) is None
+    assert [(page_info.type_count[f], page_info.ref_count[f])
+            for f in frames] == [(0, 0)] * entries
+    assert check_all(mercury) == []
