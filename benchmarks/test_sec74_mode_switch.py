@@ -7,44 +7,19 @@ which accounts for the major time to commit a switch."
 
 The measurement protocol mirrors the paper: RDTSC at the beginning and end
 of each switch, averaged over repeated switches, on a machine with a
-realistic process population.
+realistic process population (``repro.bench.runner.switch_stack`` and
+``mean_switch_times``).  The paper's protocol recalculates the full table on
+every attach, so the fidelity measurements run with the incremental
+recompute off.
 """
 
-from repro import Machine, Mercury
-from repro.core.accounting import AccountingStrategy
-from repro.core.switch import Direction
-
-#: an idle-2006-Linux-like process population
-PROCESSES = 42
-SWITCHES = 5
-
-
-def _populated_mercury(bench_config, num_cpus=1,
-                       strategy=AccountingStrategy.RECOMPUTE,
-                       incremental_attach=False):
-    # the paper's protocol recalculates the full table on every attach, so
-    # the fidelity measurements run with the incremental recompute off
-    machine = Machine(bench_config.with_cpus(num_cpus))
-    mercury = Mercury(machine, strategy=strategy,
-                      incremental_attach=incremental_attach)
-    kernel = mercury.create_kernel(image_pages=384)
-    cpu = machine.boot_cpu
-    for _ in range(PROCESSES - 1):
-        kernel.syscall(cpu, "fork")
-    return mercury
-
-
-def _measure(mercury, switches=SWITCHES):
-    for _ in range(switches):
-        mercury.attach()
-        mercury.detach()
-    return (mercury.mean_switch_us(Direction.TO_VIRTUAL),
-            mercury.mean_switch_us(Direction.TO_NATIVE))
+from repro.bench.runner import (SWITCH_PROCESSES, mean_switch_times,
+                                switch_stack)
 
 
 def test_sec74_mode_switch_time(bench_config):
-    mercury = _populated_mercury(bench_config)
-    to_virtual, to_native = _measure(mercury)
+    mercury = switch_stack(bench_config, SWITCH_PROCESSES, False)
+    to_virtual, to_native = mean_switch_times(mercury)
 
     from repro.bench.report import format_switch_times
     print()
@@ -63,13 +38,11 @@ def test_sec74_mode_switch_time(bench_config):
 def test_sec74_attach_scales_with_pt_pages(bench_config):
     """The stated mechanism: switch time tracks the page-table population
     (more processes -> more PT pages -> longer recompute)."""
-    small = Machine(bench_config)
-    mc_small = Mercury(small)
-    k = mc_small.create_kernel(image_pages=384)
+    mc_small = switch_stack(bench_config, 1, True)
     rec_small = mc_small.attach()
     mc_small.detach()
 
-    mc_big = _populated_mercury(bench_config)
+    mc_big = switch_stack(bench_config, SWITCH_PROCESSES, False)
     rec_big = mc_big.attach()
     mc_big.detach()
 
@@ -78,7 +51,7 @@ def test_sec74_attach_scales_with_pt_pages(bench_config):
 
 
 def test_sec74_switch_time_is_stable_across_repeats(bench_config):
-    mercury = _populated_mercury(bench_config)
+    mercury = switch_stack(bench_config, SWITCH_PROCESSES, False)
     cycles = []
     for _ in range(4):
         rec = mercury.attach()
@@ -91,14 +64,14 @@ def test_sec74_incremental_attach_beats_full_recompute(bench_config):
     """Beyond the paper: with the dirty-root tracker, an idle round trip
     re-pins clean roots instead of revalidating them, so the steady-state
     attach undercuts the paper's full-recompute attach severalfold."""
-    full = _populated_mercury(bench_config)
-    to_virtual_full, _ = _measure(full)
+    full = switch_stack(bench_config, SWITCH_PROCESSES, False)
+    to_virtual_full, _ = mean_switch_times(full)
 
-    inc = _populated_mercury(bench_config, incremental_attach=True)
+    inc = switch_stack(bench_config, SWITCH_PROCESSES, True)
     inc.attach()   # first attach always pays the full validation
     inc.detach()
     inc.engine.records.clear()
-    to_virtual_inc, _ = _measure(inc)
+    to_virtual_inc, _ = mean_switch_times(inc)
 
     assert inc.mmu_log.full_recomputes == 1
     assert to_virtual_inc < 0.5 * to_virtual_full, \

@@ -7,18 +7,13 @@ grow linearly in the number of page-table pages — this sweep measures the
 curve and fits it.
 """
 
-from repro import Machine, Mercury
+from repro.bench.runner import switch_stack
 
 POPULATIONS = (1, 8, 16, 32, 64)
 
 
 def _attach_at(bench_config, nprocs):
-    machine = Machine(bench_config)
-    mercury = Mercury(machine)
-    kernel = mercury.create_kernel(image_pages=384)
-    cpu = machine.boot_cpu
-    for _ in range(nprocs - 1):
-        kernel.syscall(cpu, "fork")
+    mercury = switch_stack(bench_config, nprocs, True)
     rec_attach = mercury.attach()
     rec_detach = mercury.detach()
     return rec_attach, rec_detach

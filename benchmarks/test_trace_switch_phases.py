@@ -25,12 +25,12 @@ from __future__ import annotations
 import timeit
 
 from conftest import PERF, committed, record, timed
-from repro import Machine, Mercury, trace
+from repro import trace
 from repro.bench.configs import build_config
+from repro.bench.runner import SWITCH_PROCESSES, switch_stack
 from repro.core.switch import Direction
 from repro.workloads.kbuild import run_kbuild
 
-PROCESSES = 42
 ROUND_TRIPS = 5
 
 #: the paper's Section 7.4 reference numbers
@@ -39,16 +39,6 @@ PAPER_DETACH_MS = 0.06
 
 #: incremental steady-state attach budget for the page-table phase
 INCREMENTAL_PT_BUDGET_US = 50.0
-
-
-def _populated(bench_config, num_cpus=1, incremental_attach=False):
-    machine = Machine(bench_config.with_cpus(num_cpus))
-    mercury = Mercury(machine, incremental_attach=incremental_attach)
-    kernel = mercury.create_kernel(image_pages=384)
-    cpu = machine.boot_cpu
-    for _ in range(PROCESSES - 1):
-        kernel.syscall(cpu, "fork")
-    return mercury
 
 
 def _phase_means_us(mercury, direction: str, freq: int) -> dict[str, float]:
@@ -78,7 +68,7 @@ def test_switch_phase_breakdown_and_disabled_overhead(bench_config):
     baseline = committed(PERF, "switch_trace")
 
     # -- per-phase decomposition of the §7.4 numbers (full recompute) -----
-    up = _populated(bench_config, num_cpus=1)
+    up = switch_stack(bench_config, SWITCH_PROCESSES, False)
     up.attach(), up.detach()  # warm the accountants before measuring
     attach_us = _phase_means_us(up, "attach", freq)
     detach_us = _phase_means_us(up, "detach", freq)
@@ -93,7 +83,7 @@ def test_switch_phase_breakdown_and_disabled_overhead(bench_config):
         v for k, v in attach_us.items() if k != "switch.commit")
 
     # -- the incremental steady state -------------------------------------
-    inc = _populated(bench_config, num_cpus=1, incremental_attach=True)
+    inc = switch_stack(bench_config, SWITCH_PROCESSES, True)
     inc.attach(), inc.detach()  # first attach pays the full validation
     inc.engine.records.clear()
     inc_attach_us = _phase_means_us(inc, "attach", freq)

@@ -13,13 +13,13 @@ Run:  python examples/reproduce_paper.py [--quick]
 import argparse
 import dataclasses
 
-from repro import Machine, Mercury, MachineConfig
+from repro import MachineConfig
 from repro.bench.configs import CONFIG_KEYS
 from repro.bench.report import (format_lmbench_table, format_relative_figure,
                                 format_switch_times)
-from repro.bench.runner import (relative_to_native, run_app_suite,
-                                run_lmbench_suite)
-from repro.core.switch import Direction
+from repro.bench.runner import (SWITCH_PROCESSES, mean_switch_times,
+                                relative_to_native, run_app_suite,
+                                run_lmbench_suite, switch_stack)
 
 PAPER_TABLE1 = {
     "Fork Process": (98, 482), "Exec Process": (372, 1233),
@@ -78,19 +78,10 @@ def main() -> None:
 
     # ---- §7.4 mode switch time ---------------------------------------------
     print("\nmeasuring mode switch time (Section 7.4)...")
-    machine = Machine(config)
-    mercury = Mercury(machine)
-    kernel = mercury.create_kernel(image_pages=384)
-    cpu = machine.boot_cpu
-    for _ in range(41):
-        kernel.syscall(cpu, "fork")
-    for _ in range(5):
-        mercury.attach()
-        mercury.detach()
+    to_virtual, to_native = mean_switch_times(
+        switch_stack(config, SWITCH_PROCESSES, True))
     print()
-    print(format_switch_times(
-        mercury.mean_switch_us(Direction.TO_VIRTUAL),
-        mercury.mean_switch_us(Direction.TO_NATIVE)))
+    print(format_switch_times(to_virtual, to_native))
 
 
 if __name__ == "__main__":

@@ -49,26 +49,12 @@ from repro import Machine, Mercury, MachineConfig, trace
 from repro.bench.configs import CONFIG_KEYS
 from repro.bench.report import (format_lmbench_table, format_relative_figure,
                                 format_switch_times)
-from repro.bench.runner import (relative_to_native, run_app_suite,
-                                run_lmbench_suite)
-from repro.core.switch import Direction
+from repro.bench.runner import (SWITCH_PROCESSES, mean_switch_times,
+                                relative_to_native, run_app_suite,
+                                run_lmbench_suite, switch_stack)
 
 TARGETS = ("table1", "table2", "fig3", "fig4", "switch", "trace",
            "simload", "chaos", "fleet", "elastic", "all")
-
-
-def _measure_switch(config) -> tuple[float, float]:
-    machine = Machine(config)
-    mercury = Mercury(machine)
-    kernel = mercury.create_kernel(image_pages=384)
-    cpu = machine.boot_cpu
-    for _ in range(41):
-        kernel.syscall(cpu, "fork")
-    for _ in range(5):
-        mercury.attach()
-        mercury.detach()
-    return (mercury.mean_switch_us(Direction.TO_VIRTUAL),
-            mercury.mean_switch_us(Direction.TO_NATIVE))
 
 
 def _trace_switch(config, num_cpus: int, json_path: str | None) -> None:
@@ -250,7 +236,8 @@ def main(argv: list[str] | None = None) -> int:
             rel, "Fig. 4. Relative performance, SMP mode", keys=keys))
         print()
     if want("switch"):
-        to_v, to_n = _measure_switch(config)
+        to_v, to_n = mean_switch_times(
+            switch_stack(config, SWITCH_PROCESSES, True))
         print(format_switch_times(to_v, to_n))
         print()
     if args.target == "trace":  # deliberately not part of "all"

@@ -42,8 +42,8 @@ class BareMetalVO(NativeVO):
     Refcounting is kept (it is free) so shared invariants hold."""
 
     mode_name = "bare"
-    #: the knob the sensitive wrapper (and enter()) honor — an unmodified
-    #: kernel has no function table to indirect through
+    #: the knob the sensitive wrapper honors — an unmodified kernel has
+    #: no function table to indirect through
     charges_indirect = False
 
 

@@ -65,10 +65,9 @@ def format_relative_figure(relative: dict[str, dict[str, float]], title: str,
     return "\n".join(lines)
 
 
-def format_switch_times(to_virtual_us: float, to_native_us: float,
-                        title: str = "Mode switch time (Section 7.4)") -> str:
+def format_switch_times(to_virtual_us: float, to_native_us: float) -> str:
     lines = [
-        title,
+        "Mode switch time (Section 7.4)",
         "",
         f"  native -> virtual : {to_virtual_us / 1000.0:6.3f} ms"
         f"   (paper: ~0.22 ms)",

@@ -4,6 +4,8 @@
 the application-level serieses of Figs. 3/4 (OSDB-IR, dbench, kernel build,
 ping, iperf).  Results are plain dicts keyed ``row -> config -> value`` so
 the report layer and the pytest benches can both consume them.
+``switch_stack`` and ``mean_switch_times`` are the §7.4 mode-switch
+measurement protocol.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.bench.configs import CONFIG_KEYS, SystemUnderTest, build_config
+from repro.core.mercury import Mercury
+from repro.core.switch import Direction
+from repro.hw.machine import Machine
 from repro.params import MachineConfig
 from repro.workloads.dbench import run_dbench
 from repro.workloads.iperf import run_iperf, run_ping
@@ -79,13 +84,40 @@ def run_app_suite(num_cpus: int = 1,
     return table
 
 
-def relative_to_native(table: dict[str, dict[str, float]],
-                       lower_is_better_rows: Iterable[str] = ("Linux build",
-                                                              "ping")
+#: §7.4's process population: an idle 2006-era Linux (init + 41 forks)
+SWITCH_PROCESSES = 42
+
+
+def switch_stack(config: MachineConfig, processes: int,
+                 incremental_attach: bool) -> Mercury:
+    """The §7.4 measurement stack: a native kernel with a 384-page image
+    and ``processes - 1`` idle forks of it.  ``incremental_attach=False``
+    recomputes the whole page-info table on every attach, as the paper
+    does."""
+    mercury = Mercury(Machine(config), incremental_attach=incremental_attach)
+    kernel = mercury.create_kernel(image_pages=384)
+    cpu = mercury.machine.boot_cpu
+    for _ in range(processes - 1):
+        kernel.syscall(cpu, "fork")
+    return mercury
+
+
+def mean_switch_times(mercury: Mercury) -> tuple[float, float]:
+    """Five attach/detach round trips; returns the mean to-virtual and
+    to-native switch times (µs) over every switch the engine recorded."""
+    for _ in range(5):
+        mercury.attach()
+        mercury.detach()
+    return (mercury.mean_switch_us(Direction.TO_VIRTUAL),
+            mercury.mean_switch_us(Direction.TO_NATIVE))
+
+
+def relative_to_native(table: dict[str, dict[str, float]]
                        ) -> dict[str, dict[str, float]]:
     """Normalize an app-suite table to the N-L column, as Figs. 3/4 plot
-    ('relative performance': 1.0 = native; higher = better)."""
-    lower = set(lower_is_better_rows)
+    ('relative performance': 1.0 = native; higher = better; the Linux
+    build and ping rows are times, so they invert)."""
+    lower = {"Linux build", "ping"}
     out: dict[str, dict[str, float]] = {}
     for row, per_config in table.items():
         base = per_config.get("N-L")

@@ -79,13 +79,10 @@ class MmuAccounting:
 
     # -- native/virtual VO hooks (zero simulated cycles) -----------------
 
-    def on_pt_write(self, aspace: "AddressSpace") -> None:
-        self.dirty.add(aspace.pgd.frame)
-
     def on_balloon(self, aspace: "AddressSpace") -> None:
         """A balloon operation (inflate unmap / deflate repopulate) touched
-        this root.  The PTE work itself already rode :meth:`on_pt_write`
-        through the VO; this explicit mark keeps the recompute exact even
+        this root.  The PTE work itself already marked the root through
+        the VO; this explicit mark keeps the recompute exact even
         for balloon paths that bypass the VO hot path, and counts how much
         of the dirty set balloon churn is responsible for."""
         self.dirty.add(aspace.pgd.frame)

@@ -58,9 +58,6 @@ class HvmSwitchRecord:
     def us(self, freq_mhz: int = 3000) -> float:
         return self.cycles / freq_mhz
 
-    def ms(self, freq_mhz: int = 3000) -> float:
-        return self.us(freq_mhz) / 1000.0
-
 
 class HvmVO(NativeVO):
     """The VO an HVM guest uses: structurally the *native* object — direct

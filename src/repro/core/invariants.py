@@ -15,8 +15,8 @@ Three consumers read it:
   registry order, stopping at the first verdict; *liveness* entries
   (true mid-operation, e.g. a backend inside ``poll``) only fire after
   consecutive observations.
-- The §6.2 self-healer's runqueue, fs-metadata and frame-refs sensors
-  detect through the same checks.
+- The §6.2 :class:`~repro.scenarios.healing.SelfHealer` keeps a repairer
+  per guest-OS entry it heals and detects through the entry's check.
 """
 
 from __future__ import annotations
@@ -128,6 +128,21 @@ def check_scheduler(mercury: "Mercury") -> list[str]:
             sched.current.state != TaskState.RUNNING:
         out.append(f"current task {sched.current.pid} not RUNNING")
     return out
+
+
+def check_proc_table(mercury: "Mercury") -> Iterator[str]:
+    """Every task is filed under its own pid, and a live task's parent is
+    still in the table unless it exited (a reaped zombie's children keep
+    their pointer to it)."""
+    tasks = mercury.kernel.procs.tasks
+    for pid, task in tasks.items():
+        if task.pid != pid:
+            yield f"task pid {task.pid} filed under pid {pid}"
+        parent = task.parent
+        if (task.state != TaskState.ZOMBIE and parent is not None
+                and parent.pid not in tasks
+                and parent.state != TaskState.ZOMBIE):
+            yield f"pid {task.pid}: parent {parent.pid} left the table"
 
 
 def check_pinning(mercury: "Mercury") -> list[str]:
@@ -357,6 +372,7 @@ REGISTRY: tuple[Invariant, ...] = (
               check_frame_ownership),
     Invariant("frame-refs", "guestos", STRUCTURAL, check_frame_refcounts),
     Invariant("runqueue", "guestos", STRUCTURAL, check_scheduler),
+    Invariant("proc-table", "guestos", STRUCTURAL, check_proc_table),
     Invariant("pinning", "core", STRUCTURAL, check_pinning),
     Invariant("tlb-coherence", "core", STRUCTURAL, check_tlb_coherence),
     Invariant("lazy-mmu", "core", STRUCTURAL, check_lazy_mmu),

@@ -183,10 +183,10 @@ class Mercury:
             return self.engine.records[-1]
         return None
 
-    def detach(self, cpu: Optional["Cpu"] = None,
-               wait: bool = True) -> Optional[SwitchRecord]:
+    def detach(self, cpu: Optional["Cpu"] = None) -> Optional[SwitchRecord]:
         """Partial-virtual → native: detach the VMM, OS back on bare
-        hardware."""
+        hardware.  Returns the switch record once committed (drains the
+        retry timer)."""
         if self.mode is Mode.NATIVE:
             raise ModeSwitchError("detach while already native")
         guests = self.guests
@@ -195,8 +195,7 @@ class Mercury:
                 f"cannot detach while hosting {len(guests)} guest(s)")
         before = len(self.engine.records)
         self.engine.request(Direction.TO_NATIVE, cpu)
-        if wait:
-            self._drain_until_committed(before)
+        self._drain_until_committed(before)
         if len(self.engine.records) > before:
             return self.engine.records[-1]
         return None
@@ -218,10 +217,9 @@ class Mercury:
             raise ModeSwitchError(f"departial from mode {self.mode}")
         self.mode = Mode.PARTIAL_VIRTUAL
 
-    def _drain_until_committed(self, before: int,
-                               max_rounds: int = 10_000) -> None:
+    def _drain_until_committed(self, before: int) -> None:
         """Let the retry timer fire until the pending switch commits."""
-        for _ in range(max_rounds):
+        for _ in range(10_000):  # retry-timer events before giving up
             if len(self.engine.records) > before:
                 return
             if self.machine.clock.next_deadline() is None:
@@ -323,8 +321,7 @@ class Mercury:
             self.kernel.route_table.pop(record.addr, None)
         return record
 
-    def connect_balloon(self, mem_pages: Optional[int] = None,
-                        mem_floor: int = 0):
+    def connect_balloon(self):
         """Dom0 ballooning: make the self-virtualized OS's own reservation
         elastic.  The kernel is its own driver domain, so front and back
         both live in dom0 — exactly Xen's arrangement.  Returns the
@@ -332,10 +329,8 @@ class Mercury:
         if self.mode is Mode.NATIVE:
             raise ModeSwitchError("connect_balloon requires an attached VMM")
         self.ensure_domain()
-        record = GuestWiring(self.kernel, None, mem_floor, balloon=True)
+        record = GuestWiring(self.kernel, None, balloon=True)
         self.wire(record)
-        if mem_pages is not None:
-            self._reserve(record, mem_pages)
         return record.balloon_pair
 
     @property

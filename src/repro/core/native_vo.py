@@ -122,15 +122,13 @@ class NativeVO(VirtualizationObject):
 
     @sensitive
     def update_pte_flags(self, cpu, aspace: "AddressSpace", vaddr: int, *,
-                         writable=None, present=None, cow=None) -> None:
+                         writable=None, cow=None) -> None:
         cpu.charge(cpu.cost.cyc_pte_write)
         pte = aspace.get_pte(vaddr)
         if pte is None:
             return
         if writable is not None:
             pte.writable = writable
-        if present is not None:
-            pte.present = present
         if cow is not None:
             pte.cow = cow
         cpu.tlb.invalidate(vaddr // PAGE_SIZE)

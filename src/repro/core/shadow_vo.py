@@ -76,15 +76,13 @@ class ShadowVirtualVO(VirtualVO):
 
     @sensitive
     def update_pte_flags(self, cpu, aspace: "AddressSpace", vaddr: int, *,
-                         writable=None, present=None, cow=None) -> None:
+                         writable=None, cow=None) -> None:
         pte = aspace.get_pte(vaddr)
         if pte is None:
             return
         cpu.charge(cpu.cost.cyc_pte_write)
         if writable is not None:
             pte.writable = writable
-        if present is not None:
-            pte.present = present
         if cow is not None:
             pte.cow = cow
         if id(aspace) in self.pager.shadows:

@@ -70,6 +70,8 @@ class TreeSmpCoordinator(SmpCoordinator):
             if level_sent:
                 clock.advance(cost.cyc_ipi_send + cost.cyc_ipi_deliver)
                 ipis += level_sent
+        # every tree IPI is a hardware IPI; the sends were charged per level
+        intc.sent_ipis += ipis
 
         # fan-in: acknowledgements aggregate up the tree, each level one
         # shared-variable update deep

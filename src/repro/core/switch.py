@@ -38,8 +38,7 @@ from repro.core.smp import RendezvousResult, SmpCoordinator
 from repro.core import transfer
 from repro.core.transfer import SwitchTransaction
 from repro.errors import (HypercallError, ModeSwitchError, ReloadFailure,
-                          RendezvousTimeout, SwitchAborted, SwitchBusy,
-                          TransferAborted)
+                          RendezvousTimeout, SwitchAborted, TransferAborted)
 from repro.hw.cpu import PrivilegeLevel
 from repro.hw.interrupts import VEC_SV_ATTACH, VEC_SV_DETACH
 
@@ -61,7 +60,7 @@ MAX_SWITCH_RETRIES = 8
 #: mid-transfer failures the engine treats as transient (retry with
 #: backoff); anything else rolls back and propagates immediately
 TRANSIENT_ERRORS = (HypercallError, RendezvousTimeout, TransferAborted,
-                    ReloadFailure, SwitchBusy)
+                    ReloadFailure)
 
 
 class Direction(enum.Enum):
@@ -108,13 +107,13 @@ class PendingSwitch:
 class ModeSwitchEngine:
     """Owns the switch interrupt handlers and the commit protocol."""
 
-    def __init__(self, mercury: "Mercury",
-                 max_retries: int = MAX_SWITCH_RETRIES):
+    def __init__(self, mercury: "Mercury"):
         self.mercury = mercury
         self.machine = mercury.machine
         self.smp = SmpCoordinator(self.machine)
         self.records: list[SwitchRecord] = []
-        self.max_retries = max_retries
+        #: failed commits before the attempt aborts (a storm raises it)
+        self.max_retries = MAX_SWITCH_RETRIES
         #: per-direction in-flight attempts (retry timers armed)
         self._pending: dict[Direction, PendingSwitch] = {}
         #: armed backoff timers, cancelled on commit/stale-drop so a retry

@@ -55,10 +55,6 @@ class SwitchTransaction:
         """Journal one completed step and its inverse."""
         self._undo.append((step, undo))
 
-    @property
-    def steps(self) -> list[str]:
-        return [name for name, _ in self._undo]
-
     def rollback(self, cpu: "Cpu") -> int:
         """Unwind every journalled step, newest first; returns the number
         of undo entries executed."""

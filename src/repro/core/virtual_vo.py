@@ -252,7 +252,7 @@ class VirtualVO(VirtualizationObject):
 
     @sensitive
     def update_pte_flags(self, cpu, aspace: "AddressSpace", vaddr: int, *,
-                         writable=None, present=None, cow=None) -> None:
+                         writable=None, cow=None) -> None:
         st = self._lazy_state(cpu)
         in_region = st.depth > 0 and self._pinned(aspace)
         if in_region:
@@ -266,8 +266,6 @@ class VirtualVO(VirtualizationObject):
         new = pte.clone()
         if writable is not None:
             new.writable = writable
-        if present is not None:
-            new.present = present
         if cow is not None:
             new.cow = cow
         if in_region:

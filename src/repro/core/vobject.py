@@ -58,15 +58,13 @@ def sensitive(fn):
     timer deadlines that landed while the method ran.  A mode-switch
     request delivered there observes ``refcount >= 1`` — the genuine
     some-CPU-is-inside-sensitive-code race of §5.1.1 — and must retry.
-    (The window sits *before* :meth:`VirtualizationObject.exit` so the
-    count still covers this call; it never sits before ``enter``, where a
-    commit could swap the VO under an already-bound method.)
+    (The window sits *before* the release so the count still covers this
+    call; it never sits before the entry, where a commit could swap the VO
+    under an already-bound method.)
     """
 
     @functools.wraps(fn)
     def wrapper(self: "VirtualizationObject", cpu: "Cpu", *args, **kwargs):
-        # enter()/exit() inlined: this wrapper runs on every sensitive op,
-        # so the two method dispatches are measurable across a workload.
         # ``charges_indirect`` is the class knob the N-L baseline clears.
         # The charge is a direct clock add — the cost is a constant, so
         # Cpu.charge's negative guard is dead weight here.
@@ -114,18 +112,7 @@ class VirtualizationObject:
         self.refcount = 0
         self.entries = 0          # lifetime count of sensitive-code entries
 
-    # -- reference counting (§5.1.1) ---------------------------------------
-
-    def enter(self, cpu: "Cpu") -> None:
-        if self.charges_indirect:
-            cpu.charge(cpu.cost.cyc_vo_indirect)
-        self.refcount += 1
-        self.entries += 1
-
-    def exit(self, cpu: "Cpu") -> None:
-        if self.refcount <= 0:
-            raise ConsistencyViolation("VO refcount underflow")
-        self.refcount -= 1
+    # -- reference counting (§5.1.1): the gate is :func:`sensitive` -------
 
     def busy(self) -> bool:
         """True while any CPU is executing inside this VO."""
@@ -179,7 +166,6 @@ class VirtualizationObject:
 
     def update_pte_flags(self, cpu: "Cpu", aspace: "AddressSpace", vaddr: int,
                          *, writable: Optional[bool] = None,
-                         present: Optional[bool] = None,
                          cow: Optional[bool] = None) -> None:
         raise NotImplementedError
 

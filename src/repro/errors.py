@@ -47,11 +47,6 @@ class InvalidPhysicalAddress(HardwareError):
     """An access referenced a frame outside installed physical memory."""
 
 
-class MachineCheck(HardwareError):
-    """Unrecoverable hardware error (used by failure-injection in the HPC
-    cluster scenario)."""
-
-
 class DeviceError(HardwareError):
     """A simulated device rejected or failed an operation."""
 
@@ -154,13 +149,6 @@ class MercuryError(ReproError):
 class ModeSwitchError(MercuryError):
     """A mode switch could not be performed (illegal target mode,
     inconsistent state, ...)."""
-
-
-class SwitchBusy(MercuryError):
-    """A mode switch could not commit because some CPU was executing inside
-    a virtualization object (non-zero reference count).  The switch engine
-    turns this into a retry via the 10 ms timer; it only escapes to callers
-    that asked for a non-blocking switch."""
 
 
 class RendezvousTimeout(MercuryError):

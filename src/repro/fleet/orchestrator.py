@@ -188,13 +188,12 @@ def run_fleet(**kwargs) -> FleetOpResult:
     return FleetOrchestrator(**kwargs).run()
 
 
-def degradation_ratio(percentiles: dict, label: str = "p99_cycles"
-                      ) -> Optional[float]:
-    """How much worse the wave phase's tail is than steady state
-    (None when either phase has no samples).  The fleet bench gates
-    this at 5x for the rolling update."""
-    steady = percentiles["steady"].get(label)
-    wave = percentiles["wave"].get(label)
+def degradation_ratio(percentiles: dict) -> Optional[float]:
+    """How much worse the wave phase's p99 is than steady state's (None
+    when either phase has no samples).  The fleet bench gates this at 5x
+    for the rolling update."""
+    steady = percentiles["steady"].get("p99_cycles")
+    wave = percentiles["wave"].get("p99_cycles")
     if not steady or not wave:
         return None
     return wave / steady

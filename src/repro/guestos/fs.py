@@ -88,9 +88,8 @@ class BufferCache:
 class FileSystem:
     """The mounted filesystem instance."""
 
-    def __init__(self, kernel: "Kernel", journal: bool = True):
+    def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self.journaled = journal
         self.inodes: dict[str, Inode] = {}
         self.cache = BufferCache()
         self._next_block = 1024  # blocks below are superblock/journal area
@@ -194,9 +193,8 @@ class FileSystem:
             # one batched submission — a split-driver ring carries the
             # whole file's dirty set behind a single doorbell
             self.kernel.block_write_many(cpu, batch)
-        if self.journaled:
-            cpu.charge(cpu.cost.cyc_journal_commit)
-            self.journal_commits += 1
+        cpu.charge(cpu.cost.cyc_journal_commit)
+        self.journal_commits += 1
         self.kernel.block_flush(cpu)
 
     def writeback(self, cpu: "Cpu", max_blocks: int = 4) -> int:
@@ -221,7 +219,7 @@ class FileSystem:
         flushed = len(batch)
         if batch:
             self.kernel.block_write_many(cpu, batch)
-        if self.journaled and flushed:
+        if flushed:
             cpu.charge(cpu.cost.cyc_journal_commit)
             self.journal_commits += 1
         self.kernel.block_flush(cpu)
@@ -243,5 +241,4 @@ class FileSystem:
     def _journal(self, cpu: "Cpu") -> None:
         """Record a metadata change; the cost of the *commit* is charged at
         fsync/sync time, a cheap in-memory append here."""
-        if self.journaled:
-            cpu.charge(50)
+        cpu.charge(50)

@@ -84,12 +84,22 @@ class Kernel:
         return self.machine.cpus[0]
 
     def boot(self, image_pages: int = DEFAULT_IMAGE_PAGES) -> Task:
-        """Bring the kernel up: descriptor tables, interrupt handlers,
-        device bindings, and the init process.  Returns init."""
+        """Bring the kernel up: :meth:`install_tables`, then the init
+        process.  Returns init."""
         if self.booted:
             raise GuestOSError("kernel already booted")
         cpu = self.boot_cpu
+        self.install_tables(cpu)
+        init = self.procs.spawn_initial("init", image_pages)
+        self.scheduler.context_switch(cpu, init)
+        self.booted = True
+        return init
 
+    def install_tables(self, cpu: "Cpu") -> None:
+        """The hardware half of bring-up: segment descriptors, the kernel
+        DPL (through the VO), the interrupt gates, the IDT and the device
+        lines.  :meth:`boot` runs it before spawning init; a kernel
+        restored from a checkpoint onto a fresh machine runs it alone."""
         # segments: firmware-style direct install, then mode-appropriate
         # DPL.  A guest booting under a VMM that already runs the machine
         # keeps the live descriptors: they are the host kernel's, and the
@@ -113,11 +123,6 @@ class Kernel:
             self.vo.bind_irq(cpu, "timer", 0, VEC_TIMER)
             self.vo.bind_irq(cpu, self.machine.disk.name, 0, VEC_DISK)
             self.vo.bind_irq(cpu, self.machine.nic.name, 0, VEC_NET)
-
-        init = self.procs.spawn_initial("init", image_pages)
-        self.scheduler.context_switch(cpu, init)
-        self.booted = True
-        return init
 
     # ------------------------------------------------------------------
     # syscall entry
@@ -259,12 +264,11 @@ class Kernel:
     # waiting / event draining
     # ------------------------------------------------------------------
 
-    def wait_for(self, cpu: "Cpu", predicate: Callable[[], bool],
-                 max_iterations: int = 1_000_000) -> None:
+    def wait_for(self, cpu: "Cpu", predicate: Callable[[], bool]) -> None:
         """Idle until ``predicate()`` holds, advancing simulated time to
         pending deadlines and servicing interrupts."""
         clock = self.machine.clock
-        for _ in range(max_iterations):
+        for _ in range(1_000_000):
             if predicate():
                 return
             deadline = clock.next_deadline()

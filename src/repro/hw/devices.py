@@ -36,11 +36,10 @@ class BlockDevice:
     """A single spindle with a seek/rotation/transfer latency model and a
     persistent block store (survives guest reboots, backs the filesystem)."""
 
-    def __init__(self, machine: "Machine", name: str = "sda",
-                 num_blocks: int = 1 << 20):
+    def __init__(self, machine: "Machine", name: str = "sda"):
         self.machine = machine
         self.name = name
-        self.num_blocks = num_blocks
+        self.num_blocks = 1 << 20
         self.blocks: dict[int, object] = {}
         # boot-time journal replay leaves the head at the data area
         self._head = 1024

@@ -113,8 +113,9 @@ class InterruptController:
     def pending_count(self, cpu_id: int) -> int:
         return len(self._pending[cpu_id])
 
-    def deliver_pending(self, cpu: "Cpu", max_events: int = 64) -> int:
-        """Deliver queued vectors on ``cpu`` through its installed IDT.
+    def deliver_pending(self, cpu: "Cpu") -> int:
+        """Deliver up to 64 queued vectors on ``cpu`` through its installed
+        IDT.
 
         Returns the number delivered.  Respects the interrupt flag; raises
         if a vector arrives with no gate (a real machine would triple-fault
@@ -127,7 +128,7 @@ class InterruptController:
         cyc_dispatch = cpu.cost.cyc_interrupt_dispatch
         pl_type = type(cpu.pl)
         clock = cpu.clock
-        while queue and delivered < max_events:
+        while queue and delivered < 64:
             pend = popleft()
             # idt_base is re-read per vector: a handler may install a new
             # IDT (that is exactly what a mode switch does)

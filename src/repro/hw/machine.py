@@ -113,9 +113,9 @@ class Machine:
             delivered += self.intc.deliver_pending(cpu)
         return fired + delivered
 
-    def run_until_idle(self, max_rounds: int = 100_000) -> None:
+    def run_until_idle(self) -> None:
         """Drive the event loop until no events or interrupts remain."""
-        for _ in range(max_rounds):
+        for _ in range(100_000):
             if self.clock.next_deadline() is None and not any(
                     self.intc.pending_count(c.cpu_id) for c in self.cpus):
                 return

@@ -91,8 +91,8 @@ class CheckpointImage:
 # checkpoint
 # ---------------------------------------------------------------------------
 
-def checkpoint(mercury: Mercury, cpu: Optional["Cpu"] = None,
-               include_disk: bool = True) -> CheckpointImage:
+def checkpoint(mercury: Mercury,
+               cpu: Optional["Cpu"] = None) -> CheckpointImage:
     """Snapshot the self-virtualized OS.
 
     If the OS is native, the VMM is attached for the duration of the
@@ -104,7 +104,7 @@ def checkpoint(mercury: Mercury, cpu: Optional["Cpu"] = None,
         mercury.attach(cpu)
     try:
         kernel.fs.sync_all(cpu)  # quiesce: the image carries clean FS state
-        image = capture(kernel, include_disk)
+        image = capture(kernel)
         cpu.charge(image.num_frames * CYC_SNAPSHOT_PER_FRAME)
     finally:
         if was_native:
@@ -334,7 +334,7 @@ def restore(image: CheckpointImage, mercury: Mercury,
         kernel = mercury.create_kernel(name=image.kernel_name,
                                        owner_id=image.owner_id, boot=False)
         kernel.booted = True  # restored, not booted
-        _install_boot_tables(kernel, cpu)
+        kernel.install_tables(cpu)
     else:
         kernel = mercury.kernel
         if kernel is None:
@@ -377,26 +377,6 @@ def restore_as_guest(image: CheckpointImage, host: Mercury,
     # §5.2: frontends are created and connected *after* the migration
     host.wire(GuestWiring(guest, f"{host.machine.nic.addr}:m{guest.owner_id}"))
     return guest
-
-
-def _install_boot_tables(kernel: "Kernel", cpu: "Cpu") -> None:
-    """Minimal hardware bring-up for a restored-from-scratch kernel."""
-    from repro.hw.cpu import SegmentDescriptor
-    from repro.hw.interrupts import VEC_DISK, VEC_NET, VEC_TIMER
-
-    for c in kernel.machine.cpus:
-        c.gdt = {1: SegmentDescriptor("kernel_cs", 0),
-                 2: SegmentDescriptor("kernel_ds", 0),
-                 3: SegmentDescriptor("user_cs", 3)}
-    kernel.vo.set_segment_dpl(cpu, kernel.vo.data.kernel_segment_dpl)  # as boot
-    kernel.idt.set_gate(VEC_TIMER, kernel._timer_irq, name="timer")
-    if kernel.has_devices:
-        kernel.idt.set_gate(VEC_DISK, kernel._disk_irq, name="disk")
-        kernel.idt.set_gate(VEC_NET, kernel._net_irq, name="net")
-        kernel.vo.load_idt(cpu, kernel.idt)
-        kernel.vo.bind_irq(cpu, "timer", 0, VEC_TIMER)
-        kernel.vo.bind_irq(cpu, kernel.machine.disk.name, 0, VEC_DISK)
-        kernel.vo.bind_irq(cpu, kernel.machine.nic.name, 0, VEC_NET)
 
 
 def _wipe(kernel: "Kernel", cpu: "Cpu") -> None:

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.mercury import Mercury, Mode
-from repro.errors import MachineCheck, ScenarioError
+from repro.errors import ScenarioError
 from repro.hw.clock import Clock
 from repro.hw.machine import Machine
-from repro.params import MachineConfig, small_config
+from repro.params import small_config
 from repro.scenarios.checkpoint import checkpoint, restore
 from repro.scenarios.migration import LiveMigration
 
@@ -69,11 +69,9 @@ class HardwareMonitor:
 class ClusterNode:
     """One machine in the cluster, with Mercury and a monitor."""
 
-    def __init__(self, name: str, clock: Clock,
-                 config: Optional[MachineConfig] = None):
+    def __init__(self, name: str, clock: Clock):
         self.name = name
-        self.machine = Machine(config or small_config(), clock=clock,
-                               name=name)
+        self.machine = Machine(small_config(), clock=clock, name=name)
         self.mercury = Mercury(self.machine)
         self.kernel = self.mercury.create_kernel(name=f"{name}-linux")
         self.monitor = HardwareMonitor()
@@ -110,12 +108,11 @@ class AvailabilityReport:
 class HpcCluster:
     """A set of nodes plus the evacuation policy of §6.5."""
 
-    def __init__(self, num_nodes: int = 2,
-                 config: Optional[MachineConfig] = None):
+    def __init__(self, num_nodes: int = 2):
         if num_nodes < 2:
             raise ScenarioError("a cluster needs at least two nodes")
-        self.clock = Clock(freq_mhz=(config or small_config()).cost.freq_mhz)
-        self.nodes = [ClusterNode(f"node{i}", self.clock, config)
+        self.clock = Clock(freq_mhz=small_config().cost.freq_mhz)
+        self.nodes = [ClusterNode(f"node{i}", self.clock)
                       for i in range(num_nodes)]
         for a, b in zip(self.nodes, self.nodes[1:]):
             a.machine.link_to(b.machine)

@@ -1,26 +1,25 @@
 """Self-healing of operating systems (§6.2).
 
-Sensors monitor the OS for anomalies; when one fires, the OS is
+The healer watches the OS through the laws of the invariant registry
+(:data:`repro.core.invariants.REGISTRY`); when one is broken, the OS is
 self-virtualized into partial-virtual mode, the pre-cached VMM — which has
 full control over the operating system — repairs the tainted state, and is
 detached again.  No remote repair machine (the paper's contrast with
 Backdoors-style healing) and no steady-state overhead.
 
-A :class:`Sensor` pairs a detector with a repairer.  Built-in sensors cover
-the kinds of state corruption the tests inject: scheduler runqueue damage,
-process-table inconsistencies, filesystem metadata corruption, and frame
-reference-count skew.  The runqueue, fs-metadata and frame-refs sensors
-detect through the invariant registry (:mod:`repro.core.invariants`), so
-the laws ``check_all`` enforces are exactly the ones the healer repairs.
+:data:`REPAIRERS` maps each guest-OS law the healer can mend to its
+repairer: scheduler runqueue damage, process-table inconsistencies,
+filesystem metadata corruption, and frame reference-count skew.  Detection
+is the registry entry's own check, so the laws ``check_all`` enforces are
+exactly the ones the healer repairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core.invariants import (check_filesystem, check_frame_refcounts,
-                                   check_scheduler)
+from repro.core.invariants import REGISTRY
 from repro.core.mercury import Mercury, Mode
 from repro.errors import HealingError
 from repro.guestos.process import TaskState
@@ -31,20 +30,6 @@ if TYPE_CHECKING:
 
 #: cycles the VMM spends introspecting + repairing per detected anomaly
 CYC_REPAIR = 60_000
-
-
-@dataclass
-class Sensor:
-    """One anomaly detector + repairer pair.
-
-    ``detect(mercury)`` is truthy while the anomaly is present (a registry
-    check's violation list serves directly); ``repair(kernel, cpu)`` fixes
-    the state (runs with the VMM attached)."""
-
-    name: str
-    detect: Callable[[Mercury], object]
-    repair: Callable[["Kernel", "Cpu"], None]
-    fires: int = 0
 
 
 @dataclass
@@ -59,30 +44,30 @@ class SelfHealer:
     """Monitors a self-virtualized OS and heals it through the VMM.
 
     One detection loop covers both damage domains: guest-OS anomalies
-    (the sensor suite below, repaired *through* the attached VMM) and
+    (the :data:`REPAIRERS` laws, repaired *through* the attached VMM) and
     VMM-structure corruption (the VMI watchdog's verdicts, repaired by
     microrebooting the VMM via :meth:`~repro.core.recovery.
     RecoveryManager.recover`).  Pre-install a watchdog and a recovery
     manager on the Mercury instance to enable the VMM half."""
 
-    def __init__(self, mercury: Mercury,
-                 sensors: Optional[list[Sensor]] = None):
+    def __init__(self, mercury: Mercury):
         self.mercury = mercury
-        self.sensors = sensors if sensors is not None else default_sensors()
         self.history: list[HealingRecord] = []
+        #: repairs per registry entry name
+        self.fires: dict[str, int] = {}
 
     def scan(self, cpu: Optional["Cpu"] = None) -> list[HealingRecord]:
-        """One monitoring pass: run every sensor; heal anything that
-        fires.  The VMM is attached at most once per pass (§6.2: 'it incurs
-        no performance degradation as the VMM is only required during
-        system healing')."""
+        """One monitoring pass: check every law in :data:`REPAIRERS`; heal
+        each one that is broken.  The VMM is attached at most once per
+        pass (§6.2: 'it incurs no performance degradation as the VMM is
+        only required during system healing')."""
         mercury = self.mercury
         kernel = mercury.kernel
         cpu = cpu or mercury.machine.boot_cpu
 
         records = self._scan_vmm(cpu)
-        firing = [s for s in self.sensors if s.detect(mercury)]
-        if not firing:
+        broken = [name for name in REPAIRERS if _violated(name, mercury)]
+        if not broken:
             return records
 
         was_native = mercury.mode is Mode.NATIVE
@@ -90,20 +75,20 @@ class SelfHealer:
             mercury.attach(cpu)
         vmm_records, records = records, []
         try:
-            for sensor in firing:
-                sensor.fires += 1
+            for name in broken:
+                self.fires[name] = self.fires.get(name, 0) + 1
                 t0 = mercury.machine.clock.cycles
                 cpu.charge(CYC_REPAIR)
-                sensor.repair(kernel, cpu)
-                healed = not sensor.detect(mercury)
+                REPAIRERS[name](kernel, cpu)
+                healed = not _violated(name, mercury)
                 records.append(HealingRecord(
-                    sensor_name=sensor.name,
+                    sensor_name=name,
                     detected_at_cycles=t0,
                     repair_cycles=mercury.machine.clock.cycles - t0,
                     healed=healed))
                 if not healed:
                     raise HealingError(
-                        f"sensor {sensor.name!r} could not repair the anomaly")
+                        f"law {name!r} could not be repaired")
         finally:
             self.history.extend(records)
             if was_native and mercury.mode is not Mode.NATIVE:
@@ -130,7 +115,7 @@ class SelfHealer:
 
 
 # ---------------------------------------------------------------------------
-# built-in sensors
+# repairers, one per registry law the healer mends
 # ---------------------------------------------------------------------------
 
 def _repair_runqueue(kernel: "Kernel", cpu: "Cpu") -> None:
@@ -142,19 +127,6 @@ def _repair_runqueue(kernel: "Kernel", cpu: "Cpu") -> None:
             seen.add(task.pid)
     kernel.scheduler.runqueue.clear()
     kernel.scheduler.runqueue.extend(fixed)
-
-
-def _detect_proc_table_skew(mercury: Mercury) -> bool:
-    """A task whose pid key disagrees with the task, or a dangling parent."""
-    kernel = mercury.kernel
-    for pid, task in kernel.procs.tasks.items():
-        if task.pid != pid:
-            return True
-        if task.parent is not None and \
-                task.parent.pid not in kernel.procs.tasks and \
-                task.parent.state != TaskState.ZOMBIE:
-            return True
-    return False
 
 
 def _repair_proc_table(kernel: "Kernel", cpu: "Cpu") -> None:
@@ -191,11 +163,17 @@ def _repair_frame_refs(kernel: "Kernel", cpu: "Cpu") -> None:
     kernel.vmem._frame_refs.update(actual)
 
 
-def default_sensors() -> list[Sensor]:
-    """The standard sensor suite."""
-    return [
-        Sensor("runqueue", check_scheduler, _repair_runqueue),
-        Sensor("proc-table", _detect_proc_table_skew, _repair_proc_table),
-        Sensor("fs-metadata", check_filesystem, _repair_fs),
-        Sensor("frame-refs", check_frame_refcounts, _repair_frame_refs),
-    ]
+#: registry entry name -> repairer, in scan order (history records keep it)
+REPAIRERS: dict[str, Callable[["Kernel", "Cpu"], None]] = {
+    "runqueue": _repair_runqueue,
+    "proc-table": _repair_proc_table,
+    "fs-metadata": _repair_fs,
+    "frame-refs": _repair_frame_refs,
+}
+
+_CHECKS = {inv.name: inv.check for inv in REGISTRY if inv.name in REPAIRERS}
+
+
+def _violated(name: str, mercury: Mercury) -> bool:
+    """Does the registry law ``name`` report a violation?"""
+    return any(_CHECKS[name](mercury))

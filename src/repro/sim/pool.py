@@ -370,8 +370,7 @@ class ShardedSim:
 # ---------------------------------------------------------------------------
 
 def parallel_episodes(fn: Callable, params: Iterable, *,
-                      workers: int = 1,
-                      chunksize: Optional[int] = None) -> list:
+                      workers: int = 1) -> list:
     """Map ``fn`` over parameter tuples, optionally across processes.
 
     The parallel path is ``spawn``-based (no inherited state) and
@@ -384,8 +383,7 @@ def parallel_episodes(fn: Callable, params: Iterable, *,
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
     procs = min(workers, len(jobs))
-    if chunksize is None:
-        chunksize = max(1, len(jobs) // (procs * 4))
+    chunksize = max(1, len(jobs) // (procs * 4))
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(processes=procs) as pool:
         return pool.starmap(fn, jobs, chunksize=chunksize)

@@ -157,11 +157,8 @@ class Tracer:
         """Events evicted by ring overflow, across all CPUs."""
         return sum(r.dropped for r in self._rings.values())
 
-    def events(self, cpu_id: Optional[int] = None) -> list[TraceEvent]:
-        """Buffered events in emission order (one CPU, or all merged)."""
-        if cpu_id is not None:
-            ring = self._rings.get(cpu_id)
-            return list(ring.events) if ring is not None else []
+    def events(self) -> list[TraceEvent]:
+        """Buffered events of every CPU, merged in emission order."""
         merged: list[TraceEvent] = []
         for ring in self._rings.values():
             merged.extend(ring.events)
@@ -192,8 +189,7 @@ def active() -> Optional[Tracer]:
 
 
 @contextmanager
-def tracing(target,
-            capacity_per_cpu: int = DEFAULT_CAPACITY) -> Iterator[Tracer]:
+def tracing(target) -> Iterator[Tracer]:
     """Install a tracer for the duration of a with-block.
 
     ``target`` is a ready-made :class:`Tracer`, a clock, or anything with
@@ -203,7 +199,7 @@ def tracing(target,
         tracer = target
     else:
         clock = getattr(target, "clock", target)
-        tracer = Tracer(clock, capacity_per_cpu=capacity_per_cpu)
+        tracer = Tracer(clock)
     install(tracer)
     try:
         yield tracer
@@ -267,9 +263,6 @@ class Span:
     @property
     def cycles(self) -> int:
         return (self.end - self.start) if self.end is not None else 0
-
-    def us(self, freq_mhz: int = 3000) -> float:
-        return self.cycles / freq_mhz
 
     def walk(self) -> Iterator["Span"]:
         yield self
@@ -374,9 +367,6 @@ class PhaseStat:
     def mean_cycles(self) -> float:
         return self.total_cycles / self.count if self.durations else 0.0
 
-    def mean_us(self, freq_mhz: int = 3000) -> float:
-        return self.mean_cycles / freq_mhz
-
 
 def phase_summary(events: list[TraceEvent],
                   names: Optional[tuple[str, ...]] = None
@@ -398,13 +388,13 @@ def phase_summary(events: list[TraceEvent],
 
 
 def format_phase_table(stats: dict[str, PhaseStat],
-                       freq_mhz: int = 3000,
-                       order: tuple[str, ...] = SWITCH_PHASES) -> str:
-    """Fixed-width per-phase latency table (µs), pipeline order first."""
+                       freq_mhz: int = 3000) -> str:
+    """Fixed-width per-phase latency table (µs), :data:`SWITCH_PHASES`
+    order first."""
     lines = [f"  {'phase':<24}{'count':>7}{'mean µs':>10}{'min µs':>10}"
              f"{'max µs':>10}"]
-    ordered = [n for n in order if n in stats]
-    ordered += [n for n in sorted(stats) if n not in order]
+    ordered = [n for n in SWITCH_PHASES if n in stats]
+    ordered += [n for n in sorted(stats) if n not in SWITCH_PHASES]
     for name in ordered:
         s = stats[name]
         lines.append(

@@ -16,8 +16,8 @@ unmasking and running the lost-wakeup-free final check
 
 The paper's dbench observation — domainU *faster* than native because the
 split model batches and caches writes (§7.3) — comes from
-:attr:`BlkBack.write_cache`: the backend acknowledges writes once they are
-in its cache, flushing asynchronously, "at the cost of possible
+:class:`BlkBack`'s write-behind cache: the backend acknowledges writes once
+they are in its cache, flushing asynchronously, "at the cost of possible
 inconsistency during crash" (the paper cites EXPLODE for that caveat).
 """
 
@@ -156,14 +156,12 @@ class BlkBack(_NapiBackend):
     def __init__(self, vmm: "Hypervisor", driver_domain: "Domain",
                  ring: IoRing, notify_frontend: Callable[["Cpu"], None],
                  submit: Callable[["Cpu", BlockRequest], None],
-                 write_cache: bool = True,
                  stats: Optional[IoStats] = None):
         super().__init__(vmm, driver_domain, notify_frontend, stats)
         self.ring = ring
         self._submit = submit
-        #: backend write caching: acknowledge writes from cache (the split
+        #: write-behind cache: writes are acknowledged from it (the split
         #: model's throughput win on dbench)
-        self.write_cache = write_cache
         self._cache: dict[int, object] = {}
         #: async flushes in flight (bounded write-behind)
         self._in_flight: list[BlockRequest] = []
@@ -224,24 +222,19 @@ class BlkBack(_NapiBackend):
             self._wait(req)
             entry.result = req.result
         elif entry.op == "write":
-            if self.write_cache:
-                self._cache[entry.block] = entry.data
-                # async flush: cheap ack now, device work deferred
-                req = BlockRequest(op="write", block=entry.block, data=entry.data)
-                self._in_flight.append(req)
-                self.vmm.machine.clock.schedule(
-                    cpu.cost.cyc_disk_submit,
-                    lambda r=req: self.vmm.machine.disk.submit(r))
-                # bounded write-behind: past FLUSH_DEPTH the backend stops
-                # acking from cache and lets the backlog drain
+            self._cache[entry.block] = entry.data
+            # async flush: cheap ack now, device work deferred
+            req = BlockRequest(op="write", block=entry.block, data=entry.data)
+            self._in_flight.append(req)
+            self.vmm.machine.clock.schedule(
+                cpu.cost.cyc_disk_submit,
+                lambda r=req: self.vmm.machine.disk.submit(r))
+            # bounded write-behind: past FLUSH_DEPTH the backend stops
+            # acking from cache and lets the backlog drain
+            self._reap_flushes()
+            while len(self._in_flight) > self.FLUSH_DEPTH:
+                self._wait_tick()
                 self._reap_flushes()
-                while len(self._in_flight) > self.FLUSH_DEPTH:
-                    self._wait_tick()
-                    self._reap_flushes()
-            else:
-                req = BlockRequest(op="write", block=entry.block, data=entry.data)
-                self._submit(cpu, req)
-                self._wait(req)
         elif entry.op == "flush":
             self.flushes += 1
             self._cache.clear()

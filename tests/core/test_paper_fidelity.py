@@ -116,7 +116,7 @@ def test_only_performance_critical_code_lives_in_the_vo(mercury):
         name for name in dir(VirtualizationObject)
         if not name.startswith("_") and callable(
             getattr(VirtualizationObject, name))
-        and name not in ("enter", "exit", "busy")
+        and name != "busy"
     }
     # CPU ops, entry/exit paths, MMU ops (including the lazy-MMU batching
     # region markers — PTE-update paths, squarely performance-critical),

@@ -38,6 +38,22 @@ def test_tree_switch_reaches_every_cpu():
         assert cpu.idt_base.owner == mc.kernel.name
 
 
+def test_tree_ipis_reach_the_hardware_counter():
+    """Each tree notification counts as a sent IPI, as under the flat
+    protocol, with no per-IPI charge: the gather and the end clock keep
+    the tree's once-per-level cost."""
+    from repro.metrics import MetricsCollector
+    mc = _smp_mercury(4, tree=True)
+    attach, detach = mc.attach(), mc.detach()
+    assert attach.rendezvous.ipis_sent == detach.rendezvous.ipis_sent == 3
+    assert mc.machine.intc.sent_ipis == 6
+    snap = MetricsCollector(mc.machine, mercury=mc).snapshot()
+    assert snap.ipis_sent == 6
+    assert attach.rendezvous.gather_cycles == 2420
+    assert detach.rendezvous.gather_cycles == 2420
+    assert mc.machine.clock.cycles == 233_713
+
+
 def test_tree_protocol_equivalent_outcome():
     """Flat and tree must produce identical post-switch state."""
     flat = _smp_mercury(4, tree=False)

@@ -4,6 +4,8 @@ import pytest
 
 from repro import Machine, Mercury, faults, small_config
 from repro.core import switch, transfer
+from repro.core.accounting import AccountingStrategy
+from repro.core.invariants import check_all
 from repro.core.mercury import Mode
 from repro.core.switch import Direction
 from repro.errors import ModeSwitchError, SwitchAborted
@@ -68,13 +70,12 @@ def test_busy_vo_defers_switch_until_refcount_zero(mercury):
     """§5.1.1: a switch requested while sensitive code runs must not
     commit; the retry timer lands it once the count drops."""
     k = mercury.kernel
-    cpu = mercury.machine.boot_cpu
-    k.vo.enter(cpu)   # simulate a long-running sensitive section
+    k.vo.refcount += 1   # hold the gate: a long-running sensitive section
     rec = mercury.attach(wait=False)
     assert rec is None
     assert mercury.mode is Mode.NATIVE
     assert mercury.engine.failed_attempts == 1
-    k.vo.exit(cpu)    # section ends
+    k.vo.refcount -= 1   # section ends
     # the 10 ms retry timer is armed; draining it commits the switch
     mercury._drain_until_committed(0)
     assert mercury.engine.records, "retry never committed"
@@ -85,11 +86,10 @@ def test_busy_vo_defers_switch_until_refcount_zero(mercury):
 
 def test_retry_period_is_10ms(mercury):
     k = mercury.kernel
-    cpu = mercury.machine.boot_cpu
-    k.vo.enter(cpu)
+    k.vo.refcount += 1   # hold the gate
     t0 = mercury.machine.clock.cycles
     mercury.attach(wait=False)
-    k.vo.exit(cpu)
+    k.vo.refcount -= 1
     mercury._drain_until_committed(0)
     elapsed_ms = (mercury.machine.clock.cycles - t0) / (3000 * 1000)
     assert 9.5 <= elapsed_ms <= 25  # one or two 10 ms periods
@@ -233,6 +233,40 @@ def test_mid_transfer_failure_rolls_back(direction, step, ncpus,
     assert mercury.engine.switch_rollbacks == 1
     assert _switch(mercury, direction) is not None
     assert mercury.mode is not mode
+
+
+def test_active_attach_rollback_unpins_the_first_aspace(monkeypatch):
+    """ACTIVE accounting: an attach aborted after it pinned the first
+    address space unpins exactly those frames, leaves the stack
+    digest-exact and lawful, and its retry commits."""
+    mercury = Mercury(Machine(small_config()),
+                      strategy=AccountingStrategy.ACTIVE)
+    kernel = mercury.create_kernel(image_pages=16)
+    kernel.syscall(mercury.machine.boot_cpu, "fork")
+    first = kernel.aspaces[0]
+    before = state_digest(mercury)
+    page_info = mercury.vmm.page_info
+    unpinned = []
+    real_unpin = page_info.unpin_frames
+
+    def unpin(frames):
+        unpinned.append(tuple(frames))
+        real_unpin(frames)
+
+    monkeypatch.setattr(page_info, "unpin_frames", unpin)
+    plan = faults.FaultPlan()
+    plan.arm(faults.PT_TRANSFER_ABORT, trigger_at=2, times=1)
+    with faults.injected(plan):
+        assert mercury.attach(wait=False) is None  # aborted on aspace 2
+        assert plan.log == [(faults.PT_TRANSFER_ABORT, None)]
+        assert unpinned == [tuple(pt.frame for pt in first.pt_pages())]
+        assert mercury.mode is Mode.NATIVE
+        assert state_digest(mercury) == before
+        assert check_all(mercury) == []
+        mercury._drain_until_committed(0)  # the backoff retry commits
+    assert mercury.mode is Mode.PARTIAL_VIRTUAL
+    assert mercury.engine.records[-1].retries == 1
+    assert check_all(mercury) == []
 
 
 @pytest.mark.parametrize("flavor", ["persistent", "transient"])

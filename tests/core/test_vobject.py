@@ -44,9 +44,18 @@ def test_refcount_nonzero_during_execution(machine):
 
 
 def test_refcount_underflow_detected(machine):
+    """A sensitive body that zeroes the count makes the wrapper's release
+    underflow."""
     vo = NativeVO(machine)
-    with pytest.raises(ConsistencyViolation):
-        vo.exit(machine.boot_cpu)
+    orig = vo.machine.intc.bind_line
+
+    def zeroing(line, cpu_id, vector):
+        vo.refcount = 0
+        return orig(line, cpu_id, vector)
+
+    vo.machine.intc.bind_line = zeroing
+    with pytest.raises(ConsistencyViolation, match="underflow"):
+        vo.bind_irq(machine.boot_cpu, "timer", 0, 0x20)
 
 
 def test_indirection_cost_charged(machine):
@@ -58,14 +67,29 @@ def test_indirection_cost_charged(machine):
 
 
 def test_nested_sensitive_ops_accumulate(machine):
+    """A sensitive call made from inside another sees both entries."""
     vo = NativeVO(machine)
     cpu = machine.boot_cpu
-    vo.enter(cpu)
-    vo.enter(cpu)
-    assert vo.refcount == 2
-    vo.exit(cpu)
-    assert vo.busy()
-    vo.exit(cpu)
+    seen = []
+    orig = vo.machine.intc.bind_line
+
+    def nested(line, cpu_id, vector):
+        orig(line, cpu_id, vector)
+        seen.append(vo.refcount)
+        vo.irq_disable(cpu)
+        seen.append(vo.refcount)
+
+    cli = cpu.cli
+
+    def spy_cli():
+        seen.append(vo.refcount)
+        cli()
+
+    vo.machine.intc.bind_line = nested
+    cpu.cli = spy_cli
+    vo.bind_irq(cpu, "timer", 0, 0x20)
+    assert seen == [1, 2, 1]  # outer, inner body, outer after the inner
+    assert vo.entries == 2
     assert not vo.busy()
 
 

@@ -152,6 +152,26 @@ def test_rolling_update_patches_every_serving_machine():
     assert 0 <= fr["wave_start_cycle"] < fr["wave_end_cycle"]
 
 
+def test_rolling_update_patch_runs_on_every_updated_machine(monkeypatch):
+    """The wave's payload is live: once updated, a machine's ``getpid``
+    answers with the patched pid + 1000."""
+    from repro.fleet import orchestrator
+    built = {}
+    real_build = orchestrator.build_fleet_node
+
+    def build(index, seed, **kwargs):
+        built[index] = real_build(index, seed, **kwargs)
+        return built[index]
+
+    monkeypatch.setattr(orchestrator, "build_fleet_node", build)
+    res = _run("liveupdate", 3, seed=3, workers=1)
+    assert res.frontend["updated_machines"] == [1, 2, 3]
+    for index in res.frontend["updated_machines"]:
+        kernel = built[index].kernel
+        task = kernel.scheduler.current
+        assert kernel.syscall(kernel.boot_cpu, "getpid") == task.pid + 1000
+
+
 def test_maintenance_round_trip():
     res = _run("maintenance", 4, seed=5, workers=2, maintain_count=2)
     fr = res.frontend

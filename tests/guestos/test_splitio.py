@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro import Machine, small_config
+from repro import Machine, Mercury, small_config
 from repro.core.virtual_vo import VirtualVO
 from repro.errors import RingError
-from repro.guestos.fs import BLOCK_SIZE
+from repro.guestos.fs import BLOCK_SIZE, BufferCache
 from repro.guestos.kernel import Kernel
 from repro.guestos.splitio import (BlkFront, NetFront, connect_split_block,
                                    connect_split_net)
@@ -266,3 +266,47 @@ def test_fsync_batch_notifies_once(xen_pair):
     assert stats.ring_batched_entries - entries0 >= 12  # 6 reqs + 6 rsps
     machine.run_until_idle()
     assert kU.fs.cache.dirty == set()
+
+
+@pytest.mark.parametrize("hosted", [False, True], ids=["native", "guest"])
+def test_dirty_eviction_leaves_through_the_block_driver(hosted):
+    """Eight blocks written through a 4-block buffer cache evict the four
+    oldest dirty ones before any fsync, through ``Kernel.block_write`` and
+    the driver's ``write_block``.  A native kernel's land on the disk at
+    once; a hosted guest's take the split block path and land once the
+    backend's write-behind drains."""
+    mercury = Mercury(Machine(small_config()))
+    kernel = mercury.create_kernel(image_pages=16)
+    if hosted:
+        mercury.attach()
+        kernel = mercury.host_guest(image_pages=8)
+    machine = mercury.machine
+    cpu = machine.boot_cpu
+    kernel.fs.cache = BufferCache(capacity=4)
+    driver = kernel.block_driver
+    assert isinstance(driver, BlkFront) is hosted
+    via_kernel, via_driver = [], []
+    block_write, write_block = kernel.block_write, driver.write_block
+
+    def kernel_spy(c, block, data):
+        via_kernel.append(block)
+        block_write(c, block, data)
+
+    def driver_spy(c, block, data):
+        via_driver.append(block)
+        write_block(c, block, data)
+
+    kernel.block_write, driver.write_block = kernel_spy, driver_spy
+    fd = kernel.syscall(cpu, "open", "/evict", True)
+    for i in range(8):
+        kernel.syscall(cpu, "write", fd, f"blk{i}", BLOCK_SIZE)
+
+    blocks = kernel.fs.inodes["/evict"].blocks
+    assert via_kernel == via_driver == blocks[:4]
+    assert kernel.fs.journal_commits == 0  # no fsync ran
+    assert kernel.fs.cache.dirty == set(blocks[4:])
+    on_disk = lambda: [machine.disk.blocks.get(b) for b in blocks[:4]]
+    if hosted:
+        assert on_disk() != ["blk0", "blk1", "blk2", "blk3"]  # write-behind
+        machine.run_until_idle()
+    assert on_disk() == ["blk0", "blk1", "blk2", "blk3"]

@@ -150,12 +150,11 @@ def test_machine_failure_flag_is_inspectable():
 def test_switch_request_while_retry_pending_coalesces(mercury):
     """Two requests while busy: both resolve into one committed switch."""
     k = mercury.kernel
-    cpu = mercury.machine.boot_cpu
-    k.vo.enter(cpu)
+    k.vo.refcount += 1   # hold the gate
     mercury.attach(wait=False)
     mercury.engine.request(  # a second, redundant request
         __import__("repro.core.switch", fromlist=["Direction"]).Direction.TO_VIRTUAL)
-    k.vo.exit(cpu)
+    k.vo.refcount -= 1
     mercury._drain_until_committed(0)
     # drain the leftover duplicate retry too: it must be a harmless no-op
     mercury.machine.clock.drain_until_idle()

@@ -9,27 +9,17 @@ numbers (they are population-dependent, not memory-size-dependent).
 import pytest
 
 from repro import Machine, Mercury, paper_config, small_config
+from repro.bench.runner import SWITCH_PROCESSES, switch_stack
 
 
 def test_paper_scale_machine_and_switch():
-    machine = Machine(paper_config())
-    assert machine.memory.num_frames == 225_000
-
-    mercury = Mercury(machine)
-    kernel = mercury.create_kernel(image_pages=384)
-    cpu = machine.boot_cpu
-    for _ in range(41):
-        kernel.syscall(cpu, "fork")
-
+    mercury = switch_stack(paper_config(), SWITCH_PROCESSES, True)
+    assert mercury.machine.memory.num_frames == 225_000
     rec_big = mercury.attach()
     mercury.detach()
 
     # the same population on a small machine: identical switch cost
-    small = Machine(small_config(mem_kb=262_144))
-    mc2 = Mercury(small)
-    k2 = mc2.create_kernel(image_pages=384)
-    for _ in range(41):
-        k2.syscall(small.boot_cpu, "fork")
+    mc2 = switch_stack(small_config(mem_kb=262_144), SWITCH_PROCESSES, True)
     rec_small = mc2.attach()
     mc2.detach()
 

@@ -6,7 +6,7 @@ from repro.core.mercury import Mode
 from repro.errors import ScenarioError
 from repro.guestos.process import TaskState
 from repro.scenarios.cluster import HardwareMonitor, HpcCluster, NodeState
-from repro.scenarios.healing import SelfHealer, Sensor, default_sensors
+from repro.scenarios.healing import SelfHealer
 
 
 # ---------------------------------------------------------------------------
@@ -97,21 +97,6 @@ def test_healing_from_virtual_mode_stays_attached(mercury):
     k.scheduler.runqueue.extend([t, t])
     SelfHealer(mercury).scan()
     assert mercury.mode is Mode.PARTIAL_VIRTUAL
-
-
-def test_custom_sensor(mercury):
-    flag = {"bad": True}
-    sensor = Sensor("custom",
-                    detect=lambda m: flag["bad"],
-                    repair=lambda k, c: flag.update(bad=False))
-    records = SelfHealer(mercury, [sensor]).scan()
-    assert records[0].healed
-    assert sensor.fires == 1
-
-
-def test_default_sensor_suite_complete():
-    names = {s.name for s in default_sensors()}
-    assert names == {"runqueue", "proc-table", "fs-metadata", "frame-refs"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Unit coverage for the §6.2 sensor suite and the watchdog wiring.
+"""Unit coverage for the §6.2 healer's laws and the watchdog wiring.
 
-The cluster-level tests exercise the sensors through ``SelfHealer.scan``;
-here each built-in ``detect``/``repair`` pair is driven directly (fires on
-exactly the anomaly it owns, repairs to a state its own detector accepts,
-stays quiet on healthy kernels), and the VMM half of the detection loop —
-watchdog verdict → microreboot → ``vmm:<invariant>`` history record — is
-pinned down.
+The cluster-level tests exercise the healer through ``SelfHealer.scan``;
+here each registry law the healer mends is driven directly with its
+repairer (the check fires on exactly the anomaly it owns, the repair
+leaves a state the check accepts, and it stays quiet on healthy kernels),
+and the VMM half of the detection loop — watchdog verdict → microreboot →
+``vmm:<invariant>`` history record — is pinned down.
 """
 
 from __future__ import annotations
@@ -13,27 +13,32 @@ from __future__ import annotations
 import pytest
 
 from repro import faults
+from repro.core.invariants import (REGISTRY, STRUCTURAL, check_all,
+                                   check_filesystem, check_frame_refcounts,
+                                   check_proc_table, check_scheduler)
 from repro.core.mercury import Mode
 from repro.core.recovery import RecoveryManager
 from repro.errors import HealingError
 from repro.guestos.process import TaskState
-from repro.core.invariants import (check_filesystem, check_frame_refcounts,
-                                   check_scheduler)
-from repro.scenarios.healing import (SelfHealer, default_sensors,
-                                     _detect_proc_table_skew,
+from repro.scenarios.healing import (REPAIRERS, SelfHealer,
                                      _repair_frame_refs, _repair_fs,
                                      _repair_proc_table, _repair_runqueue)
 from repro.watchdog import Watchdog
 
 
-def _sensor(name):
-    return next(s for s in default_sensors() if s.name == name)
-
-
 # ---------------------------------------------------------------------------
-# the four built-in detect/repair pairs, driven directly (three detect
-# through the invariant registry's checks)
+# the four registry laws the healer mends, each driven directly with its
+# repairer
 # ---------------------------------------------------------------------------
+
+def test_every_repaired_law_is_a_guestos_registry_entry():
+    entries = {inv.name: inv for inv in REGISTRY}
+    assert list(REPAIRERS) == ["runqueue", "proc-table", "fs-metadata",
+                               "frame-refs"]
+    for name in REPAIRERS:
+        assert entries[name].layer == "guestos"
+        assert entries[name].kind == STRUCTURAL
+
 
 def test_runqueue_pair(mercury):
     k = mercury.kernel
@@ -59,15 +64,55 @@ def test_runqueue_pair(mercury):
 def test_proc_table_pair(mercury):
     k = mercury.kernel
     cpu = mercury.machine.boot_cpu
-    assert not _detect_proc_table_skew(mercury)
+    assert not list(check_proc_table(mercury))
 
     pid = k.syscall(cpu, "fork")
     child = k.procs.get(pid)
     child.pid = pid + 500  # key/task disagreement
-    assert _detect_proc_table_skew(mercury)
+    assert list(check_proc_table(mercury)) == [
+        f"task pid {pid + 500} filed under pid {pid}"]
     _repair_proc_table(k, cpu)
-    assert not _detect_proc_table_skew(mercury)
+    assert not list(check_proc_table(mercury))
     assert k.procs.tasks[pid].pid == pid
+
+
+def test_proc_table_dangling_parent(mercury):
+    """A live task whose parent left the table without exiting breaks the
+    law; one whose parent was reaped as a zombie does not."""
+    k = mercury.kernel
+    cpu = mercury.machine.boot_cpu
+    parent_pid = k.syscall(cpu, "fork")
+    parent = k.procs.get(parent_pid)
+    child_pid = k.syscall(cpu, "fork", task=parent)
+    del k.procs.tasks[parent_pid]  # dropped while still running
+    assert list(check_proc_table(mercury)) == [
+        f"pid {child_pid}: parent {parent_pid} left the table"]
+    parent.state = TaskState.ZOMBIE  # as if it exited and was reaped
+    assert not list(check_proc_table(mercury))
+    parent.state = TaskState.READY
+    _repair_proc_table(k, cpu)
+    assert k.procs.get(child_pid).parent is None
+    assert not list(check_proc_table(mercury))
+
+
+def test_refiled_task_is_seen_by_check_all_and_healed(mercury):
+    """A task filed under a pid that is not its own breaks a registry law:
+    ``check_all`` (the chaos campaign's, the crash matrix's and the
+    fleet's end-of-run check) reports it, and the healer repairs it."""
+    k = mercury.kernel
+    cpu = mercury.machine.boot_cpu
+    pid = k.syscall(cpu, "fork")
+    k.procs.tasks[pid + 50] = k.procs.tasks.pop(pid)
+    assert check_all(mercury) == [f"task pid {pid} filed under pid {pid + 50}"]
+
+    healer = SelfHealer(mercury)
+    records = healer.scan()
+    assert [(r.sensor_name, r.healed) for r in records] == [
+        ("proc-table", True)]
+    assert healer.fires == {"proc-table": 1}
+    assert k.procs.tasks[pid + 50].pid == pid + 50
+    assert check_all(mercury) == []
+    assert mercury.mode is Mode.NATIVE
 
 
 def test_fs_metadata_pair(mercury):
@@ -115,26 +160,26 @@ def test_frame_refs_pair(mercury):
     assert not check_frame_refcounts(mercury)
 
 
-def test_each_sensor_ignores_the_other_anomalies(mercury):
-    """Sensors are orthogonal: runqueue damage must not trip the fs or
-    proc-table detectors and vice versa."""
+def test_each_law_ignores_the_other_anomalies(mercury):
+    """The laws are orthogonal: runqueue damage must not trip the fs or
+    proc-table checks and vice versa."""
     k = mercury.kernel
     t = k.scheduler.current
     k.scheduler.runqueue.extend([t, t])
-    assert not _detect_proc_table_skew(mercury)
+    assert not list(check_proc_table(mercury))
     assert not check_filesystem(mercury)
     assert not check_frame_refcounts(mercury)
     _repair_runqueue(k, mercury.machine.boot_cpu)
 
 
-def test_sensor_fire_counters(mercury):
+def test_repair_counters(mercury):
     k = mercury.kernel
     healer = SelfHealer(mercury)
     t = k.scheduler.current
     k.scheduler.runqueue.extend([t, t])
     healer.scan()
-    assert _sensor("runqueue").fires == 0  # fresh suite: per-instance count
-    assert next(s for s in healer.sensors if s.name == "runqueue").fires == 1
+    assert healer.fires == {"runqueue": 1}
+    assert SelfHealer(mercury).fires == {}  # per-healer count
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,17 @@ def test_format_switch_times_mentions_paper():
 
 
 def test_bare_metal_vo_has_no_indirection_cost(machine):
+    """Through the sensitive wrapper every workload runs: the N-L
+    baseline's VO charges nothing, Mercury's native VO the indirection."""
     from repro.bench.configs import BareMetalVO
-    vo = BareMetalVO(machine)
+    from repro.core.native_vo import NativeVO
     cpu = machine.boot_cpu
+    bare = BareMetalVO(machine)
     t0 = cpu.rdtsc()
-    vo.enter(cpu)
-    vo.exit(cpu)
-    assert cpu.rdtsc() == t0  # truly free, unlike Mercury's NativeVO
+    bare.irq_disable(cpu)
+    assert cpu.rdtsc() == t0  # truly free
+    assert bare.entries == 1 and not bare.busy()  # still refcounted
+    native = NativeVO(machine)
+    t0 = cpu.rdtsc()
+    native.irq_disable(cpu)
+    assert cpu.rdtsc() - t0 == cpu.cost.cyc_vo_indirect == 3

@@ -69,26 +69,6 @@ def test_blkback_cached_ack_is_fast(blk_env):
     assert ack_cycles < device_cycles
 
 
-def test_blkback_writethrough_mode_waits(machine, warm_vmm):
-    dom0 = warm_vmm.create_domain("dom0", domain_id=0, is_driver_domain=True)
-    warm_vmm.activate()
-    from repro.hw.interrupts import Idt, VEC_DISK
-    idt = Idt("t")
-    idt.set_gate(VEC_DISK, lambda c, v: None)
-    machine.boot_cpu.load_idt(idt)
-    machine.intc.bind_line("sda", 0, VEC_DISK)
-    ring = IoRing(size=8)
-
-    def submit(cpu, req):
-        machine.disk.submit(req)
-
-    back = BlkBack(warm_vmm, dom0, ring, notify_frontend=lambda c: None,
-                   submit=submit, write_cache=False)
-    ring.push_request(BlkRingEntry(op="write", block=9000, data="sync"))
-    back.poll(machine.boot_cpu)
-    assert machine.disk.blocks[9000] == "sync"  # already on the platter
-
-
 def test_blkback_read_miss_goes_to_device(blk_env):
     cpu, machine, ring, back, notified = blk_env
     machine.disk.write_sync(7000, "from-disk")
