@@ -252,6 +252,10 @@ class ProcessTable:
         return [t for t in self.tasks.values() if t.state != TaskState.ZOMBIE]
 
     def _alloc_pid(self) -> int:
+        """The next unused pid.  A proc-table repair can file a task under
+        a pid ahead of the counter, so pids the table holds are skipped."""
         pid = self._next_pid
-        self._next_pid += 1
+        while pid in self.tasks:
+            pid += 1
+        self._next_pid = pid + 1
         return pid

@@ -22,8 +22,9 @@ Design rules:
   events; overflow drops oldest-first and counts what it dropped
   (surfaced as the ``trace_dropped`` metric).
 - **Well-formed by construction.**  Pipeline spans are emitted through
-  ``try/finally`` (the :func:`span` context manager), so every begin has
-  a matching end even when a fault unwinds the switch mid-transfer.
+  the :class:`span` context manager, whose exit runs on every unwind, so
+  every begin has a matching end even when a fault unwinds the switch
+  mid-transfer.
 - **Monotonic per CPU.**  The SMP coordinator overlaps secondary work
   against the control processor's timeline by rewinding the shared clock
   (:mod:`repro.core.smp`); the recorder clamps each CPU's timestamps to be
@@ -45,8 +46,8 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:
@@ -76,7 +77,7 @@ SWITCH_PHASES = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One recorded event: a span edge (B/E) or an instant (I)."""
 
@@ -90,21 +91,18 @@ class TraceEvent:
     args: Optional[dict] = None
 
 
+_BY_SEQ = attrgetter("seq")
+
+
 class _CpuRing:
     """Bounded per-CPU ring: overflow evicts oldest-first, counted."""
 
-    __slots__ = ("events", "capacity", "dropped", "last_ts")
+    __slots__ = ("events", "dropped", "last_ts")
 
     def __init__(self, capacity: int):
         self.events: deque[TraceEvent] = deque(maxlen=capacity)
-        self.capacity = capacity
         self.dropped = 0
         self.last_ts = 0
-
-    def append(self, event: TraceEvent) -> None:
-        if len(self.events) == self.capacity:
-            self.dropped += 1  # deque(maxlen) evicts the oldest on append
-        self.events.append(event)
 
 
 class Tracer:
@@ -116,30 +114,29 @@ class Tracer:
         self.clock = clock
         self.capacity_per_cpu = capacity_per_cpu
         self._rings: dict[int, _CpuRing] = {}
-        self._seq = 0
         #: lifetime count of recorded events (monotonic; metrics snapshots
-        #: diff it, so it is not reduced by ring eviction or clear())
+        #: diff it, so it is not reduced by ring eviction); it is also the
+        #: next event's ``seq``
         self.recorded = 0
 
     # -- recording -------------------------------------------------------
 
-    def _ring(self, cpu_id: int) -> _CpuRing:
+    def _emit(self, kind: str, cpu_id: int, name: str,
+              args: Optional[dict]) -> None:
         ring = self._rings.get(cpu_id)
         if ring is None:
             ring = self._rings[cpu_id] = _CpuRing(self.capacity_per_cpu)
-        return ring
-
-    def _emit(self, kind: str, cpu_id: int, name: str,
-              args: Optional[dict]) -> None:
-        ring = self._ring(cpu_id)
         ts = self.clock.cycles
         if ts < ring.last_ts:       # overlapped SMP timeline: clamp
             ts = ring.last_ts
         else:
             ring.last_ts = ts
-        ring.append(TraceEvent(kind, name, cpu_id, ts, self._seq, args))
-        self._seq += 1
-        self.recorded += 1
+        events = ring.events
+        if len(events) == self.capacity_per_cpu:
+            ring.dropped += 1       # deque(maxlen) evicts the oldest
+        seq = self.recorded
+        events.append(TraceEvent(kind, name, cpu_id, ts, seq, args))
+        self.recorded = seq + 1
 
     def begin(self, cpu_id: int, name: str, **args) -> None:
         self._emit(BEGIN, cpu_id, name, args or None)
@@ -159,10 +156,13 @@ class Tracer:
 
     def events(self) -> list[TraceEvent]:
         """Buffered events of every CPU, merged in emission order."""
+        rings = [r.events for r in self._rings.values() if r.events]
+        if len(rings) == 1:         # one ring is already in seq order
+            return list(rings[0])
         merged: list[TraceEvent] = []
-        for ring in self._rings.values():
-            merged.extend(ring.events)
-        merged.sort(key=lambda e: e.seq)
+        for events in rings:
+            merged.extend(events)
+        merged.sort(key=_BY_SEQ)
         return merged
 
 
@@ -188,55 +188,58 @@ def active() -> Optional[Tracer]:
     return _ACTIVE
 
 
-@contextmanager
-def tracing(target) -> Iterator[Tracer]:
-    """Install a tracer for the duration of a with-block.
+class tracing:
+    """Install a tracer for the duration of a with-block; ``as`` binds it.
 
     ``target`` is a ready-made :class:`Tracer`, a clock, or anything with
     a ``.clock`` attribute (a ``Machine``) to build a fresh tracer
-    against."""
-    if isinstance(target, Tracer):
-        tracer = target
-    else:
-        clock = getattr(target, "clock", target)
-        tracer = Tracer(clock)
-    install(tracer)
-    try:
-        yield tracer
-    finally:
+    against.  Leaving the block uninstalls it, also on an exception.
+    Fleet nodes enter one per advance, so this is a plain class rather
+    than a generator context manager."""
+
+    __slots__ = ("tracer",)
+
+    def __init__(self, target) -> None:
+        if isinstance(target, Tracer):
+            self.tracer = target
+        else:
+            self.tracer = Tracer(getattr(target, "clock", target))
+
+    def __enter__(self) -> Tracer:
+        install(self.tracer)
+        return self.tracer
+
+    def __exit__(self, *exc) -> None:
         uninstall()
 
 
 # -- the pipeline hooks (near-zero cost when no tracer is installed) --------
 
-def begin(cpu_id: int, name: str, **args) -> None:
-    if _ACTIVE is None:
-        return
-    _ACTIVE.begin(cpu_id, name, **args)
-
-
-def end(cpu_id: int, name: str, **args) -> None:
-    if _ACTIVE is None:
-        return
-    _ACTIVE.end(cpu_id, name, **args)
-
-
 def instant(cpu_id: int, name: str, **args) -> None:
     if _ACTIVE is None:
         return
-    _ACTIVE.instant(cpu_id, name, **args)
+    _ACTIVE._emit(INSTANT, cpu_id, name, args or None)
 
 
-@contextmanager
-def span(cpu_id: int, name: str, **args) -> Iterator[None]:
+class span:
     """Begin/end pair guaranteed to match across exceptions.  The enabled
     check happens at both edges so the pair stays balanced even if a tracer
-    is (un)installed mid-span."""
-    begin(cpu_id, name, **args)
-    try:
-        yield
-    finally:
-        end(cpu_id, name)
+    is (un)installed mid-span: only an edge that sees a tracer records."""
+
+    __slots__ = ("cpu_id", "name", "args")
+
+    def __init__(self, cpu_id: int, name: str, **args) -> None:
+        self.cpu_id = cpu_id
+        self.name = name
+        self.args = args or None
+
+    def __enter__(self) -> None:
+        if _ACTIVE is not None:
+            _ACTIVE._emit(BEGIN, self.cpu_id, self.name, self.args)
+
+    def __exit__(self, *exc) -> None:
+        if _ACTIVE is not None:
+            _ACTIVE._emit(END, self.cpu_id, self.name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -495,25 +498,47 @@ def canonical_lines(events: list[TraceEvent]) -> list[str]:
     *symbolic* args (strings/bools, with digit runs scrubbed to ``N`` so
     frame numbers and cycle-derived values cannot leak in).  Drops: raw
     timestamps and every numeric arg.  Two traces with the same structure
-    canonicalize identically even if every cycle count differs."""
+    canonicalize identically even if every cycle count differs.
+
+    A line is ``cpu{id} {". " * depth}{mark} {name}`` plus `` key=value``
+    per symbolic arg in key order.  A trace repeats a few shapes many
+    times, so each ``(cpu, depth, kind)`` head and each scrubbed
+    ``(key, str(value))`` pair is built once per call."""
     depths: dict[int, int] = {}
+    heads: dict[tuple, str] = {}
+    pairs: dict[tuple, str] = {}
     lines: list[str] = []
+    append = lines.append
     for ev in events:
-        depth = depths.get(ev.cpu_id, 0)
-        if ev.kind == END:
-            depth = max(0, depth - 1)
-            depths[ev.cpu_id] = depth
-        parts = [f"cpu{ev.cpu_id}", ". " * depth + _KIND_MARK[ev.kind],
-                 ev.name]
-        if ev.args:
-            for key in sorted(ev.args):
-                value = ev.args[key]
-                if isinstance(value, bool) or not isinstance(
-                        value, (int, float)):
-                    parts.append(f"{key}={_DIGITS.sub('N', str(value))}")
-        lines.append(" ".join(parts))
-        if ev.kind == BEGIN:
-            depths[ev.cpu_id] = depth + 1
+        cpu, kind = ev.cpu_id, ev.kind
+        depth = depths.get(cpu, 0)
+        if kind == END and depth:
+            depth -= 1
+            depths[cpu] = depth
+        head = heads.get((cpu, depth, kind))
+        if head is None:
+            head = heads[cpu, depth, kind] = \
+                f"cpu{cpu} {'. ' * depth}{_KIND_MARK[kind]} "
+        args = ev.args
+        if args:
+            parts = [head, ev.name]
+            for key in sorted(args):
+                value = args[key]
+                if value.__class__ is not str:
+                    if not isinstance(value, bool) and isinstance(
+                            value, (int, float)):
+                        continue    # numeric: cycle-derived, dropped
+                    value = str(value)
+                pair = pairs.get((key, value))
+                if pair is None:
+                    pair = pairs[key, value] = \
+                        f" {key}={_DIGITS.sub('N', value)}"
+                parts.append(pair)
+            append("".join(parts))
+        else:
+            append(head + ev.name)
+        if kind == BEGIN:
+            depths[cpu] = depth + 1
     return lines
 
 
@@ -528,5 +553,6 @@ def merge_canonical(per_machine: dict[int, list[str]]) -> list[str]:
     sharded."""
     merged: list[str] = []
     for index in sorted(per_machine):
-        merged.extend(f"m{index}|{line}" for line in per_machine[index])
+        prefix = f"m{index}|"
+        merged.extend([prefix + line for line in per_machine[index]])
     return merged

@@ -7,12 +7,18 @@ coordinator rewinds the shared clock to overlap secondary work), every
 begin has a matching end across ``SwitchAborted`` unwinds, and ring
 overflow drops oldest-first with a counted ``trace_dropped`` metric.
 
-Reuses the storm machinery of ``test_switch_storm``.
+Reuses the storm machinery of ``test_switch_storm``.  The second half
+pins the recorder and the canonical rendering against plain reference
+models: :func:`reference_canonical_lines` renders each event and arg
+afresh, and a per-CPU ``deque(maxlen)`` merged by ``seq`` models the
+rings.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -150,3 +156,150 @@ def test_truncated_trace_still_builds_span_trees():
             for node in root.walk():
                 if node.closed:
                     assert node.end >= node.start
+
+
+# ---------------------------------------------------------------------------
+# reference models for the recorder and the canonical rendering
+# ---------------------------------------------------------------------------
+
+_MARK = {trace.BEGIN: ">", trace.END: "<", trace.INSTANT: "*"}
+
+
+def reference_canonical_lines(events) -> list[str]:
+    """The canonical form rendered afresh for every event and every arg:
+    per-CPU depth (an END with no open span leaves it at 0), then the
+    CPU, the depth dots and kind mark, the name, and each symbolic arg
+    (bool or non-number) in key order with digit runs scrubbed."""
+    depths: dict[int, int] = {}
+    lines = []
+    for ev in events:
+        depth = depths.get(ev.cpu_id, 0)
+        if ev.kind == trace.END:
+            depth = max(0, depth - 1)
+            depths[ev.cpu_id] = depth
+        parts = [f"cpu{ev.cpu_id}", ". " * depth + _MARK[ev.kind], ev.name]
+        if ev.args:
+            for key in sorted(ev.args):
+                value = ev.args[key]
+                if isinstance(value, bool) or not isinstance(
+                        value, (int, float)):
+                    scrubbed = re.sub(r"\d+", "N", str(value))
+                    parts.append(f"{key}={scrubbed}")
+        lines.append(" ".join(parts))
+        if ev.kind == trace.BEGIN:
+            depths[ev.cpu_id] = depth + 1
+    return lines
+
+
+_TEXT = st.text(alphabet="ab-_.:0129\u0663", max_size=8)
+_ARG_VALUES = st.one_of(
+    _TEXT, st.booleans(), st.integers(-10**6, 10**6), st.floats(),
+    st.none(), st.tuples(st.integers(0, 99), _TEXT))
+_ARGS = st.one_of(
+    st.none(),
+    st.dictionaries(st.sampled_from(["task", "kind", "call", "dev", "n2"]),
+                    _ARG_VALUES, max_size=3))
+_EVENTS = st.lists(st.tuples(
+    st.sampled_from([trace.BEGIN, trace.END, trace.INSTANT]),
+    st.integers(0, 2),
+    st.sampled_from(["sim.slice", "reload.cp", "x", "m10"]),
+    _ARGS), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EVENTS)
+def test_canonical_lines_match_the_reference(stream):
+    """B/E/I in any order on 1-3 CPUs, with ENDs that close nothing or
+    the wrong name and args of every type, render byte for byte as the
+    reference does, and merging prefixes each machine's lines."""
+    events = [trace.TraceEvent(kind, name, cpu, seq, seq, args)
+              for seq, (kind, cpu, name, args) in enumerate(stream)]
+    lines = trace.canonical_lines(events)
+    assert lines == reference_canonical_lines(events)
+    halves = {3: lines[len(lines) // 2:], 1: lines[:len(lines) // 2]}
+    assert trace.merge_canonical(halves) == \
+        [f"m{i}|{line}" for i in (1, 3) for line in halves[i]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8),
+       st.lists(st.tuples(st.integers(0, 3),
+                          st.sampled_from([trace.BEGIN, trace.END,
+                                           trace.INSTANT]),
+                          st.integers(-5, 5)), max_size=80))
+def test_tracer_rings_match_a_deque_model(capacity, ops):
+    """Per-CPU rings of 1-8 events: ``events()`` is every CPU's newest
+    ``capacity`` events merged by ``seq``, timestamps are clamped to be
+    non-decreasing per CPU, and ``dropped`` counts the evictions."""
+    clock = SimpleNamespace(cycles=100)
+    tracer = trace.Tracer(clock, capacity_per_cpu=capacity)
+    emit = {trace.BEGIN: tracer.begin, trace.END: tracer.end,
+            trace.INSTANT: tracer.instant}
+    model: dict[int, deque] = {}
+    last_ts: dict[int, int] = {}
+    dropped = 0
+    for seq, (cpu, kind, step) in enumerate(ops):
+        clock.cycles += step
+        emit[kind](cpu, f"e{seq}", n=seq)
+        ring = model.setdefault(cpu, deque(maxlen=capacity))
+        dropped += len(ring) == capacity
+        ts = max(clock.cycles, last_ts.get(cpu, 0))
+        last_ts[cpu] = ts
+        ring.append((kind, f"e{seq}", cpu, ts, seq, {"n": seq}))
+    expected = sorted((e for ring in model.values() for e in ring),
+                      key=lambda e: e[4])
+    assert [(e.kind, e.name, e.cpu_id, e.ts, e.seq, e.args)
+            for e in tracer.events()] == expected
+    assert tracer.dropped == dropped
+    assert tracer.recorded == len(ops)
+
+
+def _recorded(tracer) -> list[tuple]:
+    return [(e.kind, e.name, e.args) for e in tracer.events()]
+
+
+def test_span_balances_when_its_body_raises():
+    tracer = trace.Tracer(SimpleNamespace(cycles=0))
+    with trace.tracing(tracer):
+        with pytest.raises(RuntimeError):
+            with trace.span(0, "outer", task="t1"):
+                with trace.span(0, "inner"):
+                    raise RuntimeError("unwind")
+        trace.instant(0, "after")
+    assert _recorded(tracer) == [
+        ("B", "outer", {"task": "t1"}), ("B", "inner", None),
+        ("E", "inner", None), ("E", "outer", None), ("I", "after", None)]
+    assert trace.validate(tracer.events()) == []
+
+
+def test_span_records_only_the_edges_that_see_a_tracer():
+    tracer = trace.Tracer(SimpleNamespace(cycles=0))
+    try:
+        with trace.span(0, "opened-untraced"):
+            trace.install(tracer)
+        with trace.span(0, "closed-untraced"):
+            trace.uninstall()
+    finally:
+        trace.uninstall()
+    assert _recorded(tracer) == [("E", "opened-untraced", None),
+                                 ("B", "closed-untraced", None)]
+    assert trace.active() is None
+
+
+def test_tracing_returns_or_builds_its_tracer_and_always_uninstalls():
+    machine = Machine(small_config())
+    ready = trace.Tracer(machine.clock)
+    with trace.tracing(ready) as tracer:
+        assert tracer is ready and trace.active() is ready
+    assert trace.active() is None
+    for target in (machine, machine.clock):
+        with trace.tracing(target) as tracer:
+            assert trace.active() is tracer
+            assert tracer.clock is machine.clock
+            assert tracer.capacity_per_cpu == trace.DEFAULT_CAPACITY
+    with pytest.raises(ValueError):
+        with trace.tracing(machine) as tracer:
+            trace.instant(0, "before-raise")
+            raise ValueError("unwind")
+    assert trace.active() is None
+    assert [e.name for e in tracer.events()] == ["before-raise"]

@@ -115,6 +115,26 @@ def test_refiled_task_is_seen_by_check_all_and_healed(mercury):
     assert mercury.mode is Mode.NATIVE
 
 
+def test_fork_after_proc_table_repair_skips_the_repaired_pid(mercury):
+    """The repair adopts the key a task was filed under as its pid, which
+    can be ahead of the pid counter; later forks must not issue it again
+    and overwrite the repaired task while it is still on the runqueue."""
+    k = mercury.kernel
+    cpu = mercury.machine.boot_cpu
+    pid = k.syscall(cpu, "fork")
+    k.procs.tasks[pid + 5] = k.procs.tasks.pop(pid)
+    healer = SelfHealer(mercury)
+    assert [r.sensor_name for r in healer.scan()] == ["proc-table"]
+    assert check_all(mercury) == []
+    repaired = k.procs.tasks[pid + 5]
+
+    pids = [k.syscall(cpu, "fork") for _ in range(6)]
+    assert pid + 5 not in pids
+    assert pids == sorted(set(pids))
+    assert k.procs.tasks[pid + 5] is repaired
+    assert check_all(mercury) == []
+
+
 def test_fs_metadata_pair(mercury):
     from repro.guestos.fs import BLOCK_SIZE
     k = mercury.kernel
