@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import NoSuchProcess, SyscallError
 from repro.hw.paging import AddressSpace, Pte
-from repro.params import PAGE_SIZE, PT_SPAN
 
 if TYPE_CHECKING:
     from repro.guestos.kernel import Kernel
@@ -137,16 +136,26 @@ class ProcessTable:
         """Fork's copy of one parent leaf: the child's read-only+COW entry
         for every present one, each taking a share of its frame.
 
-        A writable entry is re-protected through the VO — a sensitive call
-        and so a preempt point — so a leaf with one is copied an entry at a
-        time.  A leaf without one has nothing to re-protect and copies in
-        one pass, its SMP lock bounces charged in one lump."""
+        The writable entries are re-protected through the VO.  When the
+        run-ahead rule allows (:meth:`Kernel.flag_leaf_runs_ahead`, with
+        the leaf's SMP lock bounces as lead), that is one sensitive call
+        for the leaf, the copies are one pass and the lock bounces one
+        lump.  Otherwise the leaf is copied an entry at a time, each
+        re-protection a preempt point at its own clock, so a timer or
+        switch request due inside the leaf lands at the same entry."""
         kernel = self.kernel
         frame_refs = kernel.vmem._frame_refs
         refs_get = frame_refs.get
         smp = kernel.machine.config.num_cpus > 1
         cyc_lock = cpu.cost.cyc_lock
-        if not any(pte.writable and pte.present for pte in entries.values()):
+        writable = [idx for idx, pte in entries.items()
+                    if pte.writable and pte.present]
+        if not writable or kernel.flag_leaf_runs_ahead(
+                cpu, parent_as, len(writable),
+                cyc_lock * len(entries) if smp else 0):
+            if writable:
+                kernel.vo.update_pte_flags(cpu, parent_as, pgd_idx, writable,
+                                           writable=False, cow=True)
             copied = {idx: Pte(pte.frame, True, False, pte.user,
                                False, False, True)
                       for idx, pte in entries.items() if pte.present}
@@ -156,7 +165,6 @@ class ProcessTable:
             if smp:  # page_table_lock bounces per entry on SMP
                 cpu.charge(cyc_lock * len(copied))
             return copied
-        vaddr_base = pgd_idx * PT_SPAN
         copied = {}
         # kernel.vo is re-read per entry: update_pte_flags pumps the sim
         # scheduler, so the installed VO is not loop-invariant
@@ -164,8 +172,7 @@ class ProcessTable:
             if not pte.present:
                 continue
             if pte.writable:
-                kernel.vo.update_pte_flags(cpu, parent_as,
-                                           vaddr_base + idx * PAGE_SIZE,
+                kernel.vo.update_pte_flags(cpu, parent_as, pgd_idx, (idx,),
                                            writable=False, cow=True)
             copied[idx] = Pte(pte.frame, True, False, pte.user,
                               False, False, True)

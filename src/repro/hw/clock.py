@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, Optional
 
 
@@ -154,6 +155,14 @@ class Clock:
             if handle._fire():
                 ran += 1
         return ran
+
+    def head_deadline(self) -> float:
+        """Deadline at the head of the event heap (+inf when it is empty),
+        read in O(1) without pruning.  The head may be a cancelled handle:
+        its deadline is still a lower bound on every live one, so
+        ``head_deadline() > cycles`` proves no event is due."""
+        events = self._events
+        return events[0][0] if events else math.inf
 
     def peek(self) -> Optional[TimerHandle]:
         """The earliest still-pending event, or None (does not fire it)."""

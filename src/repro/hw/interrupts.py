@@ -113,6 +113,11 @@ class InterruptController:
     def pending_count(self, cpu_id: int) -> int:
         return len(self._pending[cpu_id])
 
+    def any_pending(self) -> bool:
+        """True when some CPU has a queued vector (one truth test per CPU
+        queue, whatever the interrupt flags say)."""
+        return any(self._pending)
+
     def deliver_pending(self, cpu: "Cpu") -> int:
         """Deliver up to 64 queued vectors on ``cpu`` through its installed
         IDT.

@@ -104,9 +104,25 @@ class Machine:
                 "linked machines must share a Clock (pass clock= at construction)")
         return Link(self.nic, other.nic)
 
+    def quiet_until(self) -> float:
+        """The clock value below which a poll services nothing: the current
+        cycle while any CPU has a vector queued, else the event heap's head
+        deadline (+inf on an empty heap).  Two O(1) reads; the scheduler's
+        quiet horizon is this plus its own masking rules."""
+        clock = self.clock
+        if self.intc.any_pending():
+            return clock.cycles
+        return clock.head_deadline()
+
     def poll(self) -> int:
         """Fire due timer/device events, then deliver pending interrupts on
-        every CPU.  Called by the guest OS at preemption points."""
+        every CPU.  Called by the guest OS at preemption points.
+
+        Returns 0 at once when :meth:`quiet_until` lies ahead of the clock:
+        the full pass would fire nothing and deliver nothing (it could only
+        pop cancelled heads, which :meth:`Clock.peek` prunes anyway)."""
+        if self.quiet_until() > self.clock.cycles:
+            return 0
         fired = self.clock.run_due()
         delivered = 0
         for cpu in self.cpus:
@@ -116,8 +132,8 @@ class Machine:
     def run_until_idle(self) -> None:
         """Drive the event loop until no events or interrupts remain."""
         for _ in range(100_000):
-            if self.clock.next_deadline() is None and not any(
-                    self.intc.pending_count(c.cpu_id) for c in self.cpus):
+            if (self.clock.next_deadline() is None
+                    and not self.intc.any_pending()):
                 return
             deadline = self.clock.next_deadline()
             if deadline is not None and deadline > self.clock.cycles:

@@ -26,7 +26,8 @@ across workers under conservative time-window barriers, and
 from repro.sim.task import (Join, SimState, SimTask, Sleep, SleepUntil,
                             WaitFor, Yield)
 from repro.sim.scheduler import (SimDeadlock, SimError, SimScheduler, active,
-                                 preempt_point, run_to_completion)
+                                 preempt_point, quiet_until,
+                                 run_to_completion)
 from repro.sim.shard import (FleetMessage, FleetNode, Shard, ShardError,
                              ShardReport, sort_batch)
 from repro.sim.pool import (DEFAULT_WINDOW_CYCLES, FleetResult, ShardedSim,
@@ -35,7 +36,7 @@ from repro.sim.pool import (DEFAULT_WINDOW_CYCLES, FleetResult, ShardedSim,
 __all__ = [
     "Join", "SimState", "SimTask", "Sleep", "SleepUntil", "WaitFor", "Yield",
     "SimDeadlock", "SimError", "SimScheduler", "active", "preempt_point",
-    "run_to_completion",
+    "quiet_until", "run_to_completion",
     "FleetMessage", "FleetNode", "Shard", "ShardError", "ShardReport",
     "sort_batch",
     "DEFAULT_WINDOW_CYCLES", "FleetResult", "ShardedSim",

@@ -27,11 +27,21 @@ between slices (this module)                0 — commit allowed
 ``kernel.syscall`` finally (machine.poll)   0 — commit allowed
 ``sensitive`` wrapper, before exit          >= 1 — busy, retry armed
 ==========================================  =========================
+
+Every site passes through one idle test, :meth:`Machine.quiet_until
+<repro.hw.machine.Machine.quiet_until>`: a poll below that clock value
+services nothing, so it returns at once.  :func:`quiet_until` extends it
+to a CPU's *quiet horizon* — +inf where :meth:`SimScheduler.pump` would
+return 0 anyway (no scheduler, a pump on the stack, ``cpu`` masked).
+Bulk page-table work uses the horizon to run ahead: a leaf whose preempt
+points all fall below it goes in one VO call, because none of those
+points could have serviced anything (see ``ProcessTable._cow_copy_leaf``).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro import trace
@@ -75,6 +85,17 @@ def preempt_point(cpu: "Cpu") -> int:
     if sched is None:
         return 0
     return sched.pump(cpu)
+
+
+def quiet_until(cpu: "Cpu") -> float:
+    """``cpu``'s quiet horizon: the clock value below which every preempt
+    point on ``cpu`` services nothing.  +inf when no scheduler runs (a
+    preempt point is then a no-op); otherwise
+    :meth:`SimScheduler.quiet_until`."""
+    sched = _ACTIVE
+    if sched is None:
+        return math.inf
+    return sched.quiet_until(cpu)
 
 
 def run_to_completion(gen: Generator, clock=None):
@@ -149,14 +170,24 @@ class SimScheduler:
     # the interrupt window
     # ------------------------------------------------------------------
 
+    def quiet_until(self, cpu: "Cpu") -> float:
+        """The clock value below which :meth:`pump` on ``cpu`` services
+        nothing: +inf while a pump is on the stack or ``cpu`` is masked
+        (the pump returns 0 whatever is due), else the machine's
+        :meth:`~repro.hw.machine.Machine.quiet_until`."""
+        if self._pumping or not cpu.interrupts_enabled:
+            return math.inf
+        return self.machine.quiet_until()
+
     def pump(self, cpu: "Cpu") -> int:
         """Service due events + pending interrupts once, reentrancy-safe.
 
         Skipped while another pump is on the stack (a delivered handler's
-        own sensitive calls must not recurse) and while ``cpu`` has
+        own sensitive calls must not recurse), while ``cpu`` has
         interrupts masked (a mode-switch commit must not be perturbed by
-        unrelated events)."""
-        if self._pumping or not cpu.interrupts_enabled:
+        unrelated events), and whenever the clock is below ``cpu``'s
+        quiet horizon (nothing is due)."""
+        if self.quiet_until(cpu) > self.clock.cycles:
             return 0
         self._pumping = True
         try:

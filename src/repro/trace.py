@@ -311,13 +311,22 @@ def validate(events: list[TraceEvent], dropped: int = 0) -> list[str]:
     errors: list[str] = []
     stacks: dict[int, list[str]] = {}
     last_ts: dict[int, int] = {}
+    # the current CPU's stack and last timestamp stay in locals while
+    # consecutive events share it; the dicts change hands at a CPU switch
+    cpu_id = stack = prev = None
     for ev in events:
-        prev = last_ts.get(ev.cpu_id)
+        if stack is None or ev.cpu_id != cpu_id:
+            if stack is not None:
+                last_ts[cpu_id] = prev
+            cpu_id = ev.cpu_id
+            stack = stacks.get(cpu_id)
+            if stack is None:
+                stack = stacks[cpu_id] = []
+            prev = last_ts.get(cpu_id)
         if prev is not None and ev.ts < prev:
             errors.append(f"cpu{ev.cpu_id}: timestamp went backwards at "
                           f"{ev.kind} {ev.name} ({ev.ts} < {prev})")
-        last_ts[ev.cpu_id] = ev.ts
-        stack = stacks.setdefault(ev.cpu_id, [])
+        prev = ev.ts
         if ev.kind == BEGIN:
             stack.append(ev.name)
         elif ev.kind == END:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.invariants import check_all, check_lazy_mmu
 from repro.core.mercury import Mode, PagingMode
-from repro.hw.paging import Pte
+from repro.hw.paging import Pte, vpn_split
 from repro.params import PAGE_SIZE
 
 #: scratch vaddrs well away from the process image
@@ -73,7 +73,8 @@ def test_rmw_sees_its_own_queued_writes(mercury):
 
     vo.lazy_mmu_begin(cpu)
     vo.set_pte(cpu, aspace, VADDR, Pte(frame=frame, writable=True))
-    vo.update_pte_flags(cpu, aspace, VADDR, writable=False, cow=True)
+    pgd_idx, idx = vpn_split(VADDR)
+    vo.update_pte_flags(cpu, aspace, pgd_idx, [idx], writable=False, cow=True)
     vo.lazy_mmu_end(cpu)
 
     pte = aspace.get_pte(VADDR)

@@ -7,7 +7,7 @@ from repro.core.native_vo import NativeVO
 from repro.core.virtual_vo import VirtualVO
 from repro.errors import ConsistencyViolation, HypercallError
 from repro.hw.cpu import PrivilegeLevel
-from repro.hw.paging import AddressSpace, Pte
+from repro.hw.paging import AddressSpace, Pte, vpn_split
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,8 @@ def test_native_update_pte_flags_invalidates_tlb(machine):
     frame = machine.memory.alloc(0)
     vo.set_pte(cpu, aspace, 0x3000, Pte(frame=frame))
     cpu.tlb.fill(0x3, frame, True)
-    vo.update_pte_flags(cpu, aspace, 0x3000, writable=False)
+    pgd_idx, idx = vpn_split(0x3000)
+    vo.update_pte_flags(cpu, aspace, pgd_idx, [idx], writable=False)
     assert 0x3 not in cpu.tlb
     assert not aspace.get_pte(0x3000).writable
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Machine, Mercury, small_config
-from repro.hw.paging import Pte
+from repro.hw.paging import Pte, vpn_split
 from repro.params import PAGE_SIZE
 
 #: scratch region away from the boot image
@@ -65,7 +65,8 @@ def _apply(mercury, frames, ops, batched: bool):
             elif kind == "clear":
                 vo.clear_pte(cpu, aspace, vaddr)
             elif kind == "flags":
-                vo.update_pte_flags(cpu, aspace, vaddr,
+                pgd_idx, idx = vpn_split(vaddr)
+                vo.update_pte_flags(cpu, aspace, pgd_idx, [idx],
                                     writable=writable, cow=not writable)
             else:  # a TLB flush is a mandatory drain point in both stacks
                 vo.flush_tlb(cpu)

@@ -303,3 +303,67 @@ def test_tracing_returns_or_builds_its_tracer_and_always_uninstalls():
             raise ValueError("unwind")
     assert trace.active() is None
     assert [e.name for e in tracer.events()] == ["before-raise"]
+
+
+# ---------------------------------------------------------------------------
+# trace.validate against the plain per-event loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_validate(events, dropped: int = 0) -> list[str]:
+    """Every event looks up its CPU's stack and last timestamp afresh."""
+    errors: list[str] = []
+    stacks: dict = {}
+    last_ts: dict = {}
+    for ev in events:
+        prev = last_ts.get(ev.cpu_id)
+        if prev is not None and ev.ts < prev:
+            errors.append(f"cpu{ev.cpu_id}: timestamp went backwards at "
+                          f"{ev.kind} {ev.name} ({ev.ts} < {prev})")
+        last_ts[ev.cpu_id] = ev.ts
+        stack = stacks.setdefault(ev.cpu_id, [])
+        if ev.kind == trace.BEGIN:
+            stack.append(ev.name)
+        elif ev.kind == trace.END:
+            if stack:
+                if stack[-1] != ev.name:
+                    errors.append(
+                        f"cpu{ev.cpu_id}: end {ev.name!r} does not match "
+                        f"open span {stack[-1]!r} (spans must nest)")
+                else:
+                    stack.pop()
+            elif dropped == 0:
+                errors.append(f"cpu{ev.cpu_id}: end {ev.name!r} with no "
+                              f"open span and nothing dropped")
+        elif ev.kind != trace.INSTANT:
+            errors.append(f"cpu{ev.cpu_id}: unknown event kind {ev.kind!r}")
+    for cpu_id, stack in stacks.items():
+        for name in stack:
+            errors.append(f"cpu{cpu_id}: span {name!r} never ended")
+    return errors
+
+
+#: (kind, name, cpu, ts step) — a step below 0 sends the CPU's clock
+#: backwards; kind "X" is unknown; few names and CPUs, so ENDs match,
+#: mismatch and hit empty stacks, and runs of one CPU interleave
+_VALIDATE_EVENTS = st.lists(
+    st.tuples(st.sampled_from([trace.BEGIN, trace.END, trace.INSTANT, "X"]),
+              st.sampled_from(["a", "b", "c"]),
+              st.integers(0, 2),
+              st.integers(-2, 3)),
+    max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALIDATE_EVENTS, st.sampled_from([0, 1, 5]))
+def test_validate_matches_the_reference(stream, dropped):
+    """Same violations in the same order — backwards timestamps, a
+    mismatched END, an END on an empty stack with and without drops,
+    unknown kinds, never-ended spans walked in first-seen CPU order —
+    whatever the interleaving of CPUs."""
+    clocks: dict = {}
+    events = []
+    for seq, (kind, name, cpu, step) in enumerate(stream):
+        clocks[cpu] = clocks.get(cpu, 10) + step
+        events.append(trace.TraceEvent(kind, name, cpu, clocks[cpu], seq))
+    assert (trace.validate(events, dropped=dropped)
+            == reference_validate(events, dropped=dropped))
