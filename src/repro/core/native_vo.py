@@ -135,10 +135,8 @@ class NativeVO(VirtualizationObject):
             pte = entries.get(idx)
             if pte is None:
                 continue
-            if writable is not None:
-                pte.writable = writable
-            if cow is not None:
-                pte.cow = cow
+            # entries are values, shared by fork: install a new one
+            pte = entries[idx] = pte.with_flags(writable, cow)
             cpu.tlb.invalidate(base_vpn + idx)
             self._dirty_roots.add(aspace.pgd.frame)
             if accountant is not None:

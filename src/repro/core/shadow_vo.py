@@ -87,10 +87,7 @@ class ShadowVirtualVO(VirtualVO):
             if pte is None:
                 continue
             cpu.charge(cpu.cost.cyc_pte_write)
-            if writable is not None:
-                pte.writable = writable
-            if cow is not None:
-                pte.cow = cow
+            aspace.set_pte(vaddr, pte.with_flags(writable, cow))
             if id(aspace) in self.pager.shadows:
                 self.pager.sync_pte(cpu, aspace, vaddr)
 

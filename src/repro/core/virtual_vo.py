@@ -270,11 +270,7 @@ class VirtualVO(VirtualizationObject):
                 pte = entries.get(idx)
             if pte is None:
                 continue
-            new = pte.clone()
-            if writable is not None:
-                new.writable = writable
-            if cow is not None:
-                new.cow = cow
+            new = pte.with_flags(writable, cow)
             if in_region:
                 self._queue_update(cpu, st, aspace, vaddr, new)
             elif pinned:

@@ -136,6 +136,12 @@ class ProcessTable:
         """Fork's copy of one parent leaf: the child's read-only+COW entry
         for every present one, each taking a share of its frame.
 
+        Entries are values, so where the parent's entry already is that
+        entry (read-only and COW — re-protected by this sweep or an earlier
+        fork) the child gets the parent's own object; an entry is built
+        only where the re-protection is still queued in a lazy-MMU region
+        or the parent's entry is read-only without COW.
+
         The writable entries are re-protected through the VO.  When the
         run-ahead rule allows (:meth:`Kernel.flag_leaf_runs_ahead`, with
         the leaf's SMP lock bounces as lead), that is one sensitive call
@@ -156,8 +162,8 @@ class ProcessTable:
             if writable:
                 kernel.vo.update_pte_flags(cpu, parent_as, pgd_idx, writable,
                                            writable=False, cow=True)
-            copied = {idx: Pte(pte.frame, True, False, pte.user,
-                               False, False, True)
+            copied = {idx: pte if pte.cow and not pte.writable
+                      else Pte(pte.frame, True, False, pte.user, True)
                       for idx, pte in entries.items() if pte.present}
             for pte in copied.values():
                 frame = pte.frame
@@ -174,8 +180,9 @@ class ProcessTable:
             if pte.writable:
                 kernel.vo.update_pte_flags(cpu, parent_as, pgd_idx, (idx,),
                                            writable=False, cow=True)
-            copied[idx] = Pte(pte.frame, True, False, pte.user,
-                              False, False, True)
+                pte = entries.get(idx, pte)  # unless a lazy region queued it
+            copied[idx] = (pte if pte.cow and not pte.writable
+                           else Pte(pte.frame, True, False, pte.user, True))
             frame = pte.frame
             frame_refs[frame] = refs_get(frame, 1) + 1
             if smp:

@@ -9,6 +9,7 @@ kernel's own bookkeeping and mode-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import PageFault, SyscallError
@@ -149,12 +150,13 @@ class VirtualMemory:
         leaves = []
         vpn = base // PAGE_SIZE
         done = 0
+        present, writables = repeat(True), repeat(writable)
         while done < len(frames):
             pgd_idx, idx = divmod(vpn + done, PT_ENTRIES)
             take = min(len(frames) - done, PT_ENTRIES - idx)
-            leaves.append((pgd_idx, {
-                idx + i: Pte(frame, True, writable)
-                for i, frame in enumerate(frames[done:done + take])}))
+            leaves.append((pgd_idx, dict(zip(
+                range(idx, idx + take),
+                map(Pte, frames[done:done + take], present, writables)))))
             done += take
         self.kernel.vo.apply_pte_region(cpu, task.aspace, leaves)
 

@@ -114,11 +114,13 @@ class PhysicalMemory:
                 continue
             frames = frames[:i]
             break
-        contents = self._contents
-        objects = self.frame_objects
-        for frame in frames:
-            contents.pop(frame, None)
-            objects.pop(frame, None)
+        # contents are written only by a COW copy of a written frame and a
+        # checkpoint restore, and only page-table pages are frame objects:
+        # drop just the frames each table holds
+        for table in (self._contents, self.frame_objects):
+            if table:
+                for frame in table.keys() & frames:
+                    del table[frame]
         self._recycled.extend(frames)
         if error is not None:
             raise InvalidPhysicalAddress(error)

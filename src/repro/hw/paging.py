@@ -24,20 +24,26 @@ from repro.params import PAGE_SIZE, PT_ENTRIES, PT_SPAN
 
 @dataclass(slots=True)
 class Pte:
-    """One leaf page-table entry."""
+    """One leaf page-table entry: a value, never changed after it is built.
+
+    A flag change installs a new entry (:meth:`with_flags`), so one entry
+    object may sit in several tables at once — fork hands the child the
+    parent's own read-only copy-on-write entries.  Not frozen: a frozen
+    dataclass costs about four times as much to build."""
 
     frame: int
     present: bool = True
     writable: bool = True
     user: bool = True
-    accessed: bool = False
-    dirty: bool = False
     #: copy-on-write marker (software bit, as Linux uses an available bit)
     cow: bool = False
 
-    def clone(self) -> "Pte":
-        return Pte(self.frame, self.present, self.writable, self.user,
-                   self.accessed, self.dirty, self.cow)
+    def with_flags(self, writable: Optional[bool] = None,
+                   cow: Optional[bool] = None) -> "Pte":
+        """This entry with ``writable``/``cow`` replaced (None keeps one)."""
+        return Pte(self.frame, self.present,
+                   self.writable if writable is None else writable,
+                   self.user, self.cow if cow is None else cow)
 
 
 class PageTablePage:
@@ -146,9 +152,10 @@ class AddressSpace:
 
         The result equals one :meth:`set_pte`/:meth:`clear_pte` per entry in
         that order — one ``dict.update`` for the installs plus a pop per
-        clear, because the indices are distinct.  A missing leaf is created
-        at the first install (an all-clear or empty batch creates none).
-        Returns the cleared indices (a dict or set)."""
+        clear (one ``dict.clear`` when every entry goes), because the
+        indices are distinct.  A missing leaf is created at the first
+        install (an all-clear or empty batch creates none).  Returns the
+        cleared indices as the keys of a dict."""
         leaf = self.pgd.entries.get(pgd_idx)
         values = updates.values()
         if all(values):            # installs only (None is the one falsy)
@@ -156,12 +163,16 @@ class AddressSpace:
         elif not any(values):      # clears only
             cleared = updates
         else:
-            cleared = {i for i, pte in updates.items() if pte is None}
+            cleared = {i: None for i, pte in updates.items() if pte is None}
             updates = {i: pte for i, pte in updates.items() if pte is not None}
         if cleared and leaf is not None:
-            pop = leaf.entries.pop
-            for i in cleared:
-                pop(i, None)
+            entries = leaf.entries
+            if entries.keys() <= cleared.keys():
+                entries.clear()    # every entry goes (teardown)
+            else:
+                pop = entries.pop
+                for i in cleared:
+                    pop(i, None)
         if cleared is updates:
             return cleared
         if leaf is None:
@@ -185,7 +196,8 @@ class AddressSpace:
 
         This is the hardware page walk: permission checks mirror x86
         semantics (a supervisor access ignores the user bit; a write needs
-        the writable bit)."""
+        the writable bit).  The accessed/dirty bits a real walk sets are
+        not modelled: nothing reads them."""
         pte = self.get_pte(vaddr)
         if pte is None or not pte.present:
             raise PageFault(vaddr, write, user)
@@ -193,9 +205,6 @@ class AddressSpace:
             raise PageFault(vaddr, write, user, f"user access to kernel page {vaddr:#x}")
         if write and not pte.writable:
             raise PageFault(vaddr, write, user, f"write to read-only page {vaddr:#x}")
-        pte.accessed = True
-        if write:
-            pte.dirty = True
         return pte
 
     # -- enumeration -----------------------------------------------------------

@@ -33,17 +33,22 @@ def test_pgd_occupies_a_frame(mem, aspace):
 
 def test_map_and_walk(mem, aspace):
     f = mem.alloc(0)
-    aspace.set_pte(0x5000, Pte(frame=f))
+    installed = Pte(frame=f)
+    aspace.set_pte(0x5000, installed)
     pte = aspace.walk(0x5000, write=False, user=True)
+    assert pte is installed
     assert pte.frame == f
-    assert pte.accessed
 
 
-def test_walk_sets_dirty_on_write(mem, aspace):
+def test_walk_leaves_the_entry_unchanged(mem, aspace):
+    """A walk only reads: entries are values that fork shares between
+    tables, so a write through one table must not change the other's."""
     f = mem.alloc(0)
-    aspace.set_pte(0x5000, Pte(frame=f))
-    pte = aspace.walk(0x5000, write=True, user=True)
-    assert pte.dirty
+    installed = Pte(frame=f)
+    aspace.set_pte(0x5000, installed)
+    for write in (False, True):
+        assert aspace.walk(0x5000, write=write, user=True) is installed
+    assert installed == Pte(frame=f)
 
 
 def test_walk_unmapped_faults(aspace):
@@ -115,11 +120,18 @@ def test_destroy_frees_pt_frames_only(mem, aspace):
     assert mem.owner_of(data) == 0  # the mapped frame is untouched
 
 
-def test_pte_clone_is_independent():
-    p = Pte(frame=1, writable=True)
-    q = p.clone()
-    q.writable = False
-    assert p.writable
+def test_with_flags_builds_a_new_entry():
+    p = Pte(frame=1, present=True, writable=True, user=False, cow=False)
+    q = p.with_flags(writable=False, cow=True)
+    assert q is not p
+    assert q == Pte(frame=1, present=True, writable=False, user=False,
+                    cow=True)
+    assert p == Pte(frame=1, present=True, writable=True, user=False,
+                    cow=False)
+    # None keeps a flag
+    assert p.with_flags(cow=True) == Pte(frame=1, user=False, cow=True)
+    assert q.with_flags(writable=True) == Pte(frame=1, user=False, cow=True)
+    assert p.with_flags() == p and p.with_flags() is not p
 
 
 @settings(max_examples=40, deadline=None)

@@ -79,8 +79,7 @@ def _stack(kind: str):
 def _fields(pte):
     if pte is None:
         return None
-    return (pte.frame, pte.present, pte.writable, pte.user, pte.accessed,
-            pte.dirty, pte.cow)
+    return (pte.frame, pte.present, pte.writable, pte.user, pte.cow)
 
 
 def _state(mercury, kernel, cpu, aspace) -> dict:

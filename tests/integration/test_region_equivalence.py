@@ -128,7 +128,7 @@ def _state(mercury, kernel, cpu, aspace) -> dict:
     state = {
         "leaves": [(pgd_idx, leaf.frame,
                     [(idx, pte.frame, pte.present, pte.writable, pte.user,
-                      pte.accessed, pte.dirty, pte.cow)
+                      pte.cow)
                      for idx, pte in leaf.entries.items()])
                    for pgd_idx, leaf in aspace.pgd.entries.items()],
         "owner": mem.owner.tobytes(),

@@ -1,9 +1,13 @@
 """The bench layer itself: runners, normalization, report formatting."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
+from repro import small_config
+from repro.bench import runner
 from repro.bench.report import (format_app_table, format_lmbench_table,
                                 format_relative_figure, format_switch_times)
 from repro.bench.runner import relative_to_native
@@ -88,3 +92,33 @@ def test_bare_metal_vo_has_no_indirection_cost(machine):
     t0 = cpu.rdtsc()
     native.irq_disable(cpu)
     assert cpu.rdtsc() - t0 == cpu.cost.cyc_vo_indirect == 3
+
+
+@pytest.mark.parametrize("suite", [
+    runner.run_lmbench_suite,
+    lambda **kw: runner.run_app_suite(scale=0.05, **kw)],
+    ids=["lmbench", "apps"])
+def test_suites_free_each_system_they_drop(monkeypatch, suite):
+    """A system under test is an island of reference cycles: each suite
+    drops every system it built and collects the young generations, so
+    with the automatic collector off (nothing is promoted) every system
+    is freed by the time the suite returns — a local still holding one
+    fails this."""
+    machines = []
+
+    def build(*args, **kwargs):
+        sut = build_config(*args, **kwargs)
+        machines.append(weakref.ref(sut.machine))
+        return sut
+
+    build_config = runner.build_config
+    monkeypatch.setattr(runner, "build_config", build)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        suite(config=small_config(mem_kb=65_536), keys=("N-L", "X-0"))
+        alive = [m() is not None for m in machines]
+    finally:
+        if enabled:  # the next allocation may then run a full collection
+            gc.enable()
+    assert alive == [False, False]
