@@ -35,6 +35,7 @@ from repro.guestos.kernel import Kernel
 from repro.guestos.process import ProcessTable
 from repro.hw.clock import Clock
 from repro.hw.machine import Machine, isolated_machine_ids
+from repro.hw.paging import PTE_P, PTE_W
 from repro.sim import SimScheduler
 from repro.watchdog import Watchdog
 
@@ -78,7 +79,7 @@ def _fork_once(monkeypatch, num_cpus: int, run_ahead: bool) -> dict:
 
     def timed_copy_leaf(table, cpu, parent_as, pgd_idx, entries):
         writable = sum(1 for pte in entries.values()
-                       if pte.writable and pte.present)
+                       if pte & PTE_W and pte & PTE_P)
         calls = seen["sensitive_calls"]
         t0 = time.perf_counter()
         copied = copy_leaf(table, cpu, parent_as, pgd_idx, entries)

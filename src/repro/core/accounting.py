@@ -26,13 +26,13 @@ all distrust the tracker and fall back to the full recompute.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.vmm.page_info import RootContribution
 
 if TYPE_CHECKING:
     from repro.hw.cpu import Cpu
-    from repro.hw.paging import AddressSpace, Pte
+    from repro.hw.paging import AddressSpace
     from repro.vmm.page_info import PageInfoTable
 
 
@@ -166,7 +166,7 @@ class ActiveAccountant:
     # hooks called by NativeVO -------------------------------------------------
 
     def on_set_pte(self, cpu: "Cpu", aspace: "AddressSpace", vaddr: int,
-                   pte: "Pte", old_pte: "Pte" = None) -> None:
+                   pte: int, old_pte: Optional[int] = None) -> None:
         self._charge(cpu)
         if old_pte is not None:
             self.page_info.track_clear_pte(old_pte)
@@ -177,12 +177,12 @@ class ActiveAccountant:
         self.page_info.track_set_pte(pte, aspace.owner)
 
     def on_clear_pte(self, cpu: "Cpu", aspace: "AddressSpace", vaddr: int,
-                     old_pte: "Pte") -> None:
+                     old_pte: int) -> None:
         self._charge(cpu)
         self.page_info.track_clear_pte(old_pte)
 
     def on_update_pte(self, cpu: "Cpu", aspace: "AddressSpace", vaddr: int,
-                      pte: "Pte") -> None:
+                      pte: int) -> None:
         # flag changes don't move frame references; counts are unaffected
         self._charge(cpu)
 

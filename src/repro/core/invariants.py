@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from repro.core.mercury import Mode
 from repro.errors import PageValidationError, RingError
 from repro.guestos.process import TaskState
+from repro.hw.paging import PTE_P, PTE_W, pte_frame
 from repro.vmm.page_info import PageInfoTable
 
 if TYPE_CHECKING:
@@ -191,12 +192,12 @@ def check_tlb_coherence(mercury: "Mercury") -> list[str]:
             continue  # this CPU runs something else (or the VMM/shadow)
         for vpn, (frame, writable) in list(cpu.tlb._entries.items()):
             pte = aspace.get_pte(vpn * PAGE_SIZE)
-            if pte is None or not pte.present:
+            if pte is None or not pte & PTE_P:
                 out.append(f"cpu{cpu.cpu_id}: stale TLB entry for vpn {vpn:#x}")
-            elif pte.frame != frame:
+            elif pte_frame(pte) != frame:
                 out.append(f"cpu{cpu.cpu_id}: TLB frame {frame} != PTE "
-                           f"frame {pte.frame} for vpn {vpn:#x}")
-            elif writable and not pte.writable:
+                           f"frame {pte_frame(pte)} for vpn {vpn:#x}")
+            elif writable and not pte & PTE_W:
                 out.append(f"cpu{cpu.cpu_id}: TLB grants write to "
                            f"read-only vpn {vpn:#x}")
     return out

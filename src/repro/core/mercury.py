@@ -157,7 +157,8 @@ class Mercury:
                 self.pager = ShadowPager(self.machine.memory,
                                          self.kernel.owner_id)
                 self.virtual_vo = ShadowVirtualVO(self.machine, self.vmm,
-                                                  self.domain, self.pager)
+                                                  self.domain, self.pager,
+                                                  mmu_log=self.mmu_log)
             else:
                 self.virtual_vo = VirtualVO(self.machine, self.vmm,
                                             self.domain,

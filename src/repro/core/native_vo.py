@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.vobject import VirtualizationObject, sensitive
 from repro.errors import OutOfMemory
 from repro.hw.cpu import PrivilegeLevel
-from repro.hw.paging import region_items
+from repro.hw.paging import flag_masks, region_items
 from repro.params import PAGE_SIZE, PT_ENTRIES
 
 if TYPE_CHECKING:
@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from repro.hw.devices import BlockRequest, Packet
     from repro.hw.interrupts import Idt
     from repro.hw.machine import Machine
-    from repro.hw.paging import AddressSpace, Pte
+    from repro.hw.paging import AddressSpace
 
 
 class NativeVO(VirtualizationObject):
@@ -103,7 +103,7 @@ class NativeVO(VirtualizationObject):
     # -- sensitive memory operations ------------------------------------------
 
     @sensitive
-    def set_pte(self, cpu, aspace: "AddressSpace", vaddr: int, pte: "Pte") -> None:
+    def set_pte(self, cpu, aspace: "AddressSpace", vaddr: int, pte: int) -> None:
         cpu.charge(cpu.cost.cyc_pte_write)
         old = aspace.get_pte(vaddr) if self.accountant is not None else None
         aspace.set_pte(vaddr, pte)
@@ -128,6 +128,7 @@ class NativeVO(VirtualizationObject):
         base_vpn = pgd_idx * PT_ENTRIES
         cyc_pte_write = cpu.cost.cyc_pte_write
         accountant = self.accountant
+        keep, put = flag_masks(writable, cow)
         for k, idx in enumerate(idxs):
             if k:
                 self._next_entry(cpu)
@@ -135,8 +136,7 @@ class NativeVO(VirtualizationObject):
             pte = entries.get(idx)
             if pte is None:
                 continue
-            # entries are values, shared by fork: install a new one
-            pte = entries[idx] = pte.with_flags(writable, cow)
+            pte = entries[idx] = pte & keep | put
             cpu.tlb.invalidate(base_vpn + idx)
             self._dirty_roots.add(aspace.pgd.frame)
             if accountant is not None:

@@ -16,12 +16,13 @@ from repro.core.virtual_vo import VirtualVO
 from repro.core.vobject import sensitive
 from repro.errors import HypercallError
 from repro.hw.cpu import PrivilegeLevel
-from repro.hw.paging import region_items
+from repro.hw.paging import region_items, with_flags
 from repro.params import PAGE_SIZE, PT_SPAN
 
 if TYPE_CHECKING:
     from repro.hw.machine import Machine
-    from repro.hw.paging import AddressSpace, Pte
+    from repro.core.accounting import MmuAccounting
+    from repro.hw.paging import AddressSpace
     from repro.vmm.domain import Domain
     from repro.vmm.hypervisor import Hypervisor
     from repro.vmm.shadow import ShadowPager
@@ -33,8 +34,9 @@ class ShadowVirtualVO(VirtualVO):
     mode_name = "virtual-shadow"
 
     def __init__(self, machine: "Machine", vmm: "Hypervisor",
-                 domain: "Domain", pager: "ShadowPager"):
-        super().__init__(machine, vmm, domain)
+                 domain: "Domain", pager: "ShadowPager",
+                 mmu_log: Optional["MmuAccounting"] = None):
+        super().__init__(machine, vmm, domain, mmu_log=mmu_log)
         self.pager = pager
 
     # -- CPU ----------------------------------------------------------------
@@ -62,7 +64,7 @@ class ShadowVirtualVO(VirtualVO):
 
     @sensitive
     def set_pte(self, cpu, aspace: "AddressSpace", vaddr: int,
-                pte: "Pte") -> None:
+                pte: int) -> None:
         cpu.charge(cpu.cost.cyc_pte_write)
         aspace.set_pte(vaddr, pte)
         if id(aspace) in self.pager.shadows:
@@ -87,7 +89,7 @@ class ShadowVirtualVO(VirtualVO):
             if pte is None:
                 continue
             cpu.charge(cpu.cost.cyc_pte_write)
-            aspace.set_pte(vaddr, pte.with_flags(writable, cow))
+            aspace.set_pte(vaddr, with_flags(pte, writable, cow))
             if id(aspace) in self.pager.shadows:
                 self.pager.sync_pte(cpu, aspace, vaddr)
 
@@ -110,13 +112,20 @@ class ShadowVirtualVO(VirtualVO):
             if id(aspace) in self.pager.shadows:
                 self.pager.sync_pte(cpu, aspace, vaddr)
 
+    # No attach under shadow paging captures the dirty-root set, so a root
+    # built here is new to it, as one built natively is, and a root torn
+    # down here leaves it: the set names live roots in either mode, and a
+    # checkpoint rollback lands on the set it started from.
+
     @sensitive
     def new_address_space(self, cpu, aspace: "AddressSpace") -> None:
         self.domain.register_aspace(aspace)
+        self.mmu_log.on_new_root(aspace)
         self.pager.build(cpu, aspace)
 
     @sensitive
     def destroy_address_space(self, cpu, aspace: "AddressSpace") -> None:
+        self.mmu_log.on_destroy_root(aspace)
         self.pager.drop(cpu, aspace)
         self.domain.unregister_aspace(aspace)
         aspace.destroy()

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.vobject import VirtualizationObject, sensitive
 from repro.errors import HypercallError
 from repro.hw.cpu import PrivilegeLevel
-from repro.hw.paging import region_items
+from repro.hw.paging import flag_masks, region_items
 from repro.params import PAGE_SIZE, PT_ENTRIES
 from repro.vmm.hypercalls import mmu_update_chunks, mmu_update_region
 
@@ -41,7 +41,7 @@ if TYPE_CHECKING:
     from repro.hw.devices import BlockRequest, Packet
     from repro.hw.interrupts import Idt
     from repro.hw.machine import Machine
-    from repro.hw.paging import AddressSpace, Pte
+    from repro.hw.paging import AddressSpace
     from repro.vmm.domain import Domain
     from repro.vmm.hypervisor import Hypervisor
 
@@ -55,10 +55,10 @@ class _LazyMmuState:
 
     def __init__(self):
         self.depth = 0
-        #: ordered ``(aspace, vaddr, Pte-or-None)`` updates, exactly the
+        #: ordered ``(aspace, vaddr, word-or-None)`` updates, exactly the
         #: shape ``mmu_update`` consumes
         self.queue: list = []
-        #: ``(id(aspace), vaddr) -> latest queued Pte-or-None``
+        #: ``(id(aspace), vaddr) -> latest queued word-or-None``
         self.pending: dict = {}
 
 
@@ -224,7 +224,7 @@ class VirtualVO(VirtualizationObject):
     # -- sensitive memory operations --------------------------------------------
 
     @sensitive
-    def set_pte(self, cpu, aspace: "AddressSpace", vaddr: int, pte: "Pte") -> None:
+    def set_pte(self, cpu, aspace: "AddressSpace", vaddr: int, pte: int) -> None:
         if self._pinned(aspace):
             st = self._lazy_state(cpu)
             if st.depth > 0:
@@ -259,6 +259,7 @@ class VirtualVO(VirtualizationObject):
         leaf = aspace.pgd.entries.get(pgd_idx)
         entries = leaf.entries if leaf is not None else {}
         base_vpn = pgd_idx * PT_ENTRIES
+        keep, put = flag_masks(writable, cow)
         for k, idx in enumerate(idxs):
             if k:
                 self._next_entry(cpu)
@@ -270,7 +271,7 @@ class VirtualVO(VirtualizationObject):
                 pte = entries.get(idx)
             if pte is None:
                 continue
-            new = pte.with_flags(writable, cow)
+            new = pte & keep | put
             if in_region:
                 self._queue_update(cpu, st, aspace, vaddr, new)
             elif pinned:

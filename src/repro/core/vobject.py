@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     from repro.hw.cpu import Cpu
     from repro.hw.devices import BlockRequest, Packet
     from repro.hw.interrupts import Idt
-    from repro.hw.paging import AddressSpace, Pte
+    from repro.hw.paging import AddressSpace
 
 
 @dataclass
@@ -158,7 +158,7 @@ class VirtualizationObject:
     # -- sensitive memory operations -------------------------------------------
 
     def set_pte(self, cpu: "Cpu", aspace: "AddressSpace", vaddr: int,
-                pte: "Pte") -> None:
+                pte: int) -> None:
         raise NotImplementedError
 
     def clear_pte(self, cpu: "Cpu", aspace: "AddressSpace", vaddr: int) -> None:
@@ -203,12 +203,13 @@ class VirtualizationObject:
     def apply_pte_region(self, cpu: "Cpu", aspace: "AddressSpace",
                          leaves: list) -> None:
         """Apply a region write to one address space: ``leaves`` is
-        ``[(pgd_idx, {idx: Pte-or-None})]`` in application order, each leaf
-        once, a Pte installing and None clearing a slot.  The bulk paths
-        (fork's child tables, teardown, munmap, and mapping a frame run for
-        an image, mmap populate or a balloon region) use this: a native
-        kernel stores each leaf in one dict pass; a para-virtual kernel
-        hands the region to the VMM as batched ``mmu_update`` multicalls."""
+        ``[(pgd_idx, {idx: word-or-None})]`` in application order, each
+        leaf once, a PTE word installing and None clearing a slot.  The
+        bulk paths (fork's child tables, teardown, munmap, and mapping a
+        frame run for an image, mmap populate or a balloon region) use
+        this: a native kernel stores each leaf in one dict pass; a
+        para-virtual kernel hands the region to the VMM as batched
+        ``mmu_update`` multicalls."""
         raise NotImplementedError
 
     # -- lazy-MMU batching (Xen-Linux's lazy MMU mode) -------------------------

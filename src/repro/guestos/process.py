@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import NoSuchProcess, SyscallError
-from repro.hw.paging import AddressSpace, Pte
+from repro.hw.paging import (LEAF_PASS_MIN, PTE_COW, PTE_FRAME_SHIFT, PTE_P,
+                             PTE_W, AddressSpace, word_array)
 
 if TYPE_CHECKING:
     from repro.guestos.kernel import Kernel
@@ -30,9 +31,10 @@ class TaskState(enum.Enum):
     ZOMBIE = "zombie"
 
 
-@dataclass
+@dataclass(eq=False)
 class Task:
-    """One process (single-threaded; lmbench's benchmarks are)."""
+    """One process (single-threaded; lmbench's benchmarks are).  Tasks
+    compare by identity: two processes with equal fields are still two."""
 
     pid: int
     name: str
@@ -58,6 +60,27 @@ class Task:
     def __post_init__(self):
         from repro.guestos.ipc import SignalState
         self.signals = SignalState()
+
+
+def _child_words(entries: dict) -> tuple[dict, list]:
+    """Fork's child leaf for a parent leaf whose re-protection is issued —
+    ``(w & ~PTE_W) | PTE_COW`` for every present word ``w`` — and the
+    frames it maps, in entry order.  A leaf of at least
+    :data:`~repro.hw.paging.LEAF_PASS_MIN` entries, all present, is one
+    numpy pass, and where every parent word already is the child's
+    (read-only and COW, after an earlier fork) the child's leaf is a copy
+    of the parent's."""
+    n = len(entries)
+    words = word_array(entries.values(), n) if n >= LEAF_PASS_MIN else None
+    if words is not None and (words & PTE_P).all():
+        child = words & ~PTE_W | PTE_COW
+        copied = (dict(entries) if (child == words).all()
+                  else dict(zip(entries, child.tolist())))
+        return copied, (words >> PTE_FRAME_SHIFT).tolist()
+    read_only = ~PTE_W
+    copied = {idx: pte & read_only | PTE_COW
+              for idx, pte in entries.items() if pte & PTE_P}
+    return copied, [pte >> PTE_FRAME_SHIFT for pte in copied.values()]
 
 
 class ProcessTable:
@@ -133,14 +156,11 @@ class ProcessTable:
 
     def _cow_copy_leaf(self, cpu: "Cpu", parent_as: AddressSpace,
                        pgd_idx: int, entries: dict) -> dict:
-        """Fork's copy of one parent leaf: the child's read-only+COW entry
-        for every present one, each taking a share of its frame.
-
-        Entries are values, so where the parent's entry already is that
-        entry (read-only and COW — re-protected by this sweep or an earlier
-        fork) the child gets the parent's own object; an entry is built
-        only where the re-protection is still queued in a lazy-MMU region
-        or the parent's entry is read-only without COW.
+        """Fork's copy of one parent leaf: the child's read-only+COW word
+        ``(w & ~PTE_W) | PTE_COW`` for every present parent word ``w``,
+        each taking a share of its frame.  Where the parent's word already
+        is read-only and COW (re-protected by an earlier fork) that is the
+        parent's own word.
 
         The writable entries are re-protected through the VO.  When the
         run-ahead rule allows (:meth:`Kernel.flag_leaf_runs_ahead`, with
@@ -154,19 +174,17 @@ class ProcessTable:
         refs_get = frame_refs.get
         smp = kernel.machine.config.num_cpus > 1
         cyc_lock = cpu.cost.cyc_lock
+        present_writable = PTE_P | PTE_W
         writable = [idx for idx, pte in entries.items()
-                    if pte.writable and pte.present]
+                    if pte & present_writable == present_writable]
         if not writable or kernel.flag_leaf_runs_ahead(
                 cpu, parent_as, len(writable),
                 cyc_lock * len(entries) if smp else 0):
             if writable:
                 kernel.vo.update_pte_flags(cpu, parent_as, pgd_idx, writable,
                                            writable=False, cow=True)
-            copied = {idx: pte if pte.cow and not pte.writable
-                      else Pte(pte.frame, True, False, pte.user, True)
-                      for idx, pte in entries.items() if pte.present}
-            for pte in copied.values():
-                frame = pte.frame
+            copied, frames = _child_words(entries)
+            for frame in frames:
                 frame_refs[frame] = refs_get(frame, 1) + 1
             if smp:  # page_table_lock bounces per entry on SMP
                 cpu.charge(cyc_lock * len(copied))
@@ -175,15 +193,14 @@ class ProcessTable:
         # kernel.vo is re-read per entry: update_pte_flags pumps the sim
         # scheduler, so the installed VO is not loop-invariant
         for idx, pte in list(entries.items()):
-            if not pte.present:
+            if not pte & PTE_P:
                 continue
-            if pte.writable:
+            if pte & PTE_W:
                 kernel.vo.update_pte_flags(cpu, parent_as, pgd_idx, (idx,),
                                            writable=False, cow=True)
                 pte = entries.get(idx, pte)  # unless a lazy region queued it
-            copied[idx] = (pte if pte.cow and not pte.writable
-                           else Pte(pte.frame, True, False, pte.user, True))
-            frame = pte.frame
+            copied[idx] = pte & ~PTE_W | PTE_COW
+            frame = pte >> PTE_FRAME_SHIFT
             frame_refs[frame] = refs_get(frame, 1) + 1
             if smp:
                 cpu.charge(cyc_lock)
@@ -248,7 +265,8 @@ class ProcessTable:
             entries = leaf.entries
             if entries:
                 leaves.append((pgd_idx, dict.fromkeys(entries)))
-                frames += [pte.frame for pte in entries.values() if pte.present]
+                frames += [pte >> PTE_FRAME_SHIFT
+                           for pte in entries.values() if pte & PTE_P]
         kernel.vo.apply_pte_region(cpu, aspace, leaves)
         kernel.vmem.release_frames(cpu, frames)
         kernel.unregister_aspace(aspace)

@@ -33,10 +33,8 @@ class Scheduler:
             self.runqueue.append(task)
 
     def dequeue(self, task: Task) -> None:
-        try:
+        if task in self.runqueue:
             self.runqueue.remove(task)
-        except ValueError:
-            pass
         if self.current is task:
             self.current = None
 
@@ -64,10 +62,8 @@ class Scheduler:
             # segment selectors (and with them the current privilege level)
             prev.stack_cached_selector_dpl = kernel.vo.data.kernel_segment_dpl
         # the incoming task leaves the runqueue: it is now *running*
-        try:
+        if to_task in self.runqueue:
             self.runqueue.remove(to_task)
-        except ValueError:
-            pass
         kernel.vo.stack_switch(cpu, to_task)
         kernel.vo.write_cr3(cpu, to_task.aspace.pgd_frame)
         # the incoming task immediately re-touches its resident code/stack

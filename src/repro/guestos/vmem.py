@@ -9,11 +9,13 @@ kernel's own bookkeeping and mode-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from repro.errors import PageFault, SyscallError
-from repro.hw.paging import Pte, vpn_split
+from repro.hw.paging import (PTE_COW, PTE_FRAME_SHIFT, PTE_P, PTE_U, PTE_W,
+                             pte, vpn_split, word_array)
 from repro.params import PAGE_SIZE, PT_ENTRIES
 
 if TYPE_CHECKING:
@@ -145,18 +147,20 @@ class VirtualMemory:
     def map_run(self, cpu: "Cpu", task: "Task", base: int, frames: list,
                 writable: bool) -> None:
         """Map ``frames`` at consecutive pages from ``base`` as one region
-        write, built a leaf at a time (image, mmap populate and balloon
-        regions)."""
+        write, a leaf at a time (image, mmap populate and balloon regions).
+        The run's PTE words are built in one numpy pass and dealt out to
+        the leaves in order."""
+        flags = PTE_P | PTE_U | (PTE_W if writable else 0)
+        words = iter((np.asarray(frames, dtype=np.int64) << PTE_FRAME_SHIFT
+                      | flags).tolist())
         leaves = []
         vpn = base // PAGE_SIZE
         done = 0
-        present, writables = repeat(True), repeat(writable)
         while done < len(frames):
             pgd_idx, idx = divmod(vpn + done, PT_ENTRIES)
             take = min(len(frames) - done, PT_ENTRIES - idx)
-            leaves.append((pgd_idx, dict(zip(
-                range(idx, idx + take),
-                map(Pte, frames[done:done + take], present, writables)))))
+            # zip stops at the end of the range before it takes a word
+            leaves.append((pgd_idx, dict(zip(range(idx, idx + take), words))))
             done += take
         self.kernel.vo.apply_pte_region(cpu, task.aspace, leaves)
 
@@ -203,12 +207,18 @@ class VirtualMemory:
             if leaf is None:
                 continue
             entries = leaf.entries
-            get = entries.get
-            hits = [i for i in range(lo, hi)
-                    if (pte := get(i)) is not None and pte.present]
+            words = word_array(map(entries.get, range(lo, hi)), hi - lo)
+            if words is not None and (words & PTE_P).all():
+                # the whole range is mapped: one numpy pass
+                hits = range(lo, hi)
+                freed += (words >> PTE_FRAME_SHIFT).tolist()
+            else:
+                get = entries.get
+                hits = [i for i in range(lo, hi)
+                        if (pte := get(i)) is not None and pte & PTE_P]
+                freed += [entries[i] >> PTE_FRAME_SHIFT for i in hits]
             if hits:
                 leaves.append((pgd_idx, dict.fromkeys(hits)))
-                freed += [entries[i].frame for i in hits]
         self.kernel.vo.apply_pte_region(cpu, task.aspace, leaves)
         self.release_frames(cpu, freed)
 
@@ -222,9 +232,9 @@ class VirtualMemory:
         which is exactly the victim-page fault the hypervisor-driven
         reclaim ablation measures.  Returns None if nothing was mapped."""
         pte = task.aspace.get_pte(vaddr)
-        if pte is None or not pte.present:
+        if pte is None or not pte & PTE_P:
             return None
-        frame = pte.frame
+        frame = pte >> PTE_FRAME_SHIFT
         self.kernel.vo.clear_pte(cpu, task.aspace, vaddr)
         self._frame_refs.pop(frame, None)
         return frame
@@ -255,8 +265,9 @@ class VirtualMemory:
             try:
                 pte = task.aspace.walk(vaddr, write=write, user=True)
                 cpu.charge(cpu.cost.cyc_tlb_refill_per_page)
-                cpu.tlb.fill(vpn, pte.frame, pte.writable)
-                return pte.frame
+                frame = pte >> PTE_FRAME_SHIFT
+                cpu.tlb.fill(vpn, frame, pte & PTE_W != 0)
+                return frame
             except PageFault as fault:
                 self.handle_fault(cpu, task, fault)
 
@@ -276,15 +287,16 @@ class VirtualMemory:
                           f"segfault at {fault.vaddr:#x}")
 
         pte = task.aspace.get_pte(vaddr)
-        if pte is not None and pte.present and fault.write and pte.cow:
+        present = pte is not None and pte & PTE_P
+        if present and fault.write and pte & PTE_COW:
             self._break_cow(cpu, task, vaddr, pte)
-        elif pte is not None and pte.present and fault.write and not pte.writable:
+        elif present and fault.write and not pte & PTE_W:
             # genuine protection fault (mprotect'd page): deliver SIGSEGV
             self.prot_faults += 1
             kernel.vo.kernel_exit(cpu)
             self._sigsegv(cpu, task, fault.vaddr,
                           f"write to protected page {vaddr:#x}")
-        elif pte is None or not pte.present:
+        elif not present:
             self._demand_page(cpu, task, vaddr, vma)
         kernel.vo.kernel_exit(cpu)
 
@@ -299,24 +311,26 @@ class VirtualMemory:
             cpu.charge(cpu.cost.cyc_virt_fault_penalty)
         self.claim_frame(frame)
         self.kernel.vo.set_pte(cpu, task.aspace, vaddr,
-                               Pte(frame=frame, writable=vma.writable))
+                               pte(frame, writable=vma.writable))
         self.minor_faults += 1
 
-    def _break_cow(self, cpu: "Cpu", task: "Task", vaddr: int, pte: Pte) -> None:
+    def _break_cow(self, cpu: "Cpu", task: "Task", vaddr: int,
+                   word: int) -> None:
         mem = self.kernel.machine.memory
         if self.kernel.vo.is_virtual:
             cpu.charge(cpu.cost.cyc_virt_fault_penalty)
-        if self.frame_refs(pte.frame) > 1:
+        frame = word >> PTE_FRAME_SHIFT
+        if self.frame_refs(frame) > 1:
             new_frame = mem.alloc(self.kernel.owner_id)
             cpu.charge(cpu.cost.cyc_page_alloc)
             cpu.charge(cpu.cost.cyc_cow_copy_page)
-            content = mem.read(pte.frame) if mem.owner_of(pte.frame) >= 0 else None
+            content = mem.read(frame) if mem.owner_of(frame) >= 0 else None
             if content is not None:
                 mem.write(new_frame, content)
             self.claim_frame(new_frame)
-            self.release_frame(cpu, pte.frame)
+            self.release_frame(cpu, frame)
             self.kernel.vo.set_pte(cpu, task.aspace, vaddr,
-                                   Pte(frame=new_frame, writable=True))
+                                   pte(new_frame, writable=True))
         else:
             # last reference: just make it writable again
             pgd_idx, idx = vpn_split(vaddr)
@@ -348,7 +362,7 @@ class VirtualMemory:
             for i in range(pages):
                 vaddr = base + i * PAGE_SIZE
                 pte = task.aspace.get_pte(vaddr)
-                if pte is not None and pte.present:
+                if pte is not None and pte & PTE_P:
                     pgd_idx, idx = vpn_split(vaddr)
                     self.kernel.vo.update_pte_flags(cpu, task.aspace, pgd_idx,
                                                     (idx,), writable=writable)

@@ -14,7 +14,7 @@ from repro.hw.clock import Clock
 from repro.hw.cpu import Cpu, PrivilegeLevel
 from repro.hw.machine import Machine
 from repro.hw.memory import PhysicalMemory
-from repro.hw.paging import AddressSpace, PageTablePage, Pte
+from repro.hw.paging import AddressSpace, PageTablePage, pte, pte_frame
 
 __all__ = [
     "AddressSpace",
@@ -24,5 +24,6 @@ __all__ = [
     "PageTablePage",
     "PhysicalMemory",
     "PrivilegeLevel",
-    "Pte",
+    "pte",
+    "pte_frame",
 ]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import HardwareError
+from repro.hw.cpu import PrivilegeLevel
 
 if TYPE_CHECKING:
     from repro.hw.cpu import Cpu
@@ -41,7 +42,7 @@ class IdtEntry:
     runs at (hardware raises the PL to this on delivery)."""
 
     handler: Callable[["Cpu", int], None]
-    handler_pl: int = 0
+    handler_pl: PrivilegeLevel = PrivilegeLevel.PL0
     name: str = ""
 
 
@@ -58,7 +59,9 @@ class Idt:
                  handler_pl: int = 0, name: str = "") -> None:
         if not (0 <= vector <= 0xFF):
             raise HardwareError(f"vector {vector:#x} out of range")
-        self.gates[vector] = IdtEntry(handler, handler_pl, name or f"vec{vector:#x}")
+        # the level is resolved once here, not on every delivery
+        self.gates[vector] = IdtEntry(handler, PrivilegeLevel(handler_pl),
+                                      name or f"vec{vector:#x}")
 
 
 @dataclass(slots=True)
@@ -131,7 +134,6 @@ class InterruptController:
         delivered = 0
         popleft = queue.popleft
         cyc_dispatch = cpu.cost.cyc_interrupt_dispatch
-        pl_type = type(cpu.pl)
         clock = cpu.clock
         while queue and delivered < 64:
             pend = popleft()
@@ -149,7 +151,7 @@ class InterruptController:
             # round-trip explicitly so handlers (e.g. Mercury's switch
             # handler) can *edit* the level to return to (§5.1.3).
             saved_pl = cpu.pl
-            cpu.pl = pl_type(entry.handler_pl)
+            cpu.pl = entry.handler_pl
             cpu._iret_pl = saved_pl  # handlers may overwrite this
             try:
                 if pend.payload is not None:

@@ -6,6 +6,19 @@ physical frames.  Page-table pages themselves occupy physical frames and are
 registered in :attr:`PhysicalMemory.frame_objects`, because the VMM must be
 able to find and validate them by frame number when pinning (§5.1.2).
 
+A leaf entry is the x86 32-bit PTE *word*, a plain int: the frame number
+above the 12 flag bits, and the present, writable and user bits where the
+hardware keeps them.  Copy-on-write is software bit 9, one of the three
+bits x86 leaves to the OS (Linux keeps its software flags there too).  This
+module alone defines the layout; cold paths build and read words through
+:func:`pte`, :func:`pte_frame`, :func:`with_flags` and :func:`pte_fields`,
+while the bulk page-table passes use the bit operations inline, a leaf at a
+time, over ``np.fromiter(leaf.entries.values(), np.int64, n)``.  A word is
+a value: a flag change installs a new word, so one word may sit in several
+tables at once — fork hands the child the parent's read-only copy-on-write
+entries.  A non-present word may be 0, so "no entry" is always ``None``
+and never a falsy word.
+
 PTE permission bits matter to Mercury: in virtual mode the VMM keeps every
 page-table page read-only to the guest (direct paging), while in native mode
 they are writable — flipping this protection is one of the three state
@@ -14,44 +27,108 @@ transfers a mode switch performs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Iterator, Optional
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from repro.errors import PageFault
 from repro.hw.memory import PhysicalMemory
 from repro.params import PAGE_SIZE, PT_ENTRIES, PT_SPAN
 
+#: the present bit (x86 ``_PAGE_PRESENT``)
+PTE_P = 0x001
+#: the writable bit (``_PAGE_RW``)
+PTE_W = 0x002
+#: the user bit (``_PAGE_USER``): clear for a supervisor-only page
+PTE_U = 0x004
+#: copy-on-write marker, on software-available bit 9
+PTE_COW = 0x200
+#: the frame number sits above the 12 flag bits
+PTE_FRAME_SHIFT = 12
+PTE_FLAGS = (1 << PTE_FRAME_SHIFT) - 1
 
-@dataclass(slots=True)
-class Pte:
-    """One leaf page-table entry: a value, never changed after it is built.
+#: smallest leaf the per-leaf numpy passes over words take (the VMM's
+#: validation of a leaf, fork's copy of one): below it a pass's fixed cost,
+#: about 5 µs of array set-up, exceeds the per-entry loop it replaces
+LEAF_PASS_MIN = 64
 
-    A flag change installs a new entry (:meth:`with_flags`), so one entry
-    object may sit in several tables at once — fork hands the child the
-    parent's own read-only copy-on-write entries.  Not frozen: a frozen
-    dataclass costs about four times as much to build."""
+
+def pte(frame: int, *, present: bool = True, writable: bool = True,
+        user: bool = True, cow: bool = False) -> int:
+    """The PTE word mapping ``frame`` with the given flags."""
+    return (frame << PTE_FRAME_SHIFT | (PTE_P if present else 0)
+            | (PTE_W if writable else 0) | (PTE_U if user else 0)
+            | (PTE_COW if cow else 0))
+
+
+def pte_frame(word: int) -> int:
+    """The frame number a PTE word maps."""
+    return word >> PTE_FRAME_SHIFT
+
+
+def flag_masks(writable: Optional[bool] = None,
+               cow: Optional[bool] = None) -> tuple[int, int]:
+    """``(keep, put)`` such that ``word & keep | put`` replaces a word's
+    writable/COW bits (None keeps one) — the form the per-leaf flag loops
+    apply inline."""
+    keep, put = -1, 0
+    if writable is not None:
+        keep &= ~PTE_W
+        put |= PTE_W if writable else 0
+    if cow is not None:
+        keep &= ~PTE_COW
+        put |= PTE_COW if cow else 0
+    return keep, put
+
+
+def with_flags(word: int, writable: Optional[bool] = None,
+               cow: Optional[bool] = None) -> int:
+    """``word`` with its writable/COW bits replaced (None keeps one)."""
+    keep, put = flag_masks(writable, cow)
+    return word & keep | put
+
+
+class PteFields(NamedTuple):
+    """A PTE word read field by field."""
 
     frame: int
-    present: bool = True
-    writable: bool = True
-    user: bool = True
-    #: copy-on-write marker (software bit, as Linux uses an available bit)
-    cow: bool = False
+    present: bool
+    writable: bool
+    user: bool
+    cow: bool
 
-    def with_flags(self, writable: Optional[bool] = None,
-                   cow: Optional[bool] = None) -> "Pte":
-        """This entry with ``writable``/``cow`` replaced (None keeps one)."""
-        return Pte(self.frame, self.present,
-                   self.writable if writable is None else writable,
-                   self.user, self.cow if cow is None else cow)
+
+def pte_fields(word: int) -> PteFields:
+    """``(frame, present, writable, user, cow)`` of a PTE word."""
+    return PteFields(word >> PTE_FRAME_SHIFT, word & PTE_P != 0,
+                     word & PTE_W != 0, word & PTE_U != 0,
+                     word & PTE_COW != 0)
+
+
+def word_array(values: Iterable, n: int) -> Optional[np.ndarray]:
+    """``n`` PTE words as one int64 array, in order — the input of the
+    bulk numpy passes; None when a value is not a word: a None (a region
+    leaf's clear, or an empty slot read through ``entries.get``) or an int
+    beyond 64 bits.  The caller then takes its per-entry path."""
+    try:
+        return np.fromiter(values, np.int64, n)
+    except (TypeError, OverflowError):
+        return None
+
+
+def all_none(values: Collection) -> bool:
+    """True when every one of a region leaf's values is None (clears only).
+    ``list.count`` meets each None by identity, so this is one C pass."""
+    return list(values).count(None) == len(values)
 
 
 class PageTablePage:
     """One page-table page (PGD or leaf), occupying a physical frame.
 
-    ``entries`` is sparse: only present slots are stored.  Cost accounting
-    for hardware scans still charges the full ``PT_ENTRIES`` width, because
-    real validation must look at every slot.
+    ``entries`` is sparse: only written slots are stored — PTE words in a
+    leaf, leaf pages in a PGD.  Cost accounting for hardware scans still
+    charges the full ``PT_ENTRIES`` width, because real validation must
+    look at every slot.
     """
 
     __slots__ = ("frame", "level", "entries")
@@ -71,9 +148,9 @@ def vpn_split(vaddr: int) -> tuple[int, int]:
     return vpn // PT_ENTRIES, vpn % PT_ENTRIES
 
 
-def region_items(leaves: list) -> Iterator[tuple[int, Optional[Pte]]]:
-    """Walk a per-leaf region ``[(pgd_idx, {idx: pte_or_None})]`` entry by
-    entry, in application order, as ``(vaddr, pte_or_None)``."""
+def region_items(leaves: list) -> Iterator[tuple[int, Optional[int]]]:
+    """Walk a per-leaf region ``[(pgd_idx, {idx: word_or_None})]`` entry by
+    entry, in application order, as ``(vaddr, word_or_None)``."""
     for pgd_idx, updates in leaves:
         base = pgd_idx * PT_SPAN
         for idx, pte in updates.items():
@@ -132,14 +209,14 @@ class AddressSpace:
     # inline instead of through vpn_split; bulk paths write a leaf at a
     # time through write_leaf.
 
-    def set_pte(self, vaddr: int, pte: Pte) -> None:
+    def set_pte(self, vaddr: int, pte: int) -> None:
         vpn = vaddr // PAGE_SIZE
         leaf = self.pgd.entries.get(vpn // PT_ENTRIES)
         if leaf is None:
             leaf = self.leaf_for(vaddr, create=True)
         leaf.entries[vpn % PT_ENTRIES] = pte
 
-    def clear_pte(self, vaddr: int) -> Optional[Pte]:
+    def clear_pte(self, vaddr: int) -> Optional[int]:
         vpn = vaddr // PAGE_SIZE
         leaf = self.pgd.entries.get(vpn // PT_ENTRIES)
         if leaf is None:
@@ -148,7 +225,7 @@ class AddressSpace:
 
     def write_leaf(self, pgd_idx: int, updates: dict) -> Collection[int]:
         """Apply one leaf's share of a region write: ``updates`` maps leaf
-        index -> Pte (install) or None (clear), in application order.
+        index -> PTE word (install) or None (clear), in application order.
 
         The result equals one :meth:`set_pte`/:meth:`clear_pte` per entry in
         that order — one ``dict.update`` for the installs plus a pop per
@@ -158,9 +235,9 @@ class AddressSpace:
         cleared indices as the keys of a dict."""
         leaf = self.pgd.entries.get(pgd_idx)
         values = updates.values()
-        if all(values):            # installs only (None is the one falsy)
+        if None not in values:     # installs only (a word may be 0)
             cleared = ()
-        elif not any(values):      # clears only
+        elif all_none(values):     # clears only
             cleared = updates
         else:
             cleared = {i: None for i, pte in updates.items() if pte is None}
@@ -182,7 +259,7 @@ class AddressSpace:
         leaf.entries.update(updates)
         return cleared
 
-    def get_pte(self, vaddr: int) -> Optional[Pte]:
+    def get_pte(self, vaddr: int) -> Optional[int]:
         vpn = vaddr // PAGE_SIZE
         leaf = self.pgd.entries.get(vpn // PT_ENTRIES)
         if leaf is None:
@@ -191,19 +268,20 @@ class AddressSpace:
 
     # -- hardware walk -------------------------------------------------------
 
-    def walk(self, vaddr: int, write: bool, user: bool) -> Pte:
-        """Translate ``vaddr``; raise :class:`PageFault` on miss/violation.
+    def walk(self, vaddr: int, write: bool, user: bool) -> int:
+        """Translate ``vaddr`` to its PTE word; raise :class:`PageFault` on
+        miss/violation.
 
         This is the hardware page walk: permission checks mirror x86
         semantics (a supervisor access ignores the user bit; a write needs
         the writable bit).  The accessed/dirty bits a real walk sets are
         not modelled: nothing reads them."""
         pte = self.get_pte(vaddr)
-        if pte is None or not pte.present:
+        if pte is None or not pte & PTE_P:
             raise PageFault(vaddr, write, user)
-        if user and not pte.user:
+        if user and not pte & PTE_U:
             raise PageFault(vaddr, write, user, f"user access to kernel page {vaddr:#x}")
-        if write and not pte.writable:
+        if write and not pte & PTE_W:
             raise PageFault(vaddr, write, user, f"write to read-only page {vaddr:#x}")
         return pte
 
@@ -215,7 +293,7 @@ class AddressSpace:
             for idx in leaf.entries:
                 yield base + idx * PAGE_SIZE
 
-    def mapped_items(self) -> Iterator[tuple[int, "Pte"]]:
+    def mapped_items(self) -> Iterator[tuple[int, int]]:
         """Yield ``(vaddr, pte)`` pairs without a per-entry table walk —
         the bulk paths (fork's COW sweep, exit's teardown) iterate every
         mapping and a ``get_pte`` walk per vaddr doubles their cost."""
@@ -230,8 +308,8 @@ class AddressSpace:
     def mapped_frames(self) -> Iterator[int]:
         for leaf in self.pgd.entries.values():
             for pte in leaf.entries.values():
-                if pte.present:
-                    yield pte.frame
+                if pte & PTE_P:
+                    yield pte >> PTE_FRAME_SHIFT
 
     # -- teardown ------------------------------------------------------------
 

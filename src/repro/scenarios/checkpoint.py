@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.mercury import GuestWiring, Mercury, Mode
 from repro.errors import CheckpointError
 from repro.guestos.process import Task, TaskState
-from repro.hw.paging import AddressSpace, Pte
+from repro.hw.paging import AddressSpace, pte, pte_fields
 
 if TYPE_CHECKING:
     from repro.guestos.kernel import Kernel
@@ -151,10 +151,8 @@ def capture(kernel: "Kernel", include_disk: bool = True) -> CheckpointImage:
         a_img = AspaceImage(pgd_frame=aspace.pgd_frame)
         a_img.leaf_frames = {idx: leaf.frame
                              for idx, leaf in aspace.pgd.entries.items()}
-        for vaddr in aspace.mapped_vaddrs():
-            pte = aspace.get_pte(vaddr)
-            a_img.ptes[vaddr] = (pte.frame, pte.present, pte.writable,
-                                 pte.user, pte.cow)
+        a_img.ptes = {vaddr: pte_fields(word)
+                      for vaddr, word in aspace.mapped_items()}
         image.aspaces.append(a_img)
 
     # tasks
@@ -478,6 +476,6 @@ def _rebuild_aspace(kernel: "Kernel", a_img: AspaceImage,
         aspace.pgd.entries[pgd_idx] = leaf
         mem.frame_objects[fmap[leaf_frame]] = leaf
     for vaddr, (frame, present, writable, user, cow) in a_img.ptes.items():
-        aspace.set_pte(vaddr, Pte(frame=fmap[frame], present=present,
+        aspace.set_pte(vaddr, pte(fmap[frame], present=present,
                                   writable=writable, user=user, cow=cow))
     return aspace

@@ -15,18 +15,20 @@ violations raise :class:`~repro.errors.PageValidationError` — a guest can
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
+
+import numpy as np
 
 from repro import faults
 from repro.errors import HypercallError, PageValidationError
-from repro.hw.paging import region_items
+from repro.hw.paging import (PTE_FRAME_SHIFT, PTE_P, PTE_W, all_none,
+                             region_items, word_array)
 from repro.params import PAGE_SIZE, PT_ENTRIES
 from repro.vmm.page_info import _L1, _L2, _NONE, _WRITABLE
 
 if TYPE_CHECKING:
     from repro.hw.cpu import Cpu
-    from repro.hw.paging import AddressSpace, Pte
+    from repro.hw.paging import AddressSpace
     from repro.vmm.domain import Domain
     from repro.vmm.hypervisor import Hypervisor
 
@@ -36,9 +38,7 @@ if TYPE_CHECKING:
 #: per-entry ``mmu_update`` loop they replace
 COLUMNAR_MIN = 64
 
-_frame = attrgetter("frame")
-_present = attrgetter("present")
-_writable = attrgetter("writable")
+_NO_WORDS = np.empty(0, dtype=np.int64)
 
 
 def _require_registered(domain: "Domain", aspace: "AddressSpace") -> None:
@@ -55,11 +55,11 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                updates: list, per_pte_cycles: Optional[int] = None) -> int:
     """Apply a batch of page-table updates.
 
-    ``updates`` is a list of ``(aspace, vaddr, pte_or_None)`` tuples: a Pte
-    installs/replaces a mapping, None clears one.  Every update is validated
-    against the page-info table before being applied.  Charged at the
-    *batched* per-PTE rate unless the caller overrides (the unbatched
-    ``update_va_mapping`` path costs more per entry).
+    ``updates`` is a list of ``(aspace, vaddr, word_or_None)`` tuples: a
+    PTE word installs/replaces a mapping, None clears one.  Every update is
+    validated against the page-info table before being applied.  Charged
+    at the *batched* per-PTE rate unless the caller overrides (the
+    unbatched ``update_va_mapping`` path costs more per entry).
 
     These are the sequential rules every guest page-table write obeys: the
     lazy-MMU flush and ``update_va_mapping`` come here directly, and a
@@ -102,8 +102,8 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
         idx = vpn % PT_ENTRIES
         if pte is None:
             removed = leaf.entries.pop(idx, None) if leaf is not None else None
-            if removed is not None and removed.present:
-                frame = removed.frame
+            if removed is not None and removed & PTE_P:
+                frame = removed >> PTE_FRAME_SHIFT
                 n = pcount[frame]
                 # n <= 0 means the entry's accounting was already dropped
                 # (unpin wipes the counts its entries contributed): nothing
@@ -115,12 +115,13 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                         ptype[frame] = _NONE
             drop(vpn, None)
         else:
-            if pte.present:
-                frame = pte.frame
+            present = pte & PTE_P
+            if present:
+                frame = pte >> PTE_FRAME_SHIFT
                 if owner[frame] != domain_id:
                     page_info._check_frame_for(frame, domain_id)
                 t = ptype[frame]
-                if pte.writable and (t == _L1 or t == _L2):
+                if pte & PTE_W and (t == _L1 or t == _L2):
                     raise PageValidationError(
                         f"mmu_update installs writable mapping of PT frame "
                         f"{frame}")
@@ -129,13 +130,13 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
             if leaf is None:
                 leaf = aspace.leaf_for(vaddr, create=True)
             old = leaf.entries.get(idx)
-            if pte.present:
+            if present:
                 prefs[frame] += 1
                 if t == _NONE:
                     ptype[frame] = _WRITABLE
                 pcount[frame] += 1
-            if old is not None and old.present:
-                frame = old.frame
+            if old is not None and old & PTE_P:
+                frame = old >> PTE_FRAME_SHIFT
                 n = pcount[frame]
                 if n > 0:
                     pcount[frame] = n - 1
@@ -171,7 +172,7 @@ def mmu_update_chunks(cpu: "Cpu", n: int) -> Iterator[tuple[int, int]]:
 def mmu_update_region(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                       aspace: "AddressSpace", leaves: list) -> None:
     """Apply a per-leaf region write to ``aspace``: ``leaves`` is
-    ``[(pgd_idx, {idx: pte_or_None})]`` in application order, each leaf
+    ``[(pgd_idx, {idx: word_or_None})]`` in application order, each leaf
     listed once.
 
     The guest issues it as the batched :func:`mmu_update` hypercalls of
@@ -202,14 +203,16 @@ def _apply_region_columnar(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                            n: int) -> bool:
     """:func:`mmu_update_region` a leaf at a time, with the page-info
     counts of all ``n`` entries in one
-    :meth:`~repro.vmm.page_info.PageInfoTable.account_batch`.
+    :meth:`~repro.vmm.page_info.PageInfoTable.account_batch`, whose
+    install and clear frames come from each leaf's words in one numpy pass.
 
     Returns False, having changed nothing, wherever the result could
     differ from the sequential rules: the VMM would refuse the call, a
     leaf is listed twice or mixes installs and clears, an install lands on
     an occupied slot, memory cannot hold the new leaves, a leaf to adopt
     would fail its retype, or ``account_batch`` declines (a frame touched
-    twice, a bad install, a clear at the ``n > 0`` clamp)."""
+    twice, a bad install, a clear at the ``n > 0`` clamp).  A non-present
+    word, installed or cleared, counts nothing, as in ``mmu_update``."""
     if not vmm.active or aspace not in domain.aspaces:
         return False
     if len({pgd_idx for pgd_idx, _ in leaves}) != len(leaves):
@@ -218,9 +221,9 @@ def _apply_region_columnar(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
     ptype = page_info.type
     pinned = page_info.pinned_map[aspace.pgd.frame] != 0
     pgd_entries = aspace.pgd.entries
-    installed: list = []
-    writable: list = []
-    cleared: list = []
+    #: per leaf, the int64 words it installs and the old words it clears
+    installs: list = []
+    clears: list = []
     #: (position of the leaf's first entry, pgd_idx, leaf or None) for
     #: every leaf the region creates or, under a pinned PGD, adopts
     grown = []
@@ -228,28 +231,26 @@ def _apply_region_columnar(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
     for pgd_idx, updates in leaves:
         leaf = pgd_entries.get(pgd_idx)
         entries = leaf.entries if leaf is not None else {}
+        m = len(updates)
         values = updates.values()
-        if all(values):            # installs only (None is the one falsy)
+        words = word_array(values, m)
+        if words is not None:      # installs only (a word may be 0)
             if entries and not entries.keys().isdisjoint(updates):
                 return False
-            present = (values if all(map(_present, values))
-                       else [pte for pte in values if pte.present])
-            installed += map(_frame, present)
-            writable += map(_writable, present)
-            if values and (leaf is None
-                           or (pinned and ptype[leaf.frame] != _L1
-                               and ptype[leaf.frame] != _L2)):
+            installs.append(words)
+            if m and (leaf is None
+                      or (pinned and ptype[leaf.frame] != _L1
+                          and ptype[leaf.frame] != _L2)):
                 grown.append((pos, pgd_idx, leaf))
-        elif not any(values):      # clears only
-            olds = list(map(entries.get, updates))
-            if all(olds) and all(map(_present, olds)):
-                cleared += map(_frame, olds)
-            else:
-                cleared += [pte.frame for pte in olds
-                            if pte is not None and pte.present]
+        elif all_none(values):     # clears only
+            olds = word_array(map(entries.get, updates), m)
+            if olds is None:       # an empty slot: its clear counts nothing
+                olds = np.array([pte for pte in map(entries.get, updates)
+                                 if pte is not None], dtype=np.int64)
+            clears.append(olds)
         else:                      # no producer mixes them in one leaf
             return False
-        pos += len(updates)
+        pos += m
     missing = sum(1 for _, _, leaf in grown if leaf is None)
     new_frames = aspace.mem.next_frames(missing)
     if len(new_frames) < missing:
@@ -266,7 +267,13 @@ def _apply_region_columnar(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                 return False
             adopted.append(frame)
         plan.append((first, pgd_idx, adopt))
-    if not page_info.account_batch(installed, writable, cleared,
+    installed = np.concatenate(installs) if installs else _NO_WORDS
+    installed = installed[installed & PTE_P != 0]
+    cleared = np.concatenate(clears) if clears else _NO_WORDS
+    cleared = cleared[cleared & PTE_P != 0]
+    if not page_info.account_batch(installed >> PTE_FRAME_SHIFT,
+                                   installed & PTE_W != 0,
+                                   cleared >> PTE_FRAME_SHIFT,
                                    domain.domain_id, adopted):
         return False
     # from here on nothing can fail: replay the hypercalls' charges and
@@ -296,7 +303,7 @@ def _apply_region_columnar(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
 
 def update_va_mapping(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                       aspace: "AddressSpace", vaddr: int,
-                      pte: Optional["Pte"]) -> None:
+                      pte: Optional[int]) -> None:
     """Single-PTE fast path (Xen's most common hypercall)."""
     mmu_update(vmm, cpu, domain, [(aspace, vaddr, pte)],
                per_pte_cycles=cpu.cost.cyc_mmu_update_per_pte)

@@ -47,6 +47,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import PageValidationError
+from repro.hw.paging import (LEAF_PASS_MIN, PTE_FRAME_SHIFT, PTE_P, PTE_W,
+                             word_array)
 from repro.params import PT_ENTRIES
 
 if TYPE_CHECKING:
@@ -126,8 +128,8 @@ class RootContribution:
         get = mapped.get
         for leaf in aspace.pgd.entries.values():
             for pte in leaf.entries.values():
-                if pte.present:
-                    f = pte.frame
+                if pte & PTE_P:
+                    f = pte >> PTE_FRAME_SHIFT
                     mapped[f] = get(f, 0) + 1
         return cls(aspace.pgd.frame,
                    tuple(l.frame for l in aspace.pgd.entries.values()),
@@ -205,20 +207,29 @@ class PageInfoTable:
     def validate_leaf(self, cpu: "Cpu", leaf: "PageTablePage", domain_id: int) -> None:
         """Validate one leaf PT page for ``domain_id`` and account its
         references.  Charges a full-width entry scan (hardware must look at
-        every slot, present or not); the scan itself is one pass over the
-        frame columns."""
+        every slot, present or not).
+
+        A leaf of at least :data:`~repro.hw.paging.LEAF_PASS_MIN` entries is
+        checked and accounted in one numpy pass over its words
+        (:meth:`_validate_words`); a smaller one, or one that pass
+        declines, takes the per-entry rules, which raise on the first bad
+        entry after accounting the entries before it."""
         cpu.charge(cpu.cost.cyc_pte_validate * PT_ENTRIES)
         self.validations += 1
+        entries = leaf.entries
+        if (len(entries) >= LEAF_PASS_MIN
+                and self._validate_words(leaf, domain_id)):
+            return
         ptype, pcount, prefs = self.type, self.type_count, self.ref_count
         owner = self.mem.owner
-        for pte in leaf.entries.values():
-            if not pte.present:
+        for pte in entries.values():
+            if not pte & PTE_P:
                 continue
-            frame = pte.frame
+            frame = pte >> PTE_FRAME_SHIFT
             if owner[frame] != domain_id:
                 self._check_frame_for(frame, domain_id)
             t = ptype[frame]
-            if pte.writable and (t == _L1 or t == _L2):
+            if pte & PTE_W and (t == _L1 or t == _L2):
                 raise PageValidationError(
                     f"writable mapping of page-table frame {frame}")
             prefs[frame] += 1
@@ -226,6 +237,41 @@ class PageInfoTable:
                 ptype[frame] = _WRITABLE
             pcount[frame] += 1
         self._set_type(leaf.frame, PageType.L1_PAGETABLE)
+
+    def _validate_words(self, leaf: "PageTablePage", domain_id: int) -> bool:
+        """:meth:`validate_leaf`'s per-entry rules as numpy passes over the
+        leaf's words: each mapped frame takes one reference and one type
+        count and turns NONE into WRITABLE, then the leaf takes its L1
+        type.
+
+        The passes equal the loop only when no entry fails and no two
+        entries touch the same frame, so the leaf is checked first and
+        refused — False, columns untouched — if a word is not present or
+        maps a frame out of range, a foreign frame, a page-table frame
+        (the leaf's own included) or a frame another entry maps, or if the
+        leaf's frame cannot take its L1 type."""
+        t_leaf = self.type[leaf.frame]
+        if t_leaf != _NONE and t_leaf != _L1:
+            return False
+        entries = leaf.entries
+        words = word_array(entries.values(), len(entries))
+        if words is None or not (words & PTE_P).all():
+            return False
+        frames = words >> PTE_FRAME_SHIFT
+        frames.sort()
+        if (frames[0] < 0 or frames[-1] >= len(self.type)
+                or (frames[1:] == frames[:-1]).any()
+                or (self.mem.owner_np[frames] != domain_id).any()):
+            return False
+        ptype = self._type_np
+        t = ptype[frames]
+        if (t >= _L1).any() or (frames == leaf.frame).any():  # L1 or L2
+            return False
+        self._refs_np[frames] += 1
+        self._count_np[frames] += 1
+        ptype[frames[t == _NONE]] = _WRITABLE
+        self._set_type(leaf.frame, PageType.L1_PAGETABLE)
+        return True
 
     def validate_pgd(self, cpu: "Cpu", aspace: "AddressSpace", domain_id: int) -> None:
         """Validate a whole address space top-down (pin operation)."""
@@ -242,32 +288,35 @@ class PageInfoTable:
                       writable: Sequence[bool], cleared: Sequence[int],
                       domain_id: int, retyped: Sequence[int] = ()) -> bool:
         """The per-entry count rules of ``mmu_update`` for a whole batch, as
-        numpy passes over the columns: each installed frame (``writable`` says how it is mapped)
-        takes one type count and one reference and turns NONE into
-        WRITABLE; each cleared frame gives them back and turns WRITABLE
-        into NONE when its count reaches zero.
+        numpy passes over the columns: each installed frame (``writable``
+        says how it is mapped) takes one type count and one reference and
+        turns NONE into WRITABLE; each cleared frame gives them back and
+        turns WRITABLE into NONE when its count reaches zero.  The frames
+        may come as int arrays (the region pass takes them from words).
 
         The passes equal the entry-by-entry result only when no two
         entries touch the same frame and no entry fails, so the batch is
         checked first and refused — False, columns untouched — if a frame
         is out of range or named twice (``retyped``, frames the caller
-        retypes in the same batch, count as named), if an install maps a
+        retypes in the same batch, count as named; a repeat shows as equal
+        neighbours once the named frames are sorted), if an install maps a
         foreign frame or a page-table frame writable, or if a clear meets
         the ``n > 0`` clamp.  The caller then applies the sequential rules,
         which raise where they always did."""
-        named = [*installed, *cleared, *retyped]
-        if named and (min(named) < 0 or max(named) >= len(self.type)
-                      or len(set(named)) < len(named)):
-            return False
-        frames = np.array(named, dtype=np.intp)
-        fi = frames[:len(installed)]
-        fc = frames[len(installed):len(installed) + len(cleared)]
+        fi = np.asarray(installed, dtype=np.int64)
+        fc = np.asarray(cleared, dtype=np.int64)
+        named = np.concatenate((fi, fc, np.asarray(retyped, dtype=np.int64)))
+        if named.size:
+            named.sort()
+            if (named[0] < 0 or named[-1] >= len(self.type)
+                    or (named[1:] == named[:-1]).any()):
+                return False
         ptype, pcount, prefs = self._type_np, self._count_np, self._refs_np
         if fi.size:
             if (self.mem.owner_np[fi] != domain_id).any():
                 return False
             t = ptype[fi]
-            if (np.array(writable, dtype=bool)
+            if (np.asarray(writable, dtype=bool)
                     & ((t == _L1) | (t == _L2))).any():
                 return False
         if fc.size:
@@ -321,18 +370,18 @@ class PageInfoTable:
     def track_set_pte(self, pte, domain_id: int) -> None:
         """Cheap bookkeeping-only update (no privilege checks: the OS is
         native and trusted; we only keep counters warm)."""
-        if pte is None or not pte.present:
+        if pte is None or not pte & PTE_P:
             return
-        frame = pte.frame
+        frame = pte >> PTE_FRAME_SHIFT
         self.ref_count[frame] += 1
         if self.type[frame] == _NONE:
             self.type[frame] = _WRITABLE
         self.type_count[frame] += 1
 
     def track_clear_pte(self, old_pte) -> None:
-        if old_pte is None or not old_pte.present:
+        if old_pte is None or not old_pte & PTE_P:
             return
-        frame = old_pte.frame
+        frame = old_pte >> PTE_FRAME_SHIFT
         self.type_count[frame] -= 1
         self.ref_count[frame] -= 1
         if self.type_count[frame] == 0 and self.type[frame] == _WRITABLE:
@@ -453,9 +502,9 @@ class PageInfoTable:
     def _unaccount_leaf(self, cpu: "Cpu", leaf: "PageTablePage") -> None:
         ptype, pcount, prefs = self.type, self.type_count, self.ref_count
         for pte in leaf.entries.values():
-            if pte.present and pcount[pte.frame] > 0:  # same clamp as
-                frame = pte.frame                      # mmu_update's clear
-                pcount[frame] -= 1
+            frame = pte >> PTE_FRAME_SHIFT
+            if pte & PTE_P and pcount[frame] > 0:  # same clamp as
+                pcount[frame] -= 1                 # mmu_update's clear
                 prefs[frame] -= 1
                 if pcount[frame] == 0 and ptype[frame] == _WRITABLE:
                     ptype[frame] = _NONE

@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import VMMError
-from repro.hw.paging import AddressSpace, Pte
+from repro.hw.paging import (PTE_FLAGS, PTE_FRAME_SHIFT, PTE_P, PTE_W,
+                             AddressSpace)
 
 if TYPE_CHECKING:
     from repro.hw.cpu import Cpu
@@ -68,13 +69,10 @@ class ShadowPager:
         """Construct the shadow of one guest address space: allocate
         VMM-owned page-table pages and translate every present PTE."""
         shadow = AddressSpace(self.mem, SHADOW_OWNER)
-        for vaddr in guest_aspace.mapped_vaddrs():
-            gpte = guest_aspace.get_pte(vaddr)
-            frame = self.p2m(cpu, gpte.frame)
+        for vaddr, gpte in guest_aspace.mapped_items():
+            frame = self.p2m(cpu, gpte >> PTE_FRAME_SHIFT)
             cpu.charge(CYC_SHADOW_INSTALL)
-            shadow.set_pte(vaddr, Pte(frame=frame, present=gpte.present,
-                                      writable=gpte.writable,
-                                      user=gpte.user, cow=gpte.cow))
+            shadow.set_pte(vaddr, _translated(gpte, frame))
         self.shadows[id(guest_aspace)] = shadow
         self._guests[id(guest_aspace)] = guest_aspace
         return shadow
@@ -120,13 +118,11 @@ class ShadowPager:
         cpu.charge(CYC_SHADOW_SYNC)
         shadow = self.shadow_of(guest_aspace)
         gpte = guest_aspace.get_pte(vaddr)
-        if gpte is None or not gpte.present:
+        if gpte is None or not gpte & PTE_P:
             shadow.clear_pte(vaddr)
         else:
-            frame = self.p2m(cpu, gpte.frame)
-            shadow.set_pte(vaddr, Pte(frame=frame, present=True,
-                                      writable=gpte.writable,
-                                      user=gpte.user, cow=gpte.cow))
+            frame = self.p2m(cpu, gpte >> PTE_FRAME_SHIFT)
+            shadow.set_pte(vaddr, _translated(gpte, frame))
         cpu.tlb.invalidate(vaddr // 4096)
         self.syncs += 1
 
@@ -139,11 +135,17 @@ class ShadowPager:
     def verify_coherent(self, guest_aspace: AddressSpace) -> bool:
         """Every guest mapping must appear, translated, in the shadow."""
         shadow = self.shadow_of(guest_aspace)
-        for vaddr in guest_aspace.mapped_vaddrs():
-            gpte = guest_aspace.get_pte(vaddr)
-            spte = shadow.get_pte(vaddr)
-            if gpte.present:
-                if spte is None or spte.frame != gpte.frame or \
-                        spte.writable != gpte.writable:
+        for vaddr, gpte in guest_aspace.mapped_items():
+            if gpte & PTE_P:
+                spte = shadow.get_pte(vaddr)
+                if (spte is None
+                        or spte >> PTE_FRAME_SHIFT != gpte >> PTE_FRAME_SHIFT
+                        or spte & PTE_W != gpte & PTE_W):
                     return False
         return True
+
+
+def _translated(gpte: int, frame: int) -> int:
+    """The shadow word for guest word ``gpte`` with its frame translated
+    to ``frame``: every flag bit carries over."""
+    return frame << PTE_FRAME_SHIFT | gpte & PTE_FLAGS

@@ -17,7 +17,7 @@ from repro.core.invariants import check_all
 from repro.core.mercury import Mode
 from repro.core.switch import MAX_SWITCH_RETRIES, RETRY_PERIOD_MS
 from repro.errors import HypercallError, SwitchAborted
-from repro.hw.paging import Pte
+from repro.hw.paging import pte, pte_frame
 from repro.metrics import MetricsCollector
 
 
@@ -260,7 +260,7 @@ def test_mmu_transient_fault_preserves_the_lazy_queue(mercury):
     vaddr = 0x4100_0000
 
     vo.lazy_mmu_begin(cpu)
-    vo.set_pte(cpu, aspace, vaddr, Pte(frame=frame, writable=True))
+    vo.set_pte(cpu, aspace, vaddr, pte(frame, writable=True))
     assert vo.lazy_mmu_pending() == 1
 
     plan = faults.FaultPlan()
@@ -275,5 +275,5 @@ def test_mmu_transient_fault_preserves_the_lazy_queue(mercury):
     # fault gone: the retried flush applies the queued update
     vo.lazy_mmu_flush(cpu)
     assert vo.lazy_mmu_pending() == 0
-    assert aspace.get_pte(vaddr).frame == frame
+    assert pte_frame(aspace.get_pte(vaddr)) == frame
     assert check_all(mercury) == []

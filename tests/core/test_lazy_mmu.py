@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.invariants import check_all, check_lazy_mmu
 from repro.core.mercury import Mode, PagingMode
-from repro.hw.paging import Pte, vpn_split
+from repro.hw.paging import pte, pte_fields, pte_frame, vpn_split
 from repro.params import PAGE_SIZE
 
 #: scratch vaddrs well away from the process image
@@ -36,14 +36,14 @@ def test_region_queues_then_flushes_one_batch(mercury):
     before = mercury.vmm.hypercall_counts.get("update_va_mapping", 0)
 
     vo.lazy_mmu_begin(cpu)
-    vo.set_pte(cpu, aspace, VADDR, Pte(frame=frame))
+    vo.set_pte(cpu, aspace, VADDR, pte(frame))
     # queued, not applied: the structural table must not see it yet
     assert vo.lazy_mmu_pending() == 1
     assert aspace.get_pte(VADDR) is None
     vo.lazy_mmu_end(cpu)
 
     assert vo.lazy_mmu_pending() == 0
-    assert aspace.get_pte(VADDR).frame == frame
+    assert pte_frame(aspace.get_pte(VADDR)) == frame
     # went out as a batched mmu_update, not the single-PTE path
     assert mercury.vmm.hypercall_counts.get("update_va_mapping", 0) == before
     assert mercury.vmm.mmu_batches >= 1
@@ -56,12 +56,12 @@ def test_nested_regions_flush_only_at_outermost_end(mercury):
 
     vo.lazy_mmu_begin(cpu)
     vo.lazy_mmu_begin(cpu)
-    vo.set_pte(cpu, aspace, VADDR, Pte(frame=frame))
+    vo.set_pte(cpu, aspace, VADDR, pte(frame))
     vo.lazy_mmu_end(cpu)
     assert vo.lazy_mmu_pending() == 1  # inner end must not flush
     vo.lazy_mmu_end(cpu)
     assert vo.lazy_mmu_pending() == 0
-    assert aspace.get_pte(VADDR).frame == frame
+    assert pte_frame(aspace.get_pte(VADDR)) == frame
 
 
 def test_rmw_sees_its_own_queued_writes(mercury):
@@ -72,14 +72,14 @@ def test_rmw_sees_its_own_queued_writes(mercury):
     frame = _fresh_frame(mercury)
 
     vo.lazy_mmu_begin(cpu)
-    vo.set_pte(cpu, aspace, VADDR, Pte(frame=frame, writable=True))
+    vo.set_pte(cpu, aspace, VADDR, pte(frame, writable=True))
     pgd_idx, idx = vpn_split(VADDR)
     vo.update_pte_flags(cpu, aspace, pgd_idx, [idx], writable=False, cow=True)
     vo.lazy_mmu_end(cpu)
 
-    pte = aspace.get_pte(VADDR)
-    assert pte.frame == frame
-    assert pte.writable is False and pte.cow is True
+    entry = pte_fields(aspace.get_pte(VADDR))
+    assert entry.frame == frame
+    assert entry.writable is False and entry.cow is True
 
 
 def test_tlb_flush_and_cr3_load_flush_mid_region(mercury):
@@ -87,11 +87,11 @@ def test_tlb_flush_and_cr3_load_flush_mid_region(mercury):
     vo = kernel.vo
 
     vo.lazy_mmu_begin(cpu)
-    vo.set_pte(cpu, aspace, VADDR, Pte(frame=_fresh_frame(mercury)))
+    vo.set_pte(cpu, aspace, VADDR, pte(_fresh_frame(mercury)))
     vo.flush_tlb(cpu)
     assert vo.lazy_mmu_pending() == 0  # observable point: queue drained
     vo.set_pte(cpu, aspace, VADDR + PAGE_SIZE,
-               Pte(frame=_fresh_frame(mercury)))
+               pte(_fresh_frame(mercury)))
     vo.write_cr3(cpu, aspace.pgd_frame)
     assert vo.lazy_mmu_pending() == 0
     vo.lazy_mmu_end(cpu)
@@ -106,14 +106,14 @@ def test_mode_switch_mid_region_drains_before_commit(mercury):
     frame = _fresh_frame(mercury)
 
     vo.lazy_mmu_begin(cpu)
-    vo.set_pte(cpu, aspace, VADDR, Pte(frame=frame))
+    vo.set_pte(cpu, aspace, VADDR, pte(frame))
     assert vo.lazy_mmu_pending() == 1
 
     mercury.detach()
     assert mercury.mode is Mode.NATIVE
     # drained at commit: applied through the VMM before it deactivated
     assert vo.lazy_mmu_pending() == 0
-    assert aspace.get_pte(VADDR).frame == frame
+    assert pte_frame(aspace.get_pte(VADDR)) == frame
 
     # the region was retired; balanced end on either VO changes nothing
     vo.lazy_mmu_end(cpu)
@@ -127,7 +127,7 @@ def test_invariant_flags_pending_queue(mercury):
     vo = kernel.vo
     assert check_lazy_mmu(mercury) == []
     vo.lazy_mmu_begin(cpu)
-    vo.set_pte(cpu, aspace, VADDR, Pte(frame=_fresh_frame(mercury)))
+    vo.set_pte(cpu, aspace, VADDR, pte(_fresh_frame(mercury)))
     violations = check_lazy_mmu(mercury)
     assert violations and "lazy-MMU" in violations[0]
     vo.lazy_mmu_end(cpu)
@@ -140,9 +140,9 @@ def test_native_mode_markers_are_noops(mercury):
     aspace = kernel.scheduler.current.aspace
     frame = _fresh_frame(mercury)
     with kernel.lazy_mmu(cpu):
-        kernel.vo.set_pte(cpu, aspace, VADDR, Pte(frame=frame))
+        kernel.vo.set_pte(cpu, aspace, VADDR, pte(frame))
         # native PTE writes are plain stores: applied immediately
-        assert aspace.get_pte(VADDR).frame == frame
+        assert pte_frame(aspace.get_pte(VADDR)) == frame
         assert kernel.vo.lazy_mmu_pending() == 0
 
 
@@ -157,8 +157,8 @@ def test_shadow_mode_markers_are_noops(machine):
     frame = _fresh_frame(mercury)
     with kernel.lazy_mmu(cpu):
         # every shadow write traps individually; nothing may queue
-        kernel.vo.set_pte(cpu, aspace, VADDR, Pte(frame=frame))
-        assert aspace.get_pte(VADDR).frame == frame
+        kernel.vo.set_pte(cpu, aspace, VADDR, pte(frame))
+        assert pte_frame(aspace.get_pte(VADDR)) == frame
         assert kernel.vo.lazy_mmu_pending() == 0
     assert mercury.pager.verify_coherent(aspace)
 

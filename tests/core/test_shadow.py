@@ -5,7 +5,7 @@ import pytest
 from repro import Machine, Mercury, small_config
 from repro.core.mercury import Mode, PagingMode
 from repro.errors import VMMError
-from repro.hw.paging import AddressSpace, Pte
+from repro.hw.paging import AddressSpace, pte, pte_frame
 from repro.params import PAGE_SIZE
 from repro.vmm.shadow import SHADOW_OWNER, ShadowPager
 
@@ -26,7 +26,7 @@ def test_build_translates_every_mapping(machine, cpu):
     guest = AddressSpace(mem, owner=0)
     frames = [mem.alloc(0) for _ in range(4)]
     for i, f in enumerate(frames):
-        guest.set_pte(0x1000 + i * PAGE_SIZE, Pte(frame=f, writable=(i % 2 == 0)))
+        guest.set_pte(0x1000 + i * PAGE_SIZE, pte(f, writable=(i % 2 == 0)))
     pager = ShadowPager(mem, domain_id=0)
     shadow = pager.build(cpu, guest)
     assert pager.verify_coherent(guest)
@@ -38,21 +38,21 @@ def test_sync_pte_propagates_changes(machine, cpu):
     mem = machine.memory
     guest = AddressSpace(mem, owner=0)
     f1, f2 = mem.alloc(0), mem.alloc(0)
-    guest.set_pte(0x1000, Pte(frame=f1))
+    guest.set_pte(0x1000, pte(f1))
     pager = ShadowPager(mem, domain_id=0)
     pager.build(cpu, guest)
-    guest.set_pte(0x1000, Pte(frame=f2, writable=False))  # guest writes
+    guest.set_pte(0x1000, pte(f2, writable=False))  # guest writes
     pager.sync_pte(cpu, guest, 0x1000)                    # trap emulation
     assert pager.verify_coherent(guest)
     shadow = pager.shadow_of(guest)
-    assert shadow.get_pte(0x1000).frame == f2
+    assert pte_frame(shadow.get_pte(0x1000)) == f2
     assert pager.syncs == 1
 
 
 def test_sync_clears_removed_entries(machine, cpu):
     mem = machine.memory
     guest = AddressSpace(mem, owner=0)
-    guest.set_pte(0x1000, Pte(frame=mem.alloc(0)))
+    guest.set_pte(0x1000, pte(mem.alloc(0)))
     pager = ShadowPager(mem, domain_id=0)
     pager.build(cpu, guest)
     guest.clear_pte(0x1000)
@@ -63,7 +63,7 @@ def test_sync_clears_removed_entries(machine, cpu):
 def test_drop_all_frees_shadow_frames(machine, cpu):
     mem = machine.memory
     guest = AddressSpace(mem, owner=0)
-    guest.set_pte(0x1000, Pte(frame=mem.alloc(0)))
+    guest.set_pte(0x1000, pte(mem.alloc(0)))
     pager = ShadowPager(mem, domain_id=0)
     free_before = mem.free_frames
     pager.build(cpu, guest)

@@ -7,7 +7,7 @@ from repro.core.native_vo import NativeVO
 from repro.core.virtual_vo import VirtualVO
 from repro.errors import ConsistencyViolation, HypercallError
 from repro.hw.cpu import PrivilegeLevel
-from repro.hw.paging import AddressSpace, Pte, vpn_split
+from repro.hw.paging import PTE_W, AddressSpace, pte, pte_frame, vpn_split
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +119,8 @@ def test_native_set_pte_and_clear(machine):
     cpu = machine.boot_cpu
     aspace = AddressSpace(machine.memory, owner=0)
     frame = machine.memory.alloc(0)
-    vo.set_pte(cpu, aspace, 0x3000, Pte(frame=frame))
-    assert aspace.get_pte(0x3000).frame == frame
+    vo.set_pte(cpu, aspace, 0x3000, pte(frame))
+    assert pte_frame(aspace.get_pte(0x3000)) == frame
     vo.clear_pte(cpu, aspace, 0x3000)
     assert aspace.get_pte(0x3000) is None
 
@@ -130,12 +130,12 @@ def test_native_update_pte_flags_invalidates_tlb(machine):
     cpu = machine.boot_cpu
     aspace = AddressSpace(machine.memory, owner=0)
     frame = machine.memory.alloc(0)
-    vo.set_pte(cpu, aspace, 0x3000, Pte(frame=frame))
+    vo.set_pte(cpu, aspace, 0x3000, pte(frame))
     cpu.tlb.fill(0x3, frame, True)
     pgd_idx, idx = vpn_split(0x3000)
     vo.update_pte_flags(cpu, aspace, pgd_idx, [idx], writable=False)
     assert 0x3 not in cpu.tlb
-    assert not aspace.get_pte(0x3000).writable
+    assert not aspace.get_pte(0x3000) & PTE_W
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_virtual_unpinned_writes_are_direct(virt):
     dom.register_aspace(aspace)
     frame = machine.memory.alloc(0)
     served0 = vmm.hypercalls_served
-    vo.set_pte(cpu, aspace, 0x3000, Pte(frame=frame))
+    vo.set_pte(cpu, aspace, 0x3000, pte(frame))
     assert vmm.hypercalls_served == served0  # direct write
 
 
@@ -166,11 +166,11 @@ def test_virtual_pinned_writes_use_hypercalls(virt):
     cpu, machine, vmm, dom, vo = virt
     aspace = AddressSpace(machine.memory, owner=0)
     frame = machine.memory.alloc(0)
-    vo.set_pte(cpu, aspace, 0x3000, Pte(frame=frame))
+    vo.set_pte(cpu, aspace, 0x3000, pte(frame))
     vo.new_address_space(cpu, aspace)     # registers + pins
     served0 = vmm.hypercalls_served
     f2 = machine.memory.alloc(0)
-    vo.set_pte(cpu, aspace, 0x4000, Pte(frame=f2))
+    vo.set_pte(cpu, aspace, 0x4000, pte(f2))
     assert vmm.hypercalls_served == served0 + 1
 
 
@@ -252,7 +252,7 @@ def test_apply_pte_region_batches(virt):
     frames = [machine.memory.alloc(0) for _ in range(40)]
     served0 = vmm.hypercalls_served
     vo.apply_pte_region(cpu, aspace,
-                        [(0, {0x10 + i: Pte(frame=f)
+                        [(0, {0x10 + i: pte(f)
                               for i, f in enumerate(frames)})])
     batches = vmm.hypercalls_served - served0
     assert 1 <= batches <= (40 // cpu.cost.mmu_batch_size) + 1

@@ -6,7 +6,7 @@ from repro import Machine, small_config
 from repro.core.native_vo import NativeVO
 from repro.errors import GuestOSError, SyscallError
 from repro.guestos.kernel import Kernel
-from repro.guestos.process import TaskState
+from repro.guestos.process import Task, TaskState
 from repro.hw.cpu import PrivilegeLevel
 
 
@@ -54,6 +54,20 @@ def test_switch_requeues_previous(kernel, cpu):
     kernel.switch_to(cpu, kernel.procs.get(pid))
     assert init in kernel.scheduler.runqueue
     assert init.state == TaskState.READY
+
+
+def test_dequeue_takes_the_task_not_an_equal_one(kernel):
+    """Tasks compare by identity: of two queued tasks whose fields are all
+    equal, dequeuing one leaves the other queued."""
+    sched = kernel.scheduler
+    aspace = sched.current.aspace
+    first, second = Task(7, "twin", aspace), Task(7, "twin", aspace)
+    sched.runqueue.extend((first, second))
+    sched.dequeue(second)
+    assert [t for t in sched.runqueue if t is first] == [first]
+    assert not any(t is second for t in sched.runqueue)
+    sched.dequeue(second)                 # no longer queued: a no-op
+    assert any(t is first for t in sched.runqueue)
 
 
 def test_yield_round_robins(kernel, cpu):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NoSuchProcess, SyscallError
 from repro.guestos.process import TaskState
+from repro.hw.paging import pte_fields, pte_frame
 
 
 def test_boot_creates_init(kernel):
@@ -25,8 +26,8 @@ def test_fork_child_shares_frames_readonly(kernel, cpu):
     pid = kernel.syscall(cpu, "fork")
     child = kernel.procs.get(pid)
     for vaddr in parent.aspace.mapped_vaddrs():
-        p = parent.aspace.get_pte(vaddr)
-        c = child.aspace.get_pte(vaddr)
+        p = pte_fields(parent.aspace.get_pte(vaddr))
+        c = pte_fields(child.aspace.get_pte(vaddr))
         assert c.frame == p.frame
         assert not p.writable and not c.writable
         assert kernel.vmem.frame_refs(p.frame) == 2
@@ -41,8 +42,8 @@ def test_cow_write_isolates_parent_and_child(kernel, cpu):
     child = kernel.procs.get(pid)
     kernel.switch_to(cpu, child)
     kernel.vmem.access(cpu, child, vaddr, write=True)
-    c = child.aspace.get_pte(vaddr)
-    p = parent.aspace.get_pte(vaddr)
+    c = pte_fields(child.aspace.get_pte(vaddr))
+    p = pte_fields(parent.aspace.get_pte(vaddr))
     assert c.frame != p.frame
     assert c.writable
     assert kernel.vmem.frame_refs(p.frame) == 1
@@ -55,11 +56,11 @@ def test_cow_last_reference_reuses_frame(kernel, cpu):
     pid = kernel.syscall(cpu, "fork")
     child = kernel.procs.get(pid)
     kernel.run_and_reap(cpu, child)  # child gone; parent sole owner again
-    old_frame = parent.aspace.get_pte(vaddr).frame
+    old_frame = pte_frame(parent.aspace.get_pte(vaddr))
     kernel.vmem.access(cpu, parent, vaddr, write=True)
-    pte = parent.aspace.get_pte(vaddr)
-    assert pte.frame == old_frame  # no copy needed
-    assert pte.writable and not pte.cow
+    entry = pte_fields(parent.aspace.get_pte(vaddr))
+    assert entry.frame == old_frame  # no copy needed
+    assert entry.writable and not entry.cow
 
 
 def test_exec_replaces_image(kernel, cpu):

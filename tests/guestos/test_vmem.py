@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SyscallError
+from repro.hw.paging import PTE_P
 from repro.params import PAGE_SIZE
 
 
@@ -13,14 +14,14 @@ def test_mmap_demand_pages_on_touch(kernel, cpu):
     faults0 = kernel.vmem.minor_faults
     kernel.vmem.access(cpu, task, base, write=True)
     assert kernel.vmem.minor_faults == faults0 + 1
-    assert task.aspace.get_pte(base).present
+    assert task.aspace.get_pte(base) & PTE_P
 
 
 def test_mmap_populate_maps_eagerly(kernel, cpu):
     task = kernel.scheduler.current
     base = kernel.syscall(cpu, "mmap", 4 * PAGE_SIZE, True)
     for i in range(4):
-        assert task.aspace.get_pte(base + i * PAGE_SIZE).present
+        assert task.aspace.get_pte(base + i * PAGE_SIZE) & PTE_P
 
 
 def test_mmap_zero_length_rejected(kernel, cpu):

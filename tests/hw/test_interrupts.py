@@ -67,6 +67,21 @@ def test_handler_runs_at_gate_privilege_and_iret_restores(machine):
     assert cpu.pl == PrivilegeLevel.PL3   # restored
 
 
+def test_a_gate_resolves_its_privilege_level_once(machine):
+    """The gate holds the level itself, and delivery assigns it."""
+    log = []
+    idt = Idt("test")
+    idt.set_gate(0x42, _gate(log), handler_pl=1)
+    assert idt.gates[0x42].handler_pl is PrivilegeLevel.PL1
+    cpu = machine.boot_cpu
+    cpu.load_idt(idt)
+    cpu.set_privilege(PrivilegeLevel.PL3)
+    machine.intc.raise_vector(0, 0x42)
+    machine.poll()
+    assert log == [("h", 0x42, 1)]
+    assert cpu.pl == PrivilegeLevel.PL3
+
+
 def test_handler_may_edit_iret_privilege(machine):
     """Overwriting _iret_pl changes the level returned to — the §5.1.3
     privileged-level switch mechanism."""

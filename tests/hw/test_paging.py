@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import PageFault
 from repro.hw.memory import PhysicalMemory
-from repro.hw.paging import AddressSpace, Pte, vpn_split
+from repro.hw.paging import (AddressSpace, pte, pte_frame, vpn_split,
+                             with_flags)
 from repro.params import PAGE_SIZE, PT_ENTRIES, PT_SPAN
 
 
@@ -33,22 +34,22 @@ def test_pgd_occupies_a_frame(mem, aspace):
 
 def test_map_and_walk(mem, aspace):
     f = mem.alloc(0)
-    installed = Pte(frame=f)
+    installed = pte(f)
     aspace.set_pte(0x5000, installed)
-    pte = aspace.walk(0x5000, write=False, user=True)
-    assert pte is installed
-    assert pte.frame == f
+    word = aspace.walk(0x5000, write=False, user=True)
+    assert word == installed
+    assert pte_frame(word) == f
 
 
 def test_walk_leaves_the_entry_unchanged(mem, aspace):
     """A walk only reads: entries are values that fork shares between
     tables, so a write through one table must not change the other's."""
     f = mem.alloc(0)
-    installed = Pte(frame=f)
+    installed = pte(f)
     aspace.set_pte(0x5000, installed)
     for write in (False, True):
-        assert aspace.walk(0x5000, write=write, user=True) is installed
-    assert installed == Pte(frame=f)
+        assert aspace.walk(0x5000, write=write, user=True) == installed
+    assert aspace.get_pte(0x5000) == pte(f)
 
 
 def test_walk_unmapped_faults(aspace):
@@ -59,7 +60,7 @@ def test_walk_unmapped_faults(aspace):
 
 def test_walk_write_to_readonly_faults(mem, aspace):
     f = mem.alloc(0)
-    aspace.set_pte(0x5000, Pte(frame=f, writable=False))
+    aspace.set_pte(0x5000, pte(f, writable=False))
     aspace.walk(0x5000, write=False, user=True)  # read ok
     with pytest.raises(PageFault):
         aspace.walk(0x5000, write=True, user=True)
@@ -67,16 +68,16 @@ def test_walk_write_to_readonly_faults(mem, aspace):
 
 def test_user_access_to_kernel_page_faults(mem, aspace):
     f = mem.alloc(0)
-    aspace.set_pte(0x5000, Pte(frame=f, user=False))
+    aspace.set_pte(0x5000, pte(f, user=False))
     with pytest.raises(PageFault):
         aspace.walk(0x5000, write=False, user=True)
     # supervisor access is fine
-    assert aspace.walk(0x5000, write=False, user=False).frame == f
+    assert pte_frame(aspace.walk(0x5000, write=False, user=False)) == f
 
 
 def test_not_present_faults(mem, aspace):
     f = mem.alloc(0)
-    aspace.set_pte(0x5000, Pte(frame=f, present=False))
+    aspace.set_pte(0x5000, pte(f, present=False))
     with pytest.raises(PageFault):
         aspace.walk(0x5000, write=False, user=True)
 
@@ -84,7 +85,7 @@ def test_not_present_faults(mem, aspace):
 def test_leaf_created_lazily(mem, aspace):
     assert aspace.num_pt_pages() == 1
     f = mem.alloc(0)
-    aspace.set_pte(PT_SPAN * 2, Pte(frame=f))
+    aspace.set_pte(PT_SPAN * 2, pte(f))
     assert aspace.num_pt_pages() == 2
     leaf = aspace.leaf_for(PT_SPAN * 2)
     assert leaf.level == 1
@@ -93,9 +94,9 @@ def test_leaf_created_lazily(mem, aspace):
 
 def test_clear_pte(mem, aspace):
     f = mem.alloc(0)
-    aspace.set_pte(0x5000, Pte(frame=f))
+    aspace.set_pte(0x5000, pte(f))
     removed = aspace.clear_pte(0x5000)
-    assert removed.frame == f
+    assert pte_frame(removed) == f
     assert aspace.get_pte(0x5000) is None
     assert aspace.clear_pte(0x5000) is None  # idempotent
 
@@ -104,7 +105,7 @@ def test_mapped_enumeration(mem, aspace):
     frames = [mem.alloc(0) for _ in range(3)]
     addrs = [0x1000, 0x2000, PT_SPAN + 0x1000]
     for va, f in zip(addrs, frames):
-        aspace.set_pte(va, Pte(frame=f))
+        aspace.set_pte(va, pte(f))
     assert sorted(aspace.mapped_vaddrs()) == sorted(addrs)
     assert aspace.mapped_count() == 3
     assert sorted(aspace.mapped_frames()) == sorted(frames)
@@ -112,7 +113,7 @@ def test_mapped_enumeration(mem, aspace):
 
 def test_destroy_frees_pt_frames_only(mem, aspace):
     data = mem.alloc(0)
-    aspace.set_pte(0x1000, Pte(frame=data))
+    aspace.set_pte(0x1000, pte(data))
     free_before = mem.free_frames
     pt_pages = aspace.num_pt_pages()
     aspace.destroy()
@@ -121,17 +122,16 @@ def test_destroy_frees_pt_frames_only(mem, aspace):
 
 
 def test_with_flags_builds_a_new_entry():
-    p = Pte(frame=1, present=True, writable=True, user=False, cow=False)
-    q = p.with_flags(writable=False, cow=True)
-    assert q is not p
-    assert q == Pte(frame=1, present=True, writable=False, user=False,
+    p = pte(1, present=True, writable=True, user=False, cow=False)
+    q = with_flags(p, writable=False, cow=True)
+    assert q == pte(1, present=True, writable=False, user=False,
                     cow=True)
-    assert p == Pte(frame=1, present=True, writable=True, user=False,
+    assert p == pte(1, present=True, writable=True, user=False,
                     cow=False)
     # None keeps a flag
-    assert p.with_flags(cow=True) == Pte(frame=1, user=False, cow=True)
-    assert q.with_flags(writable=True) == Pte(frame=1, user=False, cow=True)
-    assert p.with_flags() == p and p.with_flags() is not p
+    assert with_flags(p, cow=True) == pte(1, user=False, cow=True)
+    assert with_flags(q, writable=True) == pte(1, user=False, cow=True)
+    assert with_flags(p) == p
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,11 +147,11 @@ def test_property_map_walk_consistency(ops):
     for page, do_map in ops:
         va = page * PAGE_SIZE
         if do_map:
-            aspace.set_pte(va, Pte(frame=pool[page]))
+            aspace.set_pte(va, pte(pool[page]))
             shadow[va] = pool[page]
         else:
             aspace.clear_pte(va)
             shadow.pop(va, None)
     for va, frame in shadow.items():
-        assert aspace.walk(va, write=False, user=True).frame == frame
+        assert pte_frame(aspace.walk(va, write=False, user=True)) == frame
     assert aspace.mapped_count() == len(shadow)

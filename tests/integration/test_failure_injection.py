@@ -61,28 +61,28 @@ def test_attach_survives_after_prior_oom(mercury):
 def test_guest_cannot_map_foreign_frame_via_hypercall(mercury):
     """A (buggy or malicious) guest trying to map another owner's frame is
     stopped by validation — in every virtual-mode path."""
-    from repro.hw.paging import Pte
+    from repro.hw.paging import pte
     mercury.attach()
     k = mercury.kernel
     cpu = mercury.machine.boot_cpu
     foreign = mercury.machine.memory.alloc(777)
     aspace = k.scheduler.current.aspace
     with pytest.raises(PageValidationError):
-        k.vo.set_pte(cpu, aspace, 0x6666_0000, Pte(frame=foreign))
+        k.vo.set_pte(cpu, aspace, 0x6666_0000, pte(foreign))
     # the mapping did not happen
     assert aspace.get_pte(0x6666_0000) is None
     mercury.detach()
 
 
 def test_guest_cannot_selfmap_its_page_tables_writable(mercury):
-    from repro.hw.paging import Pte
+    from repro.hw.paging import pte
     mercury.attach()
     k = mercury.kernel
     cpu = mercury.machine.boot_cpu
     aspace = k.scheduler.current.aspace
     with pytest.raises(PageValidationError):
         k.vo.set_pte(cpu, aspace, 0x6666_0000,
-                     Pte(frame=aspace.pgd_frame, writable=True))
+                     pte(aspace.pgd_frame, writable=True))
     mercury.detach()
 
 

@@ -4,7 +4,7 @@ entry, and fork's run-ahead is invisible in simulated time.
 ``update_pte_flags(cpu, aspace, pgd_idx, idxs, ...)`` applies a leaf's
 entries in one sensitive call with exactly the per-entry effects.  Two
 identically built stacks take the same random leaf: one in one call, the
-other in one call per index.  Leaf dicts (every Pte field, key order
+other in one call per index.  Leaf dicts (every PTE field, key order
 included), TLB contents in order, the clock, the VO's entry count and
 refcount, the lazy queue and its ``pending`` map, the dirty roots, the
 page-info columns, the hypercall counters, the hypercall trace marks (with
@@ -40,7 +40,7 @@ from repro.core.mercury import PagingMode
 from repro.errors import HypercallError, PageValidationError
 from repro.guestos.kernel import Kernel
 from repro.hw.machine import isolated_machine_ids
-from repro.hw.paging import AddressSpace, Pte
+from repro.hw.paging import AddressSpace, pte, pte_fields
 from repro.params import PAGE_SIZE, PT_ENTRIES
 from repro.scenarios.checkpoint import state_digest
 from repro.sim import SimScheduler
@@ -76,10 +76,10 @@ def _stack(kind: str):
     return mercury, kernel, aspace, pool
 
 
-def _fields(pte):
-    if pte is None:
+def _fields(word):
+    if word is None:
         return None
-    return (pte.frame, pte.present, pte.writable, pte.user, pte.cow)
+    return pte_fields(word)
 
 
 def _state(mercury, kernel, cpu, aspace) -> dict:
@@ -149,10 +149,10 @@ def _run(sc, one_call: bool) -> list:
     vo = kernel.vo
     cpu = mercury.machine.boot_cpu
     base_vpn = PGD * PT_ENTRIES
-    init = {idx: Pte(pool[idx], present, writable, cow=cow)
+    init = {idx: pte(pool[idx], present=present, writable=writable, cow=cow)
             for idx, (present, writable, cow) in sc["init"].items()}
     if sc["pt_slot"] is not None:
-        init[sc["pt_slot"]] = Pte(aspace.pgd.frame, True, False)
+        init[sc["pt_slot"]] = pte(aspace.pgd.frame, writable=False)
     if init:
         vo.apply_pte_region(cpu, aspace, [(PGD, init)])
     for off in sc["tlb"]:
@@ -162,7 +162,8 @@ def _run(sc, one_call: bool) -> list:
     for op, idx, flag in sc["queued"]:
         vaddr = (base_vpn + idx) * PAGE_SIZE
         if op == "set":
-            vo.set_pte(cpu, aspace, vaddr, Pte(pool[SLOTS + idx], True, flag))
+            vo.set_pte(cpu, aspace, vaddr,
+                       pte(pool[SLOTS + idx], writable=flag))
         elif op == "clear":
             vo.clear_pte(cpu, aspace, vaddr)
         else:
@@ -230,7 +231,7 @@ def test_leaf_call_applies_the_flags_and_drops_the_translations(kind):
     cpu = mercury.machine.boot_cpu
     base_vpn = PGD * PT_ENTRIES
     vo.apply_pte_region(cpu, aspace, [(PGD, {
-        idx: Pte(pool[idx], True, True) for idx in range(SLOTS)})])
+        idx: pte(pool[idx]) for idx in range(SLOTS)})])
     for idx in range(SLOTS + 2):
         cpu.tlb.fill(base_vpn + idx, idx, True)
     if kind == "virtual-region":
@@ -240,8 +241,8 @@ def test_leaf_call_applies_the_flags_and_drops_the_translations(kind):
     if kind == "virtual-region":
         vo.lazy_mmu_end(cpu)
     entries = aspace.pgd.entries[PGD].entries
-    assert [(entries[idx].writable, entries[idx].cow)
-            for idx in range(SLOTS)] == [(False, True)] * SLOTS
+    fields = [pte_fields(entries[idx]) for idx in range(SLOTS)]
+    assert [(f.writable, f.cow) for f in fields] == [(False, True)] * SLOTS
     kept = list(range(SLOTS)) if kind == "shadow-none" else []
     assert [vpn - base_vpn for vpn in cpu.tlb._entries
             if base_vpn <= vpn < base_vpn + SLOTS + 2] == kept + [SLOTS,

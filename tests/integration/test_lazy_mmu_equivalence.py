@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Machine, Mercury, small_config
-from repro.hw.paging import Pte, vpn_split
+from repro.hw.paging import pte, pte_fields, vpn_split
 from repro.params import PAGE_SIZE
 
 #: scratch region away from the boot image
@@ -61,7 +61,7 @@ def _apply(mercury, frames, ops, batched: bool):
             vaddr = BASE + slot * PAGE_SIZE
             if kind == "set":
                 vo.set_pte(cpu, aspace, vaddr,
-                           Pte(frame=frames[slot], writable=writable))
+                           pte(frames[slot], writable=writable))
             elif kind == "clear":
                 vo.clear_pte(cpu, aspace, vaddr)
             elif kind == "flags":
@@ -77,8 +77,7 @@ def _apply(mercury, frames, ops, batched: bool):
 
 
 def _table(aspace):
-    return {vaddr: (pte.frame, pte.present, pte.writable, pte.user, pte.cow)
-            for vaddr, pte in aspace.mapped_items()}
+    return {vaddr: pte_fields(word) for vaddr, word in aspace.mapped_items()}
 
 
 @settings(max_examples=15, deadline=None,

@@ -1,6 +1,6 @@
 """Property: a per-leaf region write equals today's per-entry rules.
 
-``apply_pte_region`` takes ``[(pgd_idx, {idx: pte_or_None})]`` and each VO
+``apply_pte_region`` takes ``[(pgd_idx, {idx: word_or_None})]`` and each VO
 applies it a leaf at a time — on a pinned virtual root the VMM does the
 page-info bookkeeping as columnar passes above a size threshold.  Two
 identically built stacks take the same random region: one through the VO,
@@ -33,7 +33,7 @@ from repro.core.accounting import AccountingStrategy
 from repro.core.mercury import PagingMode
 from repro.core.shadow_vo import ShadowVirtualVO
 from repro.errors import HypercallError, OutOfMemory, PageValidationError
-from repro.hw.paging import AddressSpace, Pte
+from repro.hw.paging import AddressSpace, pte, pte_fields
 from repro.params import PAGE_SIZE, PT_ENTRIES
 from repro.vmm.hypercalls import COLUMNAR_MIN
 from repro.vmm.page_info import PageType
@@ -114,22 +114,21 @@ def _per_entry(mercury, kernel, cpu, aspace, leaves) -> None:
 
 
 def _pte(spec, pool, aspace):
-    """A fresh Pte from a plain spec, so the two stacks share no objects."""
+    """A PTE word from a plain spec."""
     if spec is None:
         return None
     what, n, writable, present = spec
     frame = {"pool": lambda: pool[n], "pgd": lambda: aspace.pgd.frame,
              "foreign": lambda: n}[what]()
-    return Pte(frame, present, writable)
+    return pte(frame, present=present, writable=writable)
 
 
 def _state(mercury, kernel, cpu, aspace) -> dict:
     mem = mercury.machine.memory
     state = {
         "leaves": [(pgd_idx, leaf.frame,
-                    [(idx, pte.frame, pte.present, pte.writable, pte.user,
-                      pte.cow)
-                     for idx, pte in leaf.entries.items()])
+                    [(idx, *pte_fields(word))
+                     for idx, word in leaf.entries.items()])
                    for pgd_idx, leaf in aspace.pgd.entries.items()],
         "owner": mem.owner.tobytes(),
         "recycled": list(mem._recycled),
@@ -260,17 +259,17 @@ def _run(sc, through_vo: bool):
     setup = []
     for pgd, n in sc["prepop"].items():
         first = PGDS.index(pgd) * PREPOP
-        setup.append((pgd, {i: Pte(pool[first + i]) for i in range(n)}))
+        setup.append((pgd, {i: pte(pool[first + i]) for i in range(n)}))
     _per_entry(mercury, kernel, cpu, aspace, setup)
     for pgd, n in sc["uncounted"].items():
         first = PREPOP * len(PGDS) + PGDS.index(pgd) * UNCOUNTED
         for i in range(n):
             aspace.set_pte(
                 (pgd * PT_ENTRIES + sc["prepop"][pgd] + i) * PAGE_SIZE,
-                Pte(pool[first + i]))
+                pte(pool[first + i]))
     for pgd in sc["bare"]:
         aspace.set_pte((pgd * PT_ENTRIES + BARE_IDX) * PAGE_SIZE,
-                       Pte(pool[POOL - 1]))
+                       pte(pool[POOL - 1]))
     if sc["stale_leaf"]:
         # the frame the next new leaf gets still reads as mapped data
         mercury.vmm.page_info.type[mem.next_frames(1)[0]] = PageType.WRITABLE
@@ -364,7 +363,7 @@ def test_native_leaf_that_cannot_be_made_drops_only_earlier_clears():
         pgd = PGDS[0]
         for idx in (1, 2, 3):
             cpu.tlb.fill(pgd * PT_ENTRIES + idx, idx, True)
-        leaves = [(pgd, {1: None, 2: Pte(pool[0]), 3: None})]
+        leaves = [(pgd, {1: None, 2: pte(pool[0]), 3: None})]
         try:
             if through_vo:
                 kernel.vo.apply_pte_region(cpu, aspace, leaves)

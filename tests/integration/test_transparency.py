@@ -10,6 +10,7 @@ import pytest
 
 from repro import Machine, Mercury, small_config
 from repro.guestos.fs import BLOCK_SIZE
+from repro.hw.paging import pte_frame
 from repro.params import PAGE_SIZE
 
 
@@ -71,8 +72,8 @@ def test_cow_semantics_identical_across_modes(rig):
     mc.attach()  # switch with COW state outstanding
     k.switch_to(cpu, child)
     k.vmem.access(cpu, child, vaddr, write=True)
-    assert child.aspace.get_pte(vaddr).frame != \
-        parent.aspace.get_pte(vaddr).frame
+    assert pte_frame(child.aspace.get_pte(vaddr)) != \
+        pte_frame(parent.aspace.get_pte(vaddr))
     mc.detach()
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro import Machine, Mercury, small_config
 from repro.core.mercury import Mode
 from repro.errors import CheckpointError
+from repro.hw.paging import pte_frame
 from repro.params import PAGE_SIZE
 from repro.scenarios.checkpoint import (checkpoint, restore, restore_as_guest,
                                         state_digest)
@@ -158,7 +159,7 @@ def test_frame_accounting_after_rollback(mercury):
 
 def _mapped_frame(kernel):
     aspace = kernel.aspaces[0]
-    return aspace.get_pte(next(iter(aspace.mapped_vaddrs()))).frame
+    return pte_frame(aspace.get_pte(next(iter(aspace.mapped_vaddrs()))))
 
 
 def _pop_backend(mercury):

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Machine, small_config
 from repro.errors import ReproError
-from repro.hw.paging import AddressSpace, Pte
+from repro.hw.paging import AddressSpace, pte
 from repro.vmm.hypervisor import Hypervisor
 from repro.vmm.page_info import PageType
 
@@ -63,7 +63,7 @@ def test_fuzz_hypercalls_never_corrupt_page_info(ops):
         try:
             if op == "map":
                 vmm.hypercall(cpu, dom, "update_va_mapping", aspace, vaddr,
-                              Pte(frame=mine[fidx]))
+                              pte(mine[fidx]))
             elif op == "unmap":
                 vmm.hypercall(cpu, dom, "update_va_mapping", aspace, vaddr,
                               None)
@@ -75,10 +75,10 @@ def test_fuzz_hypercalls_never_corrupt_page_info(ops):
                 vmm.hypercall(cpu, dom, "mmuext_op", "new_baseptr", aspace)
             elif op == "map_foreign":     # hostile: foreign frame
                 vmm.hypercall(cpu, dom, "update_va_mapping", aspace, vaddr,
-                              Pte(frame=foreign[fidx]))
+                              pte(foreign[fidx]))
             elif op == "map_pt_writable":  # hostile: own PT, writable
                 vmm.hypercall(cpu, dom, "update_va_mapping", aspace, vaddr,
-                              Pte(frame=aspace.pgd_frame, writable=True))
+                              pte(aspace.pgd_frame, writable=True))
             elif op == "flush":
                 vmm.hypercall(cpu, dom, "mmuext_op", "tlb_flush_local")
         except ReproError:
@@ -99,7 +99,7 @@ def test_fuzz_then_recompute_is_consistent(ops):
         try:
             if op == "map":
                 vmm.hypercall(cpu, dom, "update_va_mapping", aspace, vaddr,
-                              Pte(frame=mine[fidx]))
+                              pte(mine[fidx]))
             elif op == "unmap":
                 vmm.hypercall(cpu, dom, "update_va_mapping", aspace, vaddr,
                               None)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HypercallError, PageValidationError
-from repro.hw.paging import AddressSpace, Pte
+from repro.hw.paging import AddressSpace, pte, pte_frame
 from repro.vmm.page_info import PageType
 
 
@@ -20,9 +20,9 @@ def test_mmu_update_installs_and_clears(env):
     cpu, machine, vmm, dom, aspace = env
     frame = machine.memory.alloc(0)
     n = vmm.hypercall(cpu, dom, "mmu_update",
-                      [(aspace, 0x4000, Pte(frame=frame))])
+                      [(aspace, 0x4000, pte(frame))])
     assert n == 1
-    assert aspace.get_pte(0x4000).frame == frame
+    assert pte_frame(aspace.get_pte(0x4000)) == frame
     vmm.hypercall(cpu, dom, "mmu_update", [(aspace, 0x4000, None)])
     assert aspace.get_pte(0x4000) is None
     assert vmm.page_info.type[frame] == PageType.NONE
@@ -34,7 +34,7 @@ def test_mmu_update_unregistered_aspace_rejected(env):
     frame = machine.memory.alloc(0)
     with pytest.raises(HypercallError):
         vmm.hypercall(cpu, dom, "mmu_update",
-                      [(rogue, 0x4000, Pte(frame=frame))])
+                      [(rogue, 0x4000, pte(frame))])
 
 
 def test_mmu_update_foreign_frame_rejected(env):
@@ -42,7 +42,7 @@ def test_mmu_update_foreign_frame_rejected(env):
     foreign = machine.memory.alloc(31)
     with pytest.raises(PageValidationError):
         vmm.hypercall(cpu, dom, "mmu_update",
-                      [(aspace, 0x4000, Pte(frame=foreign))])
+                      [(aspace, 0x4000, pte(foreign))])
 
 
 def test_update_va_mapping_costs_more_than_batched(env):
@@ -51,11 +51,11 @@ def test_update_va_mapping_costs_more_than_batched(env):
     t0 = cpu.rdtsc()
     for i, f in enumerate(frames[:4]):
         vmm.hypercall(cpu, dom, "update_va_mapping", aspace,
-                      0x10000 + i * 4096, Pte(frame=f))
+                      0x10000 + i * 4096, pte(f))
     single = cpu.rdtsc() - t0
     t0 = cpu.rdtsc()
     vmm.hypercall(cpu, dom, "mmu_update",
-                  [(aspace, 0x20000 + i * 4096, Pte(frame=f))
+                  [(aspace, 0x20000 + i * 4096, pte(f))
                    for i, f in enumerate(frames[4:])])
     batched = cpu.rdtsc() - t0
     assert batched < single
@@ -64,7 +64,7 @@ def test_update_va_mapping_costs_more_than_batched(env):
 def test_pin_unpin_table(env):
     cpu, machine, vmm, dom, aspace = env
     frame = machine.memory.alloc(0)
-    aspace.set_pte(0x1000, Pte(frame=frame))
+    aspace.set_pte(0x1000, pte(frame))
     vmm.hypercall(cpu, dom, "mmuext_op", "pin_table", aspace)
     assert aspace.pgd_frame in vmm.page_info.pinned
     vmm.hypercall(cpu, dom, "mmuext_op", "unpin_table", aspace)
@@ -190,11 +190,11 @@ def test_region_bad_entry_raises_after_the_entries_before_it():
 
     with pytest.raises(PageValidationError, match="owned by 31"):
         kernel.vo.apply_pte_region(cpu, aspace, [
-            (pgd_idx, {i: Pte(frame=f) for i, f in enumerate(frames)})])
+            (pgd_idx, {i: pte(f) for i, f in enumerate(frames)})])
 
     leaf = aspace.pgd.entries[pgd_idx]
     assert list(leaf.entries) == list(range(39))
-    assert [pte.frame for pte in leaf.entries.values()] == frames[:39]
+    assert [pte_frame(w) for w in leaf.entries.values()] == frames[:39]
     assert all(vmm.page_info.type_count[f] == 1 for f in frames[:39])
     assert vmm.page_info.type_count[frames[39]] == 0
     assert vmm.page_info.type[leaf.frame] == PageType.L1_PAGETABLE
@@ -234,10 +234,10 @@ def test_install_whose_leaf_memory_cannot_hold_counts_nothing(entries):
 
     with pytest.raises(OutOfMemory):
         if entries == 1:
-            kernel.vo.set_pte(cpu, aspace, vaddr, Pte(frame=frames[0]))
+            kernel.vo.set_pte(cpu, aspace, vaddr, pte(frames[0]))
         else:
             kernel.vo.apply_pte_region(cpu, aspace, [
-                (pgd_idx, {i: Pte(frame=f) for i, f in enumerate(frames)})])
+                (pgd_idx, {i: pte(f) for i, f in enumerate(frames)})])
 
     page_info = mercury.vmm.page_info
     assert pgd_idx not in aspace.pgd.entries

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import DomainError, HypercallError, VMMError
 from repro.hw.cpu import PrivilegeLevel
-from repro.hw.paging import AddressSpace, Pte
+from repro.hw.paging import AddressSpace
 from repro.vmm.hypervisor import Hypervisor, VMM_OWNER, VmmState
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import PageValidationError
 from repro.hw.memory import PhysicalMemory
-from repro.hw.paging import AddressSpace, Pte
+from repro.hw.paging import AddressSpace, pte
 from repro.vmm.page_info import PageInfoTable, PageType
 
 
@@ -39,7 +39,7 @@ def guest(machine, warm_vmm):
 def test_validate_pgd_types_pages(env):
     cpu, mem, table, aspace = env
     data = mem.alloc(0)
-    aspace.set_pte(0x1000, Pte(frame=data))
+    aspace.set_pte(0x1000, pte(data))
     table.validate_pgd(cpu, aspace, domain_id=0)
     assert table.type[aspace.pgd_frame] == PageType.L2_PAGETABLE
     leaf = aspace.leaf_for(0x1000)
@@ -54,7 +54,7 @@ def test_validation_rejects_foreign_frames(env):
     validated — the isolation invariant."""
     cpu, mem, table, aspace = env
     foreign = mem.alloc(99)  # owned by someone else
-    aspace.set_pte(0x1000, Pte(frame=foreign))
+    aspace.set_pte(0x1000, pte(foreign))
     with pytest.raises(PageValidationError):
         table.validate_pgd(cpu, aspace, domain_id=0)
 
@@ -62,12 +62,12 @@ def test_validation_rejects_foreign_frames(env):
 def test_validation_rejects_writable_mapping_of_pt_page(env):
     cpu, mem, table, aspace = env
     data = mem.alloc(0)
-    aspace.set_pte(0x1000, Pte(frame=data))
+    aspace.set_pte(0x1000, pte(data))
     table.validate_pgd(cpu, aspace, domain_id=0)
     leaf_frame = aspace.leaf_for(0x1000).frame
     # second address space tries to map the first one's leaf writable
     evil = AddressSpace(mem, owner=0)
-    evil.set_pte(0x2000, Pte(frame=leaf_frame, writable=True))
+    evil.set_pte(0x2000, pte(leaf_frame, writable=True))
     with pytest.raises(PageValidationError):
         table.validate_pgd(cpu, evil, domain_id=0)
 
@@ -75,41 +75,41 @@ def test_validation_rejects_writable_mapping_of_pt_page(env):
 def test_readonly_mapping_of_pt_page_is_fine(env):
     cpu, mem, table, aspace = env
     data = mem.alloc(0)
-    aspace.set_pte(0x1000, Pte(frame=data))
+    aspace.set_pte(0x1000, pte(data))
     table.validate_pgd(cpu, aspace, domain_id=0)
     leaf_frame = aspace.leaf_for(0x1000).frame
     reader = AddressSpace(mem, owner=0)
-    reader.set_pte(0x2000, Pte(frame=leaf_frame, writable=False))
+    reader.set_pte(0x2000, pte(leaf_frame, writable=False))
     table.validate_pgd(cpu, reader, domain_id=0)  # no exception
 
 
 def test_pte_write_validation(guest):
     cpu, mem, table, aspace, write = guest
     data = mem.alloc(0)
-    aspace.set_pte(0x1000, Pte(frame=data))
+    aspace.set_pte(0x1000, pte(data))
     table.validate_pgd(cpu, aspace, domain_id=0)
     new_frame = mem.alloc(0)
-    write(0x2000, Pte(frame=new_frame))
+    write(0x2000, pte(new_frame))
     assert table.type[new_frame] == PageType.WRITABLE
     foreign = mem.alloc(42)
     with pytest.raises(PageValidationError):
-        write(0x3000, Pte(frame=foreign))
+        write(0x3000, pte(foreign))
 
 
 def test_pte_write_cannot_alias_pt_page(guest):
     cpu, mem, table, aspace, write = guest
     data = mem.alloc(0)
-    aspace.set_pte(0x1000, Pte(frame=data))
+    aspace.set_pte(0x1000, pte(data))
     table.validate_pgd(cpu, aspace, domain_id=0)
     leaf_frame = aspace.leaf_for(0x1000).frame
     with pytest.raises(PageValidationError):
-        write(0x2000, Pte(frame=leaf_frame, writable=True))
+        write(0x2000, pte(leaf_frame, writable=True))
 
 
 def test_unpin_clears_types(env):
     cpu, mem, table, aspace = env
     data = mem.alloc(0)
-    aspace.set_pte(0x1000, Pte(frame=data))
+    aspace.set_pte(0x1000, pte(data))
     table.validate_pgd(cpu, aspace, domain_id=0)
     table.unpin_aspace(cpu, aspace)
     assert table.type[aspace.pgd_frame] == PageType.NONE
@@ -120,7 +120,7 @@ def test_unpin_clears_types(env):
 def test_pte_clear_releases_type(guest):
     cpu, mem, table, aspace, write = guest
     frame = mem.alloc(0)
-    write(0x1000, Pte(frame=frame))
+    write(0x1000, pte(frame))
     write(0x1000, None)
     assert table.type[frame] == PageType.NONE
     assert table.type_count[frame] == 0
@@ -129,8 +129,8 @@ def test_pte_clear_releases_type(guest):
 def test_shared_frame_counts(guest):
     cpu, mem, table, aspace, write = guest
     frame = mem.alloc(0)
-    write(0x1000, Pte(frame=frame))
-    write(0x2000, Pte(frame=frame))
+    write(0x1000, pte(frame))
+    write(0x2000, pte(frame))
     assert table.type_count[frame] == 2
     write(0x1000, None)
     assert table.type[frame] == PageType.WRITABLE  # still mapped once
@@ -141,7 +141,7 @@ def test_shared_frame_counts(guest):
 def test_recompute_resets_then_rebuilds(env):
     cpu, mem, table, aspace = env
     data = mem.alloc(0)
-    aspace.set_pte(0x1000, Pte(frame=data))
+    aspace.set_pte(0x1000, pte(data))
     stale = mem.alloc(0)
     table.type[stale] = PageType.L1_PAGETABLE  # garbage from a prior epoch
     scanned = table.recompute(cpu, [aspace], domain_id=0)
@@ -155,7 +155,7 @@ def test_recompute_charges_full_width_scans(env):
     dominates the native->virtual switch (§7.4)."""
     cpu, mem, table, aspace = env
     data = mem.alloc(0)
-    aspace.set_pte(0x1000, Pte(frame=data))
+    aspace.set_pte(0x1000, pte(data))
     t0 = cpu.rdtsc()
     table.recompute(cpu, [aspace], domain_id=0)
     cost = cpu.rdtsc() - t0
@@ -216,14 +216,14 @@ def test_account_batch_equals_the_per_entry_rules(guest):
     cpu, mem, table, aspace, write = guest
     frames = [mem.alloc(0) for _ in range(6)]
     for i, f in enumerate(frames[:3]):
-        write(0x10000 + i * 4096, Pte(frame=f))   # counts 1, WRITABLE
-    write(0x20000, Pte(frame=frames[0], writable=False))  # frames[0]: 2
+        write(0x10000 + i * 4096, pte(f))   # counts 1, WRITABLE
+    write(0x20000, pte(frames[0], writable=False))  # frames[0]: 2
     twin = PageInfoTable(mem)
     twin.type[:] = table.type
     twin.type_count[:] = table.type_count
     twin.ref_count[:] = table.ref_count
     for i, f in enumerate(frames[3:]):
-        write(0x30000 + i * 4096, Pte(frame=f, writable=i != 0))
+        write(0x30000 + i * 4096, pte(f, writable=i != 0))
     for i in range(3):
         write(0x10000 + i * 4096, None)
     assert twin.account_batch(frames[3:], [False, True, True],
@@ -241,7 +241,7 @@ def test_validate_leaf_bad_entry_raises_after_counting_the_entries_before_it(
     frames = [mem.alloc(0) for _ in range(64)]
     frames[10] = mem.alloc(99)
     for i, f in enumerate(frames):
-        aspace.set_pte(0x40_0000 + i * 4096, Pte(frame=f))
+        aspace.set_pte(0x40_0000 + i * 4096, pte(f))
     with pytest.raises(PageValidationError, match="owned by 99"):
         table.validate_leaf(cpu, aspace.leaf_for(0x40_0000), 0)
     assert [table.type_count[f] for f in frames[:11]] == [1] * 10 + [0]
