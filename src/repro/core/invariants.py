@@ -105,12 +105,13 @@ def check_frame_refcounts(mercury: "Mercury") -> list[str]:
     for aspace in kernel.aspaces:
         for frame in aspace.mapped_frames():
             actual[frame] = actual.get(frame, 0) + 1
-    for frame, refs in kernel.vmem._frame_refs.items():
+    shares = kernel.vmem.shares()
+    for frame, refs in shares.items():
         have = actual.get(frame, 0)
         if refs != have:
             out.append(f"frame {frame}: refcount {refs} but {have} mappings")
     for frame, have in actual.items():
-        if frame not in kernel.vmem._frame_refs:
+        if frame not in shares:
             out.append(f"frame {frame}: {have} mappings but no refcount")
     return out
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import NoSuchProcess, SyscallError
@@ -62,21 +63,20 @@ class Task:
         self.signals = SignalState()
 
 
-def _child_words(entries: dict) -> tuple[dict, list]:
+def _child_words(entries: dict, words) -> tuple[dict, object]:
     """Fork's child leaf for a parent leaf whose re-protection is issued —
     ``(w & ~PTE_W) | PTE_COW`` for every present word ``w`` — and the
-    frames it maps, in entry order.  A leaf of at least
-    :data:`~repro.hw.paging.LEAF_PASS_MIN` entries, all present, is one
-    numpy pass, and where every parent word already is the child's
-    (read-only and COW, after an earlier fork) the child's leaf is a copy
-    of the parent's."""
-    n = len(entries)
-    words = word_array(entries.values(), n) if n >= LEAF_PASS_MIN else None
+    frames it maps, in entry order.  With ``words``, the leaf's words as
+    one int64 array (read before the re-protection, which changes no
+    frame and no child word), a leaf whose words are all present is one
+    numpy pass and its frames one array; where every parent word already
+    is the child's (read-only and COW, after an earlier fork) the child's
+    leaf is a copy of the parent's."""
     if words is not None and (words & PTE_P).all():
         child = words & ~PTE_W | PTE_COW
         copied = (dict(entries) if (child == words).all()
                   else dict(zip(entries, child.tolist())))
-        return copied, (words >> PTE_FRAME_SHIFT).tolist()
+        return copied, words >> PTE_FRAME_SHIFT
     read_only = ~PTE_W
     copied = {idx: pte & read_only | PTE_COW
               for idx, pte in entries.items() if pte & PTE_P}
@@ -170,22 +170,24 @@ class ProcessTable:
         re-protection a preempt point at its own clock, so a timer or
         switch request due inside the leaf lands at the same entry."""
         kernel = self.kernel
-        frame_refs = kernel.vmem._frame_refs
-        refs_get = frame_refs.get
+        vmem = kernel.vmem
         smp = kernel.machine.config.num_cpus > 1
         cyc_lock = cpu.cost.cyc_lock
         present_writable = PTE_P | PTE_W
-        writable = [idx for idx, pte in entries.items()
-                    if pte & present_writable == present_writable]
+        n = len(entries)
+        words = word_array(entries.values(), n) if n >= LEAF_PASS_MIN else None
+        if words is not None and not (words & PTE_W).any():
+            writable = []   # re-protected by an earlier fork: nothing to do
+        else:
+            writable = [idx for idx, pte in entries.items()
+                        if pte & present_writable == present_writable]
         if not writable or kernel.flag_leaf_runs_ahead(
-                cpu, parent_as, len(writable),
-                cyc_lock * len(entries) if smp else 0):
+                cpu, parent_as, len(writable), cyc_lock * n if smp else 0):
             if writable:
                 kernel.vo.update_pte_flags(cpu, parent_as, pgd_idx, writable,
                                            writable=False, cow=True)
-            copied, frames = _child_words(entries)
-            for frame in frames:
-                frame_refs[frame] = refs_get(frame, 1) + 1
+            copied, frames = _child_words(entries, words)
+            vmem.take_shares(frames)
             if smp:  # page_table_lock bounces per entry on SMP
                 cpu.charge(cyc_lock * len(copied))
             return copied
@@ -200,8 +202,7 @@ class ProcessTable:
                                            writable=False, cow=True)
                 pte = entries.get(idx, pte)  # unless a lazy region queued it
             copied[idx] = pte & ~PTE_W | PTE_COW
-            frame = pte >> PTE_FRAME_SHIFT
-            frame_refs[frame] = refs_get(frame, 1) + 1
+            vmem.take_shares((pte >> PTE_FRAME_SHIFT,))
             if smp:
                 cpu.charge(cyc_lock)
         return copied
@@ -259,14 +260,23 @@ class ProcessTable:
         clears are applied, so the allocator never recycles a frame a live
         PTE still points at."""
         kernel = self.kernel
-        leaves = []
-        frames = []
-        for pgd_idx, leaf in aspace.pgd.entries.items():
-            entries = leaf.entries
-            if entries:
-                leaves.append((pgd_idx, dict.fromkeys(entries)))
-                frames += [pte >> PTE_FRAME_SHIFT
-                           for pte in entries.values() if pte & PTE_P]
+        tables = [(pgd_idx, leaf.entries)
+                  for pgd_idx, leaf in aspace.pgd.entries.items()
+                  if leaf.entries]
+        leaves = [(pgd_idx, dict.fromkeys(entries))
+                  for pgd_idx, entries in tables]
+        # the present frames in entry order, leaf after leaf: one pass over
+        # the space's words from LEAF_PASS_MIN of them (the release pass
+        # takes the array as it is), else a comprehension
+        n = sum(len(entries) for _, entries in tables)
+        words = (word_array(chain.from_iterable(
+                     entries.values() for _, entries in tables), n)
+                 if n >= LEAF_PASS_MIN else None)
+        if words is None:
+            frames = [pte >> PTE_FRAME_SHIFT for _, entries in tables
+                      for pte in entries.values() if pte & PTE_P]
+        else:
+            frames = words[words & PTE_P != 0] >> PTE_FRAME_SHIFT
         kernel.vo.apply_pte_region(cpu, aspace, leaves)
         kernel.vmem.release_frames(cpu, frames)
         kernel.unregister_aspace(aspace)

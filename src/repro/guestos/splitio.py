@@ -365,8 +365,7 @@ class BalloonFront(_RingFront):
         base = vmem.mmap(cpu, task, n * PAGE_SIZE, name="balloon")
         frames = [self.pool.pop() for _ in range(n)]
         cpu.charge(cpu.cost.cyc_mem_touch_per_kb * 4 * n)
-        for f in frames:
-            vmem.claim_frame(f)
+        vmem.claim_frames(frames)
         vmem.map_run(cpu, task, base, frames, writable=True)
         for i, f in enumerate(frames):
             self._rmap[f] = (task, base + i * PAGE_SIZE)
@@ -422,14 +421,22 @@ class BalloonFront(_RingFront):
         return len(picked)
 
     def _pick_victims(self, cpu: "Cpu", n: int, victims) -> list[int]:
+        """Up to ``n`` frames to surrender.  A region page that must stay
+        mapped (:meth:`VirtualMemory.page_kept`: a fork shares its frame,
+        or a COW break moved its vaddr to a copy) is no victim: it stays
+        mapped and in the region map."""
         picked: list[int] = []
+        vmem = self.kernel.vmem
         if victims:
             for frame in victims:
                 if len(picked) == n:
                     break
                 if frame in self._rmap:
-                    task, vaddr = self._rmap.pop(frame)
-                    got = self.kernel.vmem.steal_page(cpu, task, vaddr)
+                    task, vaddr = self._rmap[frame]
+                    if vmem.page_kept(task, vaddr, frame):
+                        continue
+                    del self._rmap[frame]
+                    got = vmem.steal_page(cpu, task, vaddr)
                     self.victim_unmaps += 1
                     if self.mmu_log is not None:
                         self.mmu_log.on_balloon(task.aspace)
@@ -444,17 +451,23 @@ class BalloonFront(_RingFront):
             return picked
         while len(picked) < n and self.pool:
             picked.append(self.pool.pop())
+        kept = []
         while len(picked) < n and self._order:
             frame = self._order.pop()
-            entry = self._rmap.pop(frame, None)
+            entry = self._rmap.get(frame)
             if entry is None:
                 continue            # lazily-deleted (was a victim earlier)
             task, vaddr = entry
-            got = self.kernel.vmem.steal_page(cpu, task, vaddr)
+            if vmem.page_kept(task, vaddr, frame):
+                kept.append(frame)
+                continue
+            del self._rmap[frame]
+            got = vmem.steal_page(cpu, task, vaddr)
             if self.mmu_log is not None:
                 self.mmu_log.on_balloon(task.aspace)
             if got is not None:
                 picked.append(got)
+        self._order.extend(reversed(kept))    # back in place, in order
         return picked
 
     # -- deflate (get frames back) ---------------------------------------

@@ -2,18 +2,21 @@
 
 The fault path here is the one lmbench's "Page Fault" and "Prot Fault" rows
 measure, and mmap/munmap is the "Mmap LT" row.  All PTE manipulation goes
-through the installed VO; frame refcounts (for COW sharing) are the
+through the installed VO; frame share counts (for COW sharing) are the
 kernel's own bookkeeping and mode-independent.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.errors import PageFault, SyscallError
+from repro.hw.memory import frame_batch, frame_list
 from repro.hw.paging import (PTE_COW, PTE_FRAME_SHIFT, PTE_P, PTE_U, PTE_W,
                              pte, vpn_split, word_array)
 from repro.params import PAGE_SIZE, PT_ENTRIES
@@ -51,8 +54,12 @@ class VirtualMemory:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        #: frame -> share count for COW (only frames mapped by tasks)
-        self._frame_refs: dict[int, int] = {}
+        # frame -> COW share count (Linux's page->_mapcount), a column
+        # indexed by frame and sized to the kernel's machine; 0 means no
+        # task maps the frame (untracked), and the lifecycle's batches
+        # read and write it through the zero-copy numpy view
+        self._shares = array("i", [0]) * kernel.machine.memory.num_frames
+        self._shares_np = np.frombuffer(self._shares, dtype=np.int32)
         self.minor_faults = 0
         self.cow_breaks = 0
         self.prot_faults = 0
@@ -95,35 +102,91 @@ class VirtualMemory:
     # ------------------------------------------------------------------
 
     def claim_frame(self, frame: int) -> None:
-        self._frame_refs[frame] = 1
+        self._shares[frame] = 1
+
+    def claim_frames(self, frames: list) -> None:
+        """One share on each frame of a freshly allocated run, in one
+        column store."""
+        self._shares_np[frames] = 1
 
     def release_frame(self, cpu: "Cpu", frame: int) -> None:
-        refs = self._frame_refs.get(frame, 1) - 1
-        if refs <= 0:
-            self._frame_refs.pop(frame, None)
-            self.kernel.machine.memory.free(frame)
-        else:
-            self._frame_refs[frame] = refs
+        self._release_each((frame,))
 
-    def release_frames(self, cpu: "Cpu", frames: list) -> None:
-        """Drop one reference on each of ``frames`` (teardown/munmap bulk
-        path — same semantics as :meth:`release_frame` per frame), then
-        free the frames left with none in one ``free_many``."""
-        frame_refs = self._frame_refs
-        get = frame_refs.get
-        pop = frame_refs.pop
+    def release_frames(self, cpu: "Cpu", frames) -> None:
+        """Drop one share on each of ``frames`` (teardown/munmap bulk
+        path), then free the frames left with none in one ``free_many``,
+        in input order — the allocator's LIFO recycle order, and so every
+        later frame number, follows it.  A frame no task tracked counts as
+        one share.  A :func:`~repro.hw.memory.frame_batch` is one numpy
+        pass over the column; any other batch takes :meth:`_release_each`,
+        the per-frame rules the pass reproduces."""
+        batch = frame_batch(frames, len(self._shares))
+        if batch is None:
+            self._release_each(frame_list(frames))
+            return
+        shares = self._shares_np
+        counts = shares[batch]
+        dead = counts <= 1
+        shares[batch] = np.where(dead, 0, counts - 1)
+        if dead.any():
+            self.kernel.machine.memory.free_many(batch[dead])
+
+    def _release_each(self, frames: list) -> None:
+        """:meth:`release_frames` a frame at a time: the reference rules.
+        A frame beyond the column is untracked, and ``free_many`` raises
+        for it after freeing the dead frames before it."""
+        shares = self._shares
+        limit = len(shares)
         dead = []
         for frame in frames:
-            refs = get(frame, 1) - 1
-            if refs <= 0:
-                pop(frame, None)
-                dead.append(frame)
-            else:
-                frame_refs[frame] = refs
-        self.kernel.machine.memory.free_many(dead)
+            if 0 <= frame < limit:
+                refs = shares[frame]
+                if refs > 1:
+                    shares[frame] = refs - 1
+                    continue
+                shares[frame] = 0
+            dead.append(frame)
+        if dead:
+            self.kernel.machine.memory.free_many(dead)
+
+    def take_shares(self, frames) -> None:
+        """Fork's side: one more share on each of ``frames`` (a child
+        mapping them too; an untracked frame goes to two).  A
+        :func:`~repro.hw.memory.frame_batch` is one numpy pass; any other
+        batch takes :meth:`_take_each`."""
+        batch = frame_batch(frames, len(self._shares))
+        if batch is None:
+            self._take_each(frame_list(frames))
+            return
+        shares = self._shares_np
+        counts = shares[batch]
+        shares[batch] = np.where(counts == 0, 2, counts + 1)
+
+    def _take_each(self, frames: list) -> None:
+        """:meth:`take_shares` a frame at a time: the reference rules (a
+        frame beyond the column stays untracked)."""
+        shares = self._shares
+        limit = len(shares)
+        for frame in frames:
+            if 0 <= frame < limit:
+                shares[frame] = (shares[frame] or 1) + 1
 
     def frame_refs(self, frame: int) -> int:
-        return self._frame_refs.get(frame, 0)
+        """``frame``'s share count; 0 when no task maps it."""
+        return self._shares[frame] if 0 <= frame < len(self._shares) else 0
+
+    def shares(self) -> dict[int, int]:
+        """Every tracked frame's share count, ``{frame: count}`` in frame
+        order (what the refcount law, the healer and a checkpoint read)."""
+        frames = np.flatnonzero(self._shares_np)
+        return dict(zip(frames.tolist(), self._shares_np[frames].tolist()))
+
+    def set_shares(self, counts: dict[int, int]) -> None:
+        """Replace every share count with ``counts`` (a frame it leaves
+        out becomes untracked; ``{}`` clears them all)."""
+        self._shares_np[:] = 0
+        for frame, refs in counts.items():
+            self._shares[frame] = refs
 
     # ------------------------------------------------------------------
     # mapping
@@ -141,7 +204,7 @@ class VirtualMemory:
         per_page = cpu.cost.cyc_page_alloc + cpu.cost.cyc_mem_touch_per_kb * 4
         frames = mem.alloc_many(self.kernel.owner_id, pages)
         cpu.charge(per_page * pages)
-        self._frame_refs.update(dict.fromkeys(frames, 1))
+        self.claim_frames(frames)
         self.map_run(cpu, task, vma.start, frames, writable=True)
 
     def map_run(self, cpu: "Cpu", task: "Task", base: int, frames: list,
@@ -182,7 +245,7 @@ class VirtualMemory:
                         + cpu.cost.cyc_mem_touch_per_kb * 4)
             frames = mem.alloc_many(self.kernel.owner_id, pages)
             cpu.charge(per_page * pages)
-            self._frame_refs.update(dict.fromkeys(frames, 1))
+            self.claim_frames(frames)
             self.map_run(cpu, task, base, frames, writable)
         return base
 
@@ -193,7 +256,9 @@ class VirtualMemory:
         if vma is None or vma.start != base or vma.end != end:
             raise SyscallError("EINVAL", f"munmap of unmapped range {base:#x}")
         task.vmas.remove(vma)
-        # clear the range's present entries a leaf at a time, in vpn order
+        # clear the range's present entries a leaf at a time, in vpn order;
+        # each leaf's range is one pass over its words (an empty slot reads
+        # as the non-present word 0), its frames one int64 array
         leaves = []
         freed = []
         pgd_entries = task.aspace.pgd.entries
@@ -207,20 +272,22 @@ class VirtualMemory:
             if leaf is None:
                 continue
             entries = leaf.entries
-            words = word_array(map(entries.get, range(lo, hi)), hi - lo)
-            if words is not None and (words & PTE_P).all():
-                # the whole range is mapped: one numpy pass
-                hits = range(lo, hi)
-                freed += (words >> PTE_FRAME_SHIFT).tolist()
-            else:
-                get = entries.get
+            words = word_array(map(entries.get, range(lo, hi), repeat(0)),
+                               hi - lo)
+            if words is None:   # a value no int64 holds: slot by slot
                 hits = [i for i in range(lo, hi)
-                        if (pte := get(i)) is not None and pte & PTE_P]
-                freed += [entries[i] >> PTE_FRAME_SHIFT for i in hits]
+                        if (pte := entries.get(i)) is not None and pte & PTE_P]
+                freed.append(np.array([entries[i] >> PTE_FRAME_SHIFT
+                                       for i in hits], dtype=object))
+            else:
+                present = words & PTE_P != 0
+                hits = (range(lo, hi) if present.all()
+                        else (np.flatnonzero(present) + lo).tolist())
+                freed.append(words[present] >> PTE_FRAME_SHIFT)
             if hits:
                 leaves.append((pgd_idx, dict.fromkeys(hits)))
         self.kernel.vo.apply_pte_region(cpu, task.aspace, leaves)
-        self.release_frames(cpu, freed)
+        self.release_frames(cpu, np.concatenate(freed) if freed else freed)
 
     def steal_page(self, cpu: "Cpu", task: "Task", vaddr: int) -> Optional[int]:
         """Balloon-driver path: detach one mapped page from ``task`` and
@@ -230,14 +297,28 @@ class VirtualMemory:
         backend verifies the grant.  The vaddr stays inside its VMA and
         faults back in (a fresh demand-zero frame) on the next touch —
         which is exactly the victim-page fault the hypervisor-driven
-        reclaim ablation measures.  Returns None if nothing was mapped."""
+        reclaim ablation measures.  Returns None if nothing was mapped.
+        The caller asks :meth:`page_kept` first: a shared frame is not
+        ``task``'s to give."""
         pte = task.aspace.get_pte(vaddr)
         if pte is None or not pte & PTE_P:
             return None
         frame = pte >> PTE_FRAME_SHIFT
         self.kernel.vo.clear_pte(cpu, task.aspace, vaddr)
-        self._frame_refs.pop(frame, None)
+        self._shares[frame] = 0
         return frame
+
+    def page_kept(self, task: "Task", vaddr: int, frame: int) -> bool:
+        """Must ``task``'s page at ``vaddr``, recorded as mapping
+        ``frame``, stay mapped through a balloon inflate?  Yes when it
+        maps another frame now (a COW break gave ``task`` a copy, and the
+        recorded frame lives on in the task that shared it) or when
+        ``frame`` is shared (a fork): surrendering either would take a page
+        from under a mapping.  A page with nothing mapped is not kept."""
+        word = task.aspace.get_pte(vaddr)
+        return (word is not None and word & PTE_P != 0
+                and (word >> PTE_FRAME_SHIFT != frame
+                     or self.frame_refs(frame) > 1))
 
     def brk(self, cpu: "Cpu", task: "Task", new_brk: int) -> int:
         """Grow (only) the heap; pages appear on demand."""

@@ -4,8 +4,9 @@ Frame *metadata* is columnar.  The owner column is an ``array('i')`` —
 alloc/free/validation touch it one frame at a time on hot guest paths, and
 a C-level scalar load is several times cheaper than boxing a numpy scalar —
 with a zero-copy numpy view kept alongside for the whole-memory passes
-(ownership scans for checkpoints and migration dirty-logging).  The
-generation column stays a numpy array: it is only read vectorized.
+(ownership scans for checkpoints and migration dirty-logging) and for
+``free_many``'s batch pass.  The generation column stays a numpy array: it
+is only read vectorized.
 
 Frame *contents* are stored sparsely: the simulator only materializes the
 content of frames someone actually writes (filesystem blocks, checkpoint
@@ -25,6 +26,44 @@ from repro.params import PAGE_SIZE
 
 #: owner value for a free frame
 OWNER_FREE = -1
+
+#: smallest batch the numpy passes take, over a page-table leaf's words
+#: (the VMM's validation of a leaf, fork's copy of one; ``hw.paging``
+#: re-exports it) or over frame columns (the kernel's share counts,
+#: :meth:`PhysicalMemory.free_many`): below it a pass's fixed cost, about
+#: 5 µs of array set-up (15 µs for a release, which checks its batch twice),
+#: exceeds the per-entry loop it replaces
+LEAF_PASS_MIN = 64
+
+
+def frame_batch(frames: Sequence[int], num_frames: int
+                ) -> Optional[np.ndarray]:
+    """``frames`` as one int64 array when a numpy pass over a frame column
+    may take them: at least :data:`LEAF_PASS_MIN` distinct frames, each
+    below ``num_frames``.  None otherwise — a small batch, a repeated
+    frame, one out of range or a value that is not a frame number — and
+    the caller keeps its per-frame rules, where such frames interact or
+    fail in order."""
+    if len(frames) < LEAF_PASS_MIN:
+        return None
+    try:
+        batch = np.asarray(frames, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if batch.ndim != 1:
+        return None
+    ordered = np.sort(batch)
+    if (ordered[0] < 0 or ordered[-1] >= num_frames
+            or (ordered[1:] == ordered[:-1]).any()):
+        return None
+    return batch
+
+
+def frame_list(frames: Sequence[int]) -> Sequence[int]:
+    """``frames`` as Python ints for a per-frame loop (an int64 array's
+    scalars would leak into the recycle stack and from there into every
+    frame number the allocator hands out)."""
+    return frames.tolist() if isinstance(frames, np.ndarray) else frames
 
 
 class PhysicalMemory:
@@ -94,13 +133,27 @@ class PhysicalMemory:
         return frames
 
     def free(self, frame: int) -> None:
-        self.free_many((frame,))
+        self._free_each((frame,))
 
     def free_many(self, frames: Sequence[int]) -> None:
         """Free a batch of frames in one pass, exactly as one :meth:`free`
         per frame in order: freed frames go onto the recycle stack in that
         order, and a bad frame (out of range, or already free — including
-        one listed twice) raises after the frames before it were freed."""
+        one listed twice) raises after the frames before it were freed.
+
+        A :func:`frame_batch` of allocated frames is checked and freed
+        through :attr:`owner_np` in one numpy pass; any other batch, a bad
+        frame in it included, takes :meth:`_free_each`, the per-frame rule
+        the pass reproduces."""
+        batch = frame_batch(frames, self.num_frames)
+        if batch is None or (self.owner_np[batch] == OWNER_FREE).any():
+            self._free_each(frame_list(frames))
+            return
+        self.owner_np[batch] = OWNER_FREE
+        self._forget(frame_list(frames))
+
+    def _free_each(self, frames: Sequence[int]) -> None:
+        """:meth:`free_many` a frame at a time: the reference rules."""
         own = self.owner
         num = self.num_frames
         error = None
@@ -114,6 +167,14 @@ class PhysicalMemory:
                 continue
             frames = frames[:i]
             break
+        self._forget(frames)
+        if error is not None:
+            raise InvalidPhysicalAddress(error)
+
+    def _forget(self, frames: list[int]) -> None:
+        """The rest of freeing ``frames``, whose owners already read free:
+        drop what the tables hold for them and push them onto the recycle
+        stack in order."""
         # contents are written only by a COW copy of a written frame and a
         # checkpoint restore, and only page-table pages are frame objects:
         # drop just the frames each table holds
@@ -122,8 +183,6 @@ class PhysicalMemory:
                 for frame in table.keys() & frames:
                     del table[frame]
         self._recycled.extend(frames)
-        if error is not None:
-            raise InvalidPhysicalAddress(error)
 
     def reassign(self, frame: int, new_owner: int) -> None:
         """Transfer ownership of a frame (used when a VMM claims frames of a

@@ -33,6 +33,9 @@ import numpy as np
 
 from repro.errors import PageFault
 from repro.hw.memory import PhysicalMemory
+# the pass size the leaf passes share with the frame-column passes of
+# hw.memory, which defines it; the leaf passes' importers read it here
+from repro.hw.memory import LEAF_PASS_MIN  # noqa: F401
 from repro.params import PAGE_SIZE, PT_ENTRIES, PT_SPAN
 
 #: the present bit (x86 ``_PAGE_PRESENT``)
@@ -46,11 +49,6 @@ PTE_COW = 0x200
 #: the frame number sits above the 12 flag bits
 PTE_FRAME_SHIFT = 12
 PTE_FLAGS = (1 << PTE_FRAME_SHIFT) - 1
-
-#: smallest leaf the per-leaf numpy passes over words take (the VMM's
-#: validation of a leaf, fork's copy of one): below it a pass's fixed cost,
-#: about 5 µs of array set-up, exceeds the per-entry loop it replaces
-LEAF_PASS_MIN = 64
 
 
 def pte(frame: int, *, present: bool = True, writable: bool = True,

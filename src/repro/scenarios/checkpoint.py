@@ -178,7 +178,7 @@ def capture(kernel: "Kernel", include_disk: bool = True) -> CheckpointImage:
     if include_disk:
         image.disk_blocks = dict(kernel.machine.disk.blocks)
 
-    image.frame_refs = dict(kernel.vmem._frame_refs)
+    image.frame_refs = kernel.vmem.shares()
     return image
 
 
@@ -391,7 +391,7 @@ def _wipe(kernel: "Kernel", cpu: "Cpu") -> None:
         kernel.unregister_aspace(aspace)
         kernel.vo.destroy_address_space(cpu, aspace)
     mem.free_many(mem.frames_owned_by(kernel.owner_id).tolist())
-    kernel.vmem._frame_refs.clear()
+    kernel.vmem.set_shares({})
     kernel.fs.inodes.clear()
     kernel.fs.cache.invalidate()
 
@@ -409,8 +409,8 @@ def _rebuild(kernel: "Kernel", image: CheckpointImage, cpu: "Cpu") -> None:
         if content is not None:
             mem.write(new_frame, copy.deepcopy(content))
         cpu.charge(CYC_SNAPSHOT_PER_FRAME)
-    kernel.vmem._frame_refs = {fmap[f]: n for f, n in image.frame_refs.items()
-                               if f in fmap}
+    kernel.vmem.set_shares({fmap[f]: n for f, n in image.frame_refs.items()
+                            if f in fmap})
 
     # address spaces: rebuild the structural objects over the new frames
     # (plain stores into unpinned tables, never through the VO), then pin

@@ -156,11 +156,11 @@ def _repair_frame_refs(kernel: "Kernel", cpu: "Cpu") -> None:
     for aspace in kernel.aspaces:
         for frame in aspace.mapped_frames():
             actual[frame] = actual.get(frame, 0) + 1
-    for frame in [f for f in kernel.vmem._frame_refs if f not in actual]:
-        del kernel.vmem._frame_refs[frame]
+    leaked = [f for f in kernel.vmem.shares() if f not in actual]
+    kernel.vmem.set_shares(actual)
+    for frame in leaked:
         if kernel.machine.memory.owner_of(frame) == kernel.owner_id:
             kernel.machine.memory.free(frame)
-    kernel.vmem._frame_refs.update(actual)
 
 
 #: registry entry name -> repairer, in scan order (history records keep it)

@@ -189,7 +189,7 @@ def _release(mercury: Mercury, kernel: "Kernel") -> None:
             if mercury.domain is not None and aspace in mercury.domain.aspaces:
                 mercury.domain.unregister_aspace(aspace)
         mercury.vmm.page_info.reset()
-        kernel.vmem._frame_refs.clear()
+        kernel.vmem.set_shares({})
         kernel.booted = False
     else:
         mercury.shutdown_guest(kernel)

@@ -84,10 +84,10 @@ def test_multiple_anomalies_all_healed(mercury):
 def test_frame_ref_skew_healed(mercury):
     k = mercury.kernel
     leaked = k.machine.memory.alloc(k.owner_id)
-    k.vmem._frame_refs[leaked] = 3  # refcounted but mapped nowhere
+    k.vmem.set_shares({**k.vmem.shares(), leaked: 3})  # mapped nowhere
     records = SelfHealer(mercury).scan()
     assert any(r.sensor_name == "frame-refs" and r.healed for r in records)
-    assert leaked not in k.vmem._frame_refs
+    assert leaked not in k.vmem.shares()
 
 
 def test_healing_from_virtual_mode_stays_attached(mercury):

@@ -165,16 +165,18 @@ def test_frame_refs_pair(mercury):
     assert not check_frame_refcounts(mercury)
 
     leaked = k.machine.memory.alloc(k.owner_id)
-    k.vmem._frame_refs[leaked] = 3
+    k.vmem.set_shares({**k.vmem.shares(), leaked: 3})
     assert check_frame_refcounts(mercury)
     _repair_frame_refs(k, cpu)
     assert not check_frame_refcounts(mercury)
-    assert leaked not in k.vmem._frame_refs
+    assert leaked not in k.vmem.shares()
     # the repairer also returned the orphaned frame to the allocator
     assert k.machine.memory.owner_of(leaked) != k.owner_id
 
-    mapped = next(iter(k.vmem._frame_refs))
-    k.vmem._frame_refs[mapped] += 2  # skewed count on a mapped frame
+    shares = k.vmem.shares()
+    mapped = next(iter(shares))
+    shares[mapped] += 2  # skewed count on a mapped frame
+    k.vmem.set_shares(shares)
     assert check_frame_refcounts(mercury)
     _repair_frame_refs(k, cpu)
     assert not check_frame_refcounts(mercury)

@@ -135,6 +135,41 @@ def test_hypervisor_driven_victims_fault_back(hosted, cpu):
     assert guest.vmem.minor_faults - faults0 == front.victim_unmaps
 
 
+def _guest_shares_hold(guest) -> bool:
+    """The guest kernel's share counts equal its tasks' mappings (the
+    refcount law, which ``check_all`` applies to Mercury's own kernel)."""
+    actual: dict[int, int] = {}
+    for aspace in guest.aspaces:
+        for frame in aspace.mapped_frames():
+            actual[frame] = actual.get(frame, 0) + 1
+    return guest.vmem.shares() == actual
+
+
+@pytest.mark.parametrize("broken", [False, True],
+                         ids=["fork-shared", "cow-broken"])
+@pytest.mark.parametrize("driven", [False, True],
+                         ids=["guest-delegated", "hypervisor-driven"])
+def test_inflate_keeps_a_page_a_fork_shares(hosted, cpu, driven, broken):
+    """A region page whose frame a fork shares, or whose vaddr a COW break
+    moved to a copy, is no victim on either inflate path: it stays mapped,
+    in the region map and the guest's, and no other frame goes in its
+    place."""
+    mercury, guest, front, back, dom = hosted
+    mem = mercury.machine.memory
+    task = guest.scheduler.current
+    front.map_pool_frames(cpu, task, len(front.pool))
+    guest.procs.fork(cpu, task)
+    frame = front._order[-1]         # the guest-delegated path's first pick
+    if broken:                       # the parent writes: it takes a copy
+        guest.vmem.access(cpu, task, front._rmap[frame][1], write=True)
+    rmap, order = dict(front._rmap), list(front._order)
+    owned = mem.frames_owned_by(guest.owner_id).tolist()
+    assert front.inflate(cpu, 1, victims=(frame,) if driven else ()) == 0
+    assert front._rmap == rmap and front._order == order
+    assert mem.frames_owned_by(guest.owner_id).tolist() == owned
+    assert _guest_shares_hold(guest)
+
+
 def test_refcount_site_rename_compat():
     assert faults.VMM_REFCOUNT_RUNAWAY == "vmm.refcount-runaway"
     assert faults.site(faults.VMM_REFCOUNT_RUNAWAY).during_switch is False
