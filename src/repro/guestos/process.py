@@ -16,8 +16,9 @@ from itertools import chain
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import NoSuchProcess, SyscallError
-from repro.hw.paging import (LEAF_PASS_MIN, PTE_COW, PTE_FRAME_SHIFT, PTE_P,
-                             PTE_W, AddressSpace, word_array)
+from repro.hw.memory import LEAF_PASS_MIN
+from repro.hw.paging import (PTE_COW, PTE_FRAME_SHIFT, PTE_P, PTE_W,
+                             AddressSpace, word_array)
 
 if TYPE_CHECKING:
     from repro.guestos.kernel import Kernel

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import NetworkError, RingError
 from repro.hw.devices import Packet
+from repro.hw.paging import PTE_FRAME_SHIFT, PTE_P
 from repro.params import PAGE_SIZE
 from repro.vmm.backend import (BalloonBack, BalloonRingEntry, BlkBack,
                                BlkRingEntry, NetBack, NetRingEntry)
@@ -341,7 +342,21 @@ class BalloonFront(_RingFront):
         """Frames the balloon driver could surrender (pool + regions), in
         deterministic order.  The host's hypervisor-driven strategy picks
         victims from this view — its P2M-table analogue."""
+        self._drop_stale()
         return sorted(self.pool) + sorted(self._rmap)
+
+    def _drop_stale(self) -> None:
+        """Forget every region page whose vaddr no longer maps the frame
+        recorded for it — a COW break gave the task a copy, or the task
+        exited — so the region map names only frames its tasks map.  The
+        old frame is not the region's to surrender: it lives on in the
+        task that shared it, or is free.  ``_order`` drops it lazily."""
+        rmap = self._rmap
+        for frame, (task, vaddr) in list(rmap.items()):
+            word = task.aspace.get_pte(vaddr)
+            if (word is None or not word & PTE_P
+                    or word >> PTE_FRAME_SHIFT != frame):
+                del rmap[frame]
 
     def fill_pool(self, cpu: "Cpu", n: int) -> list[int]:
         """Reserve ``n`` cold frames for the guest (balloon-connect top-up:
@@ -421,27 +436,17 @@ class BalloonFront(_RingFront):
         return len(picked)
 
     def _pick_victims(self, cpu: "Cpu", n: int, victims) -> list[int]:
-        """Up to ``n`` frames to surrender.  A region page that must stay
-        mapped (:meth:`VirtualMemory.page_kept`: a fork shares its frame,
-        or a COW break moved its vaddr to a copy) is no victim: it stays
-        mapped and in the region map."""
+        """Up to ``n`` frames to surrender.  A region page a fork shares is
+        no victim: it stays mapped and in the region map."""
+        self._drop_stale()
         picked: list[int] = []
-        vmem = self.kernel.vmem
         if victims:
             for frame in victims:
                 if len(picked) == n:
                     break
                 if frame in self._rmap:
-                    task, vaddr = self._rmap[frame]
-                    if vmem.page_kept(task, vaddr, frame):
-                        continue
-                    del self._rmap[frame]
-                    got = vmem.steal_page(cpu, task, vaddr)
-                    self.victim_unmaps += 1
-                    if self.mmu_log is not None:
-                        self.mmu_log.on_balloon(task.aspace)
-                    if got is not None:
-                        picked.append(got)
+                    if self._steal_region_page(cpu, frame, picked):
+                        self.victim_unmaps += 1
                 else:
                     try:
                         self.pool.remove(frame)
@@ -454,21 +459,29 @@ class BalloonFront(_RingFront):
         kept = []
         while len(picked) < n and self._order:
             frame = self._order.pop()
-            entry = self._rmap.get(frame)
-            if entry is None:
-                continue            # lazily-deleted (was a victim earlier)
-            task, vaddr = entry
-            if vmem.page_kept(task, vaddr, frame):
+            if frame not in self._rmap:
+                continue            # lazily deleted: a victim or stale
+            if not self._steal_region_page(cpu, frame, picked):
                 kept.append(frame)
-                continue
-            del self._rmap[frame]
-            got = vmem.steal_page(cpu, task, vaddr)
-            if self.mmu_log is not None:
-                self.mmu_log.on_balloon(task.aspace)
-            if got is not None:
-                picked.append(got)
         self._order.extend(reversed(kept))    # back in place, in order
         return picked
+
+    def _steal_region_page(self, cpu: "Cpu", frame: int,
+                           picked: list[int]) -> bool:
+        """Unmap region page ``frame`` from its task and add it to
+        ``picked``; False, leaving it mapped and in the region map, when a
+        fork shares it — surrendering it would take a page from under the
+        other mapping."""
+        vmem = self.kernel.vmem
+        if vmem.frame_refs(frame) > 1:
+            return False
+        task, vaddr = self._rmap.pop(frame)
+        got = vmem.steal_page(cpu, task, vaddr)
+        if self.mmu_log is not None:
+            self.mmu_log.on_balloon(task.aspace)
+        if got is not None:
+            picked.append(got)
+        return True
 
     # -- deflate (get frames back) ---------------------------------------
 

@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import PageFault, SyscallError
 from repro.hw.memory import frame_batch, frame_list
 from repro.hw.paging import (PTE_COW, PTE_FRAME_SHIFT, PTE_P, PTE_U, PTE_W,
-                             pte, vpn_split, word_array)
+                             pte, vpn_split)
 from repro.params import PAGE_SIZE, PT_ENTRIES
 
 if TYPE_CHECKING:
@@ -271,19 +271,12 @@ class VirtualMemory:
             leaf = pgd_entries.get(pgd_idx)
             if leaf is None:
                 continue
-            entries = leaf.entries
-            words = word_array(map(entries.get, range(lo, hi), repeat(0)),
-                               hi - lo)
-            if words is None:   # a value no int64 holds: slot by slot
-                hits = [i for i in range(lo, hi)
-                        if (pte := entries.get(i)) is not None and pte & PTE_P]
-                freed.append(np.array([entries[i] >> PTE_FRAME_SHIFT
-                                       for i in hits], dtype=object))
-            else:
-                present = words & PTE_P != 0
-                hits = (range(lo, hi) if present.all()
-                        else (np.flatnonzero(present) + lo).tolist())
-                freed.append(words[present] >> PTE_FRAME_SHIFT)
+            words = np.fromiter(map(leaf.entries.get, range(lo, hi),
+                                    repeat(0)), np.int64, hi - lo)
+            present = words & PTE_P != 0
+            hits = (range(lo, hi) if present.all()
+                    else (np.flatnonzero(present) + lo).tolist())
+            freed.append(words[present] >> PTE_FRAME_SHIFT)
             if hits:
                 leaves.append((pgd_idx, dict.fromkeys(hits)))
         self.kernel.vo.apply_pte_region(cpu, task.aspace, leaves)
@@ -298,7 +291,7 @@ class VirtualMemory:
         faults back in (a fresh demand-zero frame) on the next touch —
         which is exactly the victim-page fault the hypervisor-driven
         reclaim ablation measures.  Returns None if nothing was mapped.
-        The caller asks :meth:`page_kept` first: a shared frame is not
+        The caller asks :meth:`frame_refs` first: a shared frame is not
         ``task``'s to give."""
         pte = task.aspace.get_pte(vaddr)
         if pte is None or not pte & PTE_P:
@@ -307,18 +300,6 @@ class VirtualMemory:
         self.kernel.vo.clear_pte(cpu, task.aspace, vaddr)
         self._shares[frame] = 0
         return frame
-
-    def page_kept(self, task: "Task", vaddr: int, frame: int) -> bool:
-        """Must ``task``'s page at ``vaddr``, recorded as mapping
-        ``frame``, stay mapped through a balloon inflate?  Yes when it
-        maps another frame now (a COW break gave ``task`` a copy, and the
-        recorded frame lives on in the task that shared it) or when
-        ``frame`` is shared (a fork): surrendering either would take a page
-        from under a mapping.  A page with nothing mapped is not kept."""
-        word = task.aspace.get_pte(vaddr)
-        return (word is not None and word & PTE_P != 0
-                and (word >> PTE_FRAME_SHIFT != frame
-                     or self.frame_refs(frame) > 1))
 
     def brk(self, cpu: "Cpu", task: "Task", new_brk: int) -> int:
         """Grow (only) the heap; pages appear on demand."""

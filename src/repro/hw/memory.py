@@ -27,20 +27,30 @@ from repro.params import PAGE_SIZE
 #: owner value for a free frame
 OWNER_FREE = -1
 
-#: smallest batch the numpy passes take, over a page-table leaf's words
-#: (the VMM's validation of a leaf, fork's copy of one; ``hw.paging``
-#: re-exports it) or over frame columns (the kernel's share counts,
+#: smallest batch the numpy passes take, over page-table words (the VMM's
+#: validation of a leaf and its region writes, fork's copy of a leaf,
+#: teardown's gather) or over frame columns (the kernel's share counts,
 #: :meth:`PhysicalMemory.free_many`): below it a pass's fixed cost, about
 #: 5 µs of array set-up (15 µs for a release, which checks its batch twice),
 #: exceeds the per-entry loop it replaces
 LEAF_PASS_MIN = 64
 
 
+def distinct_frames(frames: np.ndarray, num_frames: int) -> bool:
+    """True when each of ``frames`` (int64) appears once and all lie in
+    ``[0, num_frames)`` — the condition under which a numpy pass over a
+    column equals the per-frame rules, where frames would interact or fail
+    in order.  One sort finds both: a repeat shows as equal neighbours."""
+    ordered = np.sort(frames)
+    return not (ordered.size and (ordered[0] < 0 or ordered[-1] >= num_frames
+                                  or (ordered[1:] == ordered[:-1]).any()))
+
+
 def frame_batch(frames: Sequence[int], num_frames: int
                 ) -> Optional[np.ndarray]:
     """``frames`` as one int64 array when a numpy pass over a frame column
-    may take them: at least :data:`LEAF_PASS_MIN` distinct frames, each
-    below ``num_frames``.  None otherwise — a small batch, a repeated
+    may take them: at least :data:`LEAF_PASS_MIN` frames, all
+    :func:`distinct_frames`.  None otherwise — a small batch, a repeated
     frame, one out of range or a value that is not a frame number — and
     the caller keeps its per-frame rules, where such frames interact or
     fail in order."""
@@ -50,11 +60,7 @@ def frame_batch(frames: Sequence[int], num_frames: int
         batch = np.asarray(frames, dtype=np.int64)
     except (TypeError, ValueError, OverflowError):
         return None
-    if batch.ndim != 1:
-        return None
-    ordered = np.sort(batch)
-    if (ordered[0] < 0 or ordered[-1] >= num_frames
-            or (ordered[1:] == ordered[:-1]).any()):
+    if batch.ndim != 1 or not distinct_frames(batch, num_frames):
         return None
     return batch
 

@@ -33,9 +33,6 @@ import numpy as np
 
 from repro.errors import PageFault
 from repro.hw.memory import PhysicalMemory
-# the pass size the leaf passes share with the frame-column passes of
-# hw.memory, which defines it; the leaf passes' importers read it here
-from repro.hw.memory import LEAF_PASS_MIN  # noqa: F401
 from repro.params import PAGE_SIZE, PT_ENTRIES, PT_SPAN
 
 #: the present bit (x86 ``_PAGE_PRESENT``)

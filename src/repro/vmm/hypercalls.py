@@ -15,30 +15,24 @@ violations raise :class:`~repro.errors.PageValidationError` — a guest can
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 
 from repro import faults
 from repro.errors import HypercallError, PageValidationError
+from repro.hw.memory import LEAF_PASS_MIN
 from repro.hw.paging import (PTE_FRAME_SHIFT, PTE_P, PTE_W, all_none,
                              region_items, word_array)
 from repro.params import PAGE_SIZE, PT_ENTRIES
-from repro.vmm.page_info import _L1, _L2, _NONE, _WRITABLE
+from repro.vmm.page_info import _L1, _L2, _NONE, _NO_WORDS, _WRITABLE
 
 if TYPE_CHECKING:
     from repro.hw.cpu import Cpu
     from repro.hw.paging import AddressSpace
     from repro.vmm.domain import Domain
     from repro.vmm.hypervisor import Hypervisor
-
-
-#: smallest region whose count bookkeeping runs as numpy passes over the
-#: page-info columns: below it the fixed cost of the passes exceeds the
-#: per-entry ``mmu_update`` loop they replace
-COLUMNAR_MIN = 64
-
-_NO_WORDS = np.empty(0, dtype=np.int64)
 
 
 def _require_registered(domain: "Domain", aspace: "AddressSpace") -> None:
@@ -101,19 +95,7 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
         leaf = pgd_entries.get(vpn // PT_ENTRIES)
         idx = vpn % PT_ENTRIES
         if pte is None:
-            removed = leaf.entries.pop(idx, None) if leaf is not None else None
-            if removed is not None and removed & PTE_P:
-                frame = removed >> PTE_FRAME_SHIFT
-                n = pcount[frame]
-                # n <= 0 means the entry's accounting was already dropped
-                # (unpin wipes the counts its entries contributed): nothing
-                # to unaccount, and decrementing would go negative
-                if n > 0:
-                    pcount[frame] = n - 1
-                    prefs[frame] -= 1
-                    if n == 1 and ptype[frame] == _WRITABLE:
-                        ptype[frame] = _NONE
-            drop(vpn, None)
+            old = leaf.entries.pop(idx, None) if leaf is not None else None
         else:
             present = pte & PTE_P
             if present:
@@ -129,28 +111,34 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
             # memory for it leaves no count without a PTE
             if leaf is None:
                 leaf = aspace.leaf_for(vaddr, create=True)
-            old = leaf.entries.get(idx)
             if present:
                 prefs[frame] += 1
                 if t == _NONE:
                     ptype[frame] = _WRITABLE
                 pcount[frame] += 1
-            if old is not None and old & PTE_P:
-                frame = old >> PTE_FRAME_SHIFT
-                n = pcount[frame]
-                if n > 0:
-                    pcount[frame] = n - 1
-                    prefs[frame] -= 1
-                    if n == 1 and ptype[frame] == _WRITABLE:
-                        ptype[frame] = _NONE
+            old = leaf.entries.get(idx)
             leaf.entries[idx] = pte
             # the write may have instantiated a new leaf PT page under a
-            # pinned PGD (an L2-entry install): validate-and-adopt it
+            # pinned PGD (an L2-entry install): validate-and-adopt it (a
+            # leaf is adopted only in the call that creates it, so it held
+            # no old word)
             if pgd_pinned:
                 t = ptype[leaf.frame]
                 if t != _L1 and t != _L2:
                     page_info.adopt_new_leaf(cpu, leaf)
-            drop(vpn, None)
+        # a cleared or replaced word gives back its counts; n <= 0 means
+        # the entry's accounting was already dropped (unpin wipes the
+        # counts its entries contributed): nothing to unaccount, and
+        # decrementing would go negative
+        if old is not None and old & PTE_P:
+            frame = old >> PTE_FRAME_SHIFT
+            n = pcount[frame]
+            if n > 0:
+                pcount[frame] = n - 1
+                prefs[frame] -= 1
+                if n == 1 and ptype[frame] == _WRITABLE:
+                    ptype[frame] = _NONE
+        drop(vpn, None)
         applied += 1
     if batched:
         vmm.mmu_batches += 1
@@ -181,8 +169,8 @@ def mmu_update_region(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
     trace mark, the per-entry rate, the adoption of a new leaf inside the
     hypercall that carries the leaf's first install), every counter, the
     leaf dicts in order, the page-info columns and the TLB.  A region of
-    at least :data:`COLUMNAR_MIN` entries with no fault plan armed is
-    applied a leaf at a time with columnar count bookkeeping
+    at least :data:`~repro.hw.memory.LEAF_PASS_MIN` entries with no fault
+    plan armed is applied a leaf at a time with columnar count bookkeeping
     (:func:`_apply_region_columnar`); a smaller region, or one
     that pass declines, goes through :func:`mmu_update` chunk by chunk —
     the sequential rules, which also raise on a bad entry after applying
@@ -190,7 +178,7 @@ def mmu_update_region(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
     n = sum(len(updates) for _, updates in leaves)
     if not n:
         return
-    if (n >= COLUMNAR_MIN and faults._ACTIVE is None
+    if (n >= LEAF_PASS_MIN and faults._ACTIVE is None
             and _apply_region_columnar(vmm, cpu, domain, aspace, leaves, n)):
         return
     updates = [(aspace, vaddr, pte) for vaddr, pte in region_items(leaves)]
@@ -203,8 +191,9 @@ def _apply_region_columnar(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                            n: int) -> bool:
     """:func:`mmu_update_region` a leaf at a time, with the page-info
     counts of all ``n`` entries in one
-    :meth:`~repro.vmm.page_info.PageInfoTable.account_batch`, whose
-    install and clear frames come from each leaf's words in one numpy pass.
+    :meth:`~repro.vmm.page_info.PageInfoTable.account_batch` over the
+    words the region installs and the old words it clears, each leaf's
+    read in one numpy pass.
 
     Returns False, having changed nothing, wherever the result could
     differ from the sequential rules: the VMM would refuse the call, a
@@ -242,12 +231,10 @@ def _apply_region_columnar(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                       or (pinned and ptype[leaf.frame] != _L1
                           and ptype[leaf.frame] != _L2)):
                 grown.append((pos, pgd_idx, leaf))
-        elif all_none(values):     # clears only
-            olds = word_array(map(entries.get, updates), m)
-            if olds is None:       # an empty slot: its clear counts nothing
-                olds = np.array([pte for pte in map(entries.get, updates)
-                                 if pte is not None], dtype=np.int64)
-            clears.append(olds)
+        elif all_none(values):     # clears only; an empty slot reads as
+            clears.append(         # the word 0, which counts nothing
+                np.fromiter(map(entries.get, updates, repeat(0)), np.int64,
+                            m))
         else:                      # no producer mixes them in one leaf
             return False
         pos += m
@@ -267,14 +254,10 @@ def _apply_region_columnar(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                 return False
             adopted.append(frame)
         plan.append((first, pgd_idx, adopt))
-    installed = np.concatenate(installs) if installs else _NO_WORDS
-    installed = installed[installed & PTE_P != 0]
-    cleared = np.concatenate(clears) if clears else _NO_WORDS
-    cleared = cleared[cleared & PTE_P != 0]
-    if not page_info.account_batch(installed >> PTE_FRAME_SHIFT,
-                                   installed & PTE_W != 0,
-                                   cleared >> PTE_FRAME_SHIFT,
-                                   domain.domain_id, adopted):
+    if not page_info.account_batch(
+            np.concatenate(installs) if installs else _NO_WORDS,
+            np.concatenate(clears) if clears else _NO_WORDS,
+            domain.domain_id, adopted):
         return False
     # from here on nothing can fail: replay the hypercalls' charges and
     # marks chunk by chunk, then write the leaves

@@ -23,9 +23,10 @@ is a plain C-level load/store, which matters because the validation and
 count bookkeeping below run per-PTE on the hottest guest paths
 (``mmu_update``), and because a reset is a single memset-style slice write.
 Zero-copy numpy views of the type and count columns serve the batch form of
-the same rules, :meth:`PageInfoTable.account_batch`: a large region write
-updates the columns in a few vectorized passes, and falls back to the
-per-entry rules wherever entries could interact.
+the same rules, :meth:`PageInfoTable.account_batch`: a large leaf validation
+or region write updates the columns in a few vectorized passes over its PTE
+words, and falls back to the per-entry rules wherever entries could
+interact.
 The pinned map is owned by this class: external code pins and unpins through
 :meth:`pin_frame`/:meth:`unpin_frame` (or the bulk variants) and reads
 through the set-like :attr:`pinned` view or the raw :attr:`pinned_map`.
@@ -47,8 +48,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import PageValidationError
-from repro.hw.paging import (LEAF_PASS_MIN, PTE_FRAME_SHIFT, PTE_P, PTE_W,
-                             word_array)
+from repro.hw.memory import LEAF_PASS_MIN, distinct_frames
+from repro.hw.paging import PTE_FRAME_SHIFT, PTE_P, PTE_W, word_array
 from repro.params import PT_ENTRIES
 
 if TYPE_CHECKING:
@@ -71,6 +72,9 @@ _NONE = int(PageType.NONE)
 _WRITABLE = int(PageType.WRITABLE)
 _L1 = int(PageType.L1_PAGETABLE)
 _L2 = int(PageType.L2_PAGETABLE)
+
+#: an empty batch of PTE words
+_NO_WORDS = np.empty(0, dtype=np.int64)
 
 
 class PinnedView(AbstractSet):
@@ -209,69 +213,36 @@ class PageInfoTable:
         references.  Charges a full-width entry scan (hardware must look at
         every slot, present or not).
 
-        A leaf of at least :data:`~repro.hw.paging.LEAF_PASS_MIN` entries is
-        checked and accounted in one numpy pass over its words
-        (:meth:`_validate_words`); a smaller one, or one that pass
+        A leaf of at least :data:`~repro.hw.memory.LEAF_PASS_MIN` entries
+        is accounted in one :meth:`account_batch` over its words, with the
+        leaf's own frame named as retyped; a smaller one, or one that pass
         declines, takes the per-entry rules, which raise on the first bad
-        entry after accounting the entries before it."""
+        entry after accounting the entries before it.  Either way the leaf
+        then takes its L1 type."""
         cpu.charge(cpu.cost.cyc_pte_validate * PT_ENTRIES)
         self.validations += 1
         entries = leaf.entries
-        if (len(entries) >= LEAF_PASS_MIN
-                and self._validate_words(leaf, domain_id)):
-            return
-        ptype, pcount, prefs = self.type, self.type_count, self.ref_count
-        owner = self.mem.owner
-        for pte in entries.values():
-            if not pte & PTE_P:
-                continue
-            frame = pte >> PTE_FRAME_SHIFT
-            if owner[frame] != domain_id:
-                self._check_frame_for(frame, domain_id)
-            t = ptype[frame]
-            if pte & PTE_W and (t == _L1 or t == _L2):
-                raise PageValidationError(
-                    f"writable mapping of page-table frame {frame}")
-            prefs[frame] += 1
-            if t == _NONE:
-                ptype[frame] = _WRITABLE
-            pcount[frame] += 1
+        n = len(entries)
+        words = word_array(entries.values(), n) if n >= LEAF_PASS_MIN else None
+        if words is None or not self.account_batch(
+                words, _NO_WORDS, domain_id, (leaf.frame,)):
+            ptype, pcount, prefs = self.type, self.type_count, self.ref_count
+            owner = self.mem.owner
+            for pte in entries.values():
+                if not pte & PTE_P:
+                    continue
+                frame = pte >> PTE_FRAME_SHIFT
+                if owner[frame] != domain_id:
+                    self._check_frame_for(frame, domain_id)
+                t = ptype[frame]
+                if pte & PTE_W and (t == _L1 or t == _L2):
+                    raise PageValidationError(
+                        f"writable mapping of page-table frame {frame}")
+                prefs[frame] += 1
+                if t == _NONE:
+                    ptype[frame] = _WRITABLE
+                pcount[frame] += 1
         self._set_type(leaf.frame, PageType.L1_PAGETABLE)
-
-    def _validate_words(self, leaf: "PageTablePage", domain_id: int) -> bool:
-        """:meth:`validate_leaf`'s per-entry rules as numpy passes over the
-        leaf's words: each mapped frame takes one reference and one type
-        count and turns NONE into WRITABLE, then the leaf takes its L1
-        type.
-
-        The passes equal the loop only when no entry fails and no two
-        entries touch the same frame, so the leaf is checked first and
-        refused — False, columns untouched — if a word is not present or
-        maps a frame out of range, a foreign frame, a page-table frame
-        (the leaf's own included) or a frame another entry maps, or if the
-        leaf's frame cannot take its L1 type."""
-        t_leaf = self.type[leaf.frame]
-        if t_leaf != _NONE and t_leaf != _L1:
-            return False
-        entries = leaf.entries
-        words = word_array(entries.values(), len(entries))
-        if words is None or not (words & PTE_P).all():
-            return False
-        frames = words >> PTE_FRAME_SHIFT
-        frames.sort()
-        if (frames[0] < 0 or frames[-1] >= len(self.type)
-                or (frames[1:] == frames[:-1]).any()
-                or (self.mem.owner_np[frames] != domain_id).any()):
-            return False
-        ptype = self._type_np
-        t = ptype[frames]
-        if (t >= _L1).any() or (frames == leaf.frame).any():  # L1 or L2
-            return False
-        self._refs_np[frames] += 1
-        self._count_np[frames] += 1
-        ptype[frames[t == _NONE]] = _WRITABLE
-        self._set_type(leaf.frame, PageType.L1_PAGETABLE)
-        return True
 
     def validate_pgd(self, cpu: "Cpu", aspace: "AddressSpace", domain_id: int) -> None:
         """Validate a whole address space top-down (pin operation)."""
@@ -284,42 +255,48 @@ class PageInfoTable:
         self._set_type(aspace.pgd.frame, PageType.L2_PAGETABLE)
         self.pin_frame(aspace.pgd.frame)
 
-    def account_batch(self, installed: Sequence[int],
-                      writable: Sequence[bool], cleared: Sequence[int],
+    def account_batch(self, installed: np.ndarray, cleared: np.ndarray,
                       domain_id: int, retyped: Sequence[int] = ()) -> bool:
-        """The per-entry count rules of ``mmu_update`` for a whole batch, as
-        numpy passes over the columns: each installed frame (``writable``
-        says how it is mapped) takes one type count and one reference and
-        turns NONE into WRITABLE; each cleared frame gives them back and
-        turns WRITABLE into NONE when its count reaches zero.  The frames
-        may come as int arrays (the region pass takes them from words).
+        """The per-entry count rules of ``mmu_update`` and
+        :meth:`validate_leaf` for a whole batch of PTE words (int64
+        arrays), as numpy passes over the columns: each present installed
+        word's frame takes one type count and one reference and turns NONE
+        into WRITABLE; each present cleared word's frame gives them back
+        and turns WRITABLE into NONE when its count reaches zero.  A
+        non-present word counts nothing.
 
         The passes equal the entry-by-entry result only when no two
         entries touch the same frame and no entry fails, so the batch is
         checked first and refused — False, columns untouched — if a frame
         is out of range or named twice (``retyped``, frames the caller
-        retypes in the same batch, count as named; a repeat shows as equal
-        neighbours once the named frames are sorted), if an install maps a
+        retypes in the same batch, count as named), if an install maps a
         foreign frame or a page-table frame writable, or if a clear meets
         the ``n > 0`` clamp.  The caller then applies the sequential rules,
         which raise where they always did."""
-        fi = np.asarray(installed, dtype=np.int64)
-        fc = np.asarray(cleared, dtype=np.int64)
-        named = np.concatenate((fi, fc, np.asarray(retyped, dtype=np.int64)))
-        if named.size:
-            named.sort()
-            if (named[0] < 0 or named[-1] >= len(self.type)
-                    or (named[1:] == named[:-1]).any()):
-                return False
+        present = installed & PTE_P
+        if not present.all():
+            installed = installed[present != 0]
+        fi = installed >> PTE_FRAME_SHIFT
+        named = [fi]
+        if cleared.size:
+            cleared = cleared[cleared & PTE_P != 0]
+            fc = cleared >> PTE_FRAME_SHIFT
+            named.append(fc)
+        if len(retyped):
+            named.append(retyped)
+        if not distinct_frames(
+                np.concatenate(named) if len(named) > 1 else fi,
+                len(self.type)):
+            return False
         ptype, pcount, prefs = self._type_np, self._count_np, self._refs_np
         if fi.size:
             if (self.mem.owner_np[fi] != domain_id).any():
                 return False
             t = ptype[fi]
-            if (np.asarray(writable, dtype=bool)
-                    & ((t == _L1) | (t == _L2))).any():
+            pt = t >= _L1                       # L1 or L2
+            if pt.any() and (installed[pt] & PTE_W).any():
                 return False
-        if fc.size:
+        if cleared.size:
             n = pcount[fc]
             if (n <= 0).any():
                 return False
@@ -327,7 +304,7 @@ class PageInfoTable:
             ptype[fi[t == _NONE]] = _WRITABLE
             pcount[fi] += 1
             prefs[fi] += 1
-        if fc.size:
+        if cleared.size:
             pcount[fc] = n - 1
             prefs[fc] -= 1
             last = fc[n == 1]

@@ -4,10 +4,11 @@ words equals the per-entry rules it stands in for.
 A bulk pass declines to the per-entry rules wherever entries could
 interact or fail, so the two must agree on every leaf: the page-info
 columns, the exception and the partial state a raising entry leaves
-behind.  The random leaves mix in the words that make a pass decline:
-non-present words (frame 0's is the word 0), repeated frames, foreign
-frames, page-table frames mapped read-only and writable, frames out of
-range and entries mapping the leaf's own frame.
+behind.  The random leaves mix in words the pass takes — non-present
+words (frame 0's is the word 0) and page-table frames mapped read-only —
+and words that make it decline: repeated frames, foreign frames,
+page-table frames mapped writable, frames out of range and entries
+mapping the leaf's own frame.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from hypothesis import strategies as st
 
 from repro import Machine, Mercury, small_config
 from repro.errors import PageValidationError
-from repro.hw.memory import PhysicalMemory
+from repro.hw.memory import LEAF_PASS_MIN, PhysicalMemory
 from repro.hw.paging import (PTE_FLAGS, PTE_FRAME_SHIFT, AddressSpace, pte,
                              pte_fields, pte_frame, region_items,
                              with_flags)
 from repro.params import PAGE_SIZE, PT_ENTRIES, paper_config
 from repro.vmm import page_info
-from repro.vmm.hypercalls import (COLUMNAR_MIN, mmu_update_chunks,
-                                  mmu_update_region)
+from repro.vmm.hypercalls import mmu_update_chunks, mmu_update_region
 from repro.vmm.page_info import PageInfoTable, PageType
 
 #: every (present, writable, user, cow) combination
@@ -172,9 +172,8 @@ def _validate(spec, columnar: bool):
         leaf.entries[slot] = pte(pool[i % len(pool)], present=present,
                                  writable=writable, cow=cow, user=user)
     passes = []
-    words_pass = table._validate_words
-    table._validate_words = lambda *a: passes.append(words_pass(*a)) \
-        or passes[-1]
+    batch = table.account_batch
+    table.account_batch = lambda *a: passes.append(batch(*a)) or passes[-1]
     saved = page_info.LEAF_PASS_MIN
     page_info.LEAF_PASS_MIN = 1 if columnar else PT_ENTRIES + 1
     error = None
@@ -189,13 +188,20 @@ def _validate(spec, columnar: bool):
     return state, passes
 
 
-def _one(*entries, leaf_type="none"):
-    """A leaf spec of the given entries at slots 0, 1, ..."""
-    return False, [(slot, list(e)) for slot, e in enumerate(entries)], [], \
+def _one(*entries, leaf_type="none", taken=False):
+    """A leaf spec of the given entries at slots 0, 1, ...; ``taken`` says
+    the pass must take it."""
+    return taken, [(slot, list(e)) for slot, e in enumerate(entries)], [], \
         leaf_type
 
 
 DATA_RW = ("data", 1, True, True, False, True)
+#: a full leaf of LEAF_PASS_MIN entries: every data frame mapped, the rest
+#: non-present words (of data frames, and the word 0)
+SPARSE = ([("data", i, True, i % 2 == 0, False, True) for i in range(DATA)]
+          + [("data", i, False, True, False, True)
+             for i in range(LEAF_PASS_MIN - DATA - 1)]
+          + [("zero", 0, False, False, False, False)])
 
 
 @settings(max_examples=400, deadline=None)
@@ -208,6 +214,9 @@ DATA_RW = ("data", 1, True, True, False, True)
 @example(_one(DATA_RW, ("out", 2, True, False, False, True)))
 @example(_one(DATA_RW, ("zero", 0, False, False, False, False)))  # word 0
 @example(_one(DATA_RW, leaf_type="writable"))
+@example(_one(*SPARSE, taken=True))                               # holes
+@example(_one(DATA_RW, ("l1", 0, True, False, False, True), taken=True))
+@example(_one(DATA_RW, ("l2", 0, True, False, False, True), taken=True))
 def test_numpy_validation_equals_the_per_entry_loop(spec):
     columnar, passes = _validate(spec, columnar=True)
     per_entry, none = _validate(spec, columnar=False)
@@ -219,7 +228,7 @@ def test_numpy_validation_equals_the_per_entry_loop(spec):
 
 
 def test_the_crossover_sends_small_leaves_to_the_loop():
-    """Leaves under :data:`~repro.hw.paging.LEAF_PASS_MIN` entries never
+    """Leaves under :data:`~repro.hw.memory.LEAF_PASS_MIN` entries never
     try the numpy pass; leaves at it do."""
     for n, tried in ((page_info.LEAF_PASS_MIN - 1, []),
                      (page_info.LEAF_PASS_MIN, [True])):
@@ -229,8 +238,8 @@ def test_the_crossover_sends_small_leaves_to_the_loop():
             leaf.entries[slot] = pte(frame)
         table = PageInfoTable(mem)
         passes = []
-        words_pass = table._validate_words
-        table._validate_words = lambda *a: passes.append(words_pass(*a)) \
+        batch = table.account_batch
+        table.account_batch = lambda *a: passes.append(batch(*a)) \
             or passes[-1]
         table.validate_leaf(_Cpu(), leaf, 0)
         assert passes == tried
@@ -276,10 +285,10 @@ def regions(draw):
     """A clears-only leaf over the counted entries (with empty slots, and
     maybe a non-present word or an uncounted entry among them) or an
     installs-only leaf into a fresh one — distinct frames of this domain,
-    carrying up to three faults — of ``COLUMNAR_MIN`` to 80 entries.
+    carrying up to three faults — of ``LEAF_PASS_MIN`` to 80 entries.
     Returns ``(what, items, detail)``: the extra entry of a clear, whether
     an install is clean."""
-    n = draw(st.integers(COLUMNAR_MIN, 80))
+    n = draw(st.integers(LEAF_PASS_MIN, 80))
     if draw(st.booleans()):
         slots = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n,
                               unique=True))
@@ -356,7 +365,7 @@ def _region(spec, columnar: bool):
 
 
 _CLEAN_INSTALL = [["data", 80 + k, True, k % 2 == 0]
-                  for k in range(COLUMNAR_MIN)]
+                  for k in range(LEAF_PASS_MIN)]
 
 
 @settings(max_examples=200, deadline=None,
@@ -366,7 +375,7 @@ _CLEAN_INSTALL = [["data", 80 + k, True, k % 2 == 0]
           False))                                   # one frame twice
 @example(("install", [["word0", 0, False, False]] + _CLEAN_INSTALL[1:],
           False))
-@example(("clear", list(range(COLUMNAR_MIN + 30)), "uncounted"))
+@example(("clear", list(range(LEAF_PASS_MIN + 30)), "uncounted"))
 def test_columnar_region_equals_chunked_mmu_update(spec):
     columnar, accounted = _region(spec, columnar=True)
     chunked, never = _region(spec, columnar=False)

@@ -33,9 +33,9 @@ from repro.core.accounting import AccountingStrategy
 from repro.core.mercury import PagingMode
 from repro.core.shadow_vo import ShadowVirtualVO
 from repro.errors import HypercallError, OutOfMemory, PageValidationError
+from repro.hw.memory import LEAF_PASS_MIN
 from repro.hw.paging import AddressSpace, pte, pte_fields
 from repro.params import PAGE_SIZE, PT_ENTRIES
-from repro.vmm.hypercalls import COLUMNAR_MIN
 from repro.vmm.page_info import PageType
 
 #: leaf slots of the mmap area the regions write (pgd index of 1 GiB up)
@@ -325,7 +325,7 @@ def test_vmm_region_equals_per_entry_rules(sc):
 
 
 def test_threshold_splits_columnar_and_per_entry_paths():
-    """A plain pinned region of COLUMNAR_MIN entries takes the columnar
+    """A plain pinned region of LEAF_PASS_MIN entries takes the columnar
     pass (no mmu_update handler runs), one entry fewer the sequential
     rules; both equal the reference."""
     from repro.vmm import hypercalls
@@ -335,7 +335,8 @@ def test_threshold_splits_columnar_and_per_entry_paths():
     hypercalls.HYPERCALL_TABLE["mmu_update"] = (
         lambda *a, **k: calls.append(1) or real(*a, **k))
     try:
-        for n, per_entry in ((COLUMNAR_MIN, False), (COLUMNAR_MIN - 1, True)):
+        for n, per_entry in ((LEAF_PASS_MIN, False),
+                             (LEAF_PASS_MIN - 1, True)):
             calls.clear()
             sc = dict(kind="virtual", pinned=True, prepop={}, uncounted={},
                       bare=[], stale_leaf=False, leaves=[(257, [(i, ("pool", i, True, True))

@@ -7,6 +7,8 @@ import pytest
 from repro import faults
 from repro.core.recovery import RecoveryManager
 from repro.errors import DomainError, PageValidationError
+from repro.hw.memory import OWNER_FREE
+from repro.hw.paging import pte_frame
 from repro.metrics import MetricsCollector
 from repro.vmm.backend import BalloonBack, BalloonRingEntry
 from repro.watchdog import Watchdog
@@ -151,9 +153,11 @@ def _guest_shares_hold(guest) -> bool:
                          ids=["guest-delegated", "hypervisor-driven"])
 def test_inflate_keeps_a_page_a_fork_shares(hosted, cpu, driven, broken):
     """A region page whose frame a fork shares, or whose vaddr a COW break
-    moved to a copy, is no victim on either inflate path: it stays mapped,
-    in the region map and the guest's, and no other frame goes in its
-    place."""
+    moved to a copy, is no victim on either inflate path: it stays mapped
+    in the guest and no other frame goes in its place.  A shared page
+    stays in the region map; a moved one leaves it (and the guest-delegated
+    path's order, which meets it first), as its frame is no longer the
+    region's."""
     mercury, guest, front, back, dom = hosted
     mem = mercury.machine.memory
     task = guest.scheduler.current
@@ -163,11 +167,44 @@ def test_inflate_keeps_a_page_a_fork_shares(hosted, cpu, driven, broken):
     if broken:                       # the parent writes: it takes a copy
         guest.vmem.access(cpu, task, front._rmap[frame][1], write=True)
     rmap, order = dict(front._rmap), list(front._order)
+    if broken:
+        del rmap[frame]
+        if not driven:
+            order.remove(frame)
     owned = mem.frames_owned_by(guest.owner_id).tolist()
     assert front.inflate(cpu, 1, victims=(frame,) if driven else ()) == 0
     assert front._rmap == rmap and front._order == order
     assert mem.frames_owned_by(guest.owner_id).tolist() == owned
     assert _guest_shares_hold(guest)
+
+
+@pytest.mark.parametrize("case", ["cow-break", "task-exit"])
+def test_region_map_names_only_pages_its_tasks_map(hosted, cpu, case):
+    """Once a COW break moves a region page to a copy, or the task that
+    mapped a region exits, the old frames leave the region map: the
+    resident view the host's reclaim picks victims from holds only frames
+    the guest owns, each region frame mapped at its recorded vaddr."""
+    mercury, guest, front, back, dom = hosted
+    mem = mercury.machine.memory
+    task = guest.scheduler.current
+    if case == "cow-break":          # the parent writes, the child dies
+        front.map_pool_frames(cpu, task, len(front.pool))
+        child = guest.procs.fork(cpu, task)
+        frame = front._order[-1]
+        guest.vmem.access(cpu, task, front._rmap[frame][1], write=True)
+    else:                            # a child maps a region, then dies
+        child = guest.procs.fork(cpu, task)
+        frames = front.pool[-8:]
+        front.map_pool_frames(cpu, child, 8)
+    guest.run_and_reap(cpu, child)
+    resident = front.resident_frames
+    assert all(mem.owner[f] == guest.owner_id for f in resident)
+    if case == "cow-break":
+        assert mem.owner[frame] == OWNER_FREE and frame not in resident
+    else:
+        assert not set(frames) & set(resident)
+    for f, (t, vaddr) in front._rmap.items():
+        assert pte_frame(t.aspace.get_pte(vaddr)) == f
 
 
 def test_refcount_site_rename_compat():

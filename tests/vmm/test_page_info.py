@@ -3,6 +3,7 @@
 Per-PTE writes are checked where the guest makes them: through the
 ``mmu_update`` hypercall of a registered domain."""
 
+import numpy as np
 import pytest
 
 from repro.errors import PageValidationError
@@ -183,31 +184,37 @@ def _columns(table):
             table.ref_count.tobytes())
 
 
+def _words(*words):
+    """A batch of PTE words, as the pass takes it."""
+    return np.array(words, dtype=np.int64)
+
+
 def test_account_batch_declines_where_entries_interact(env):
     """The columnar pass refuses, leaving every column as it was, each case
     where its result could differ from one entry at a time."""
     cpu, mem, table, aspace = env
     a, b, c = (mem.alloc(0) for _ in range(3))
     foreign = mem.alloc(99)
+    pgd = aspace.pgd_frame
     table.validate_pgd(cpu, aspace, domain_id=0)   # the PGD reads as L2
-    table.account_batch([b], [True], [], 0)         # b mapped once
+    table.account_batch(_words(pte(b)), _words(), 0)    # b mapped once
     before = _columns(table)
     declined = [
-        ([a, a], [True, True], [], ()),             # one frame twice
-        ([b], [True], [b], ()),                     # install and clear
-        ([a], [True], [], (a,)),                    # retyped by the caller
-        ([mem.num_frames], [True], [], ()),         # out of range
-        ([-1], [True], [], ()),
-        ([foreign], [False], [], ()),               # another owner's
-        ([aspace.pgd_frame], [True], [], ()),       # writable PT frame
-        ([], [], [c], ()),                          # clear at n > 0 clamp
+        ([pte(a), pte(a)], [], ()),                 # one frame twice
+        ([pte(b)], [pte(b)], ()),                   # install and clear
+        ([pte(a)], [], (a,)),                       # retyped by the caller
+        ([pte(mem.num_frames)], [], ()),            # out of range
+        ([pte(-1)], [], ()),
+        ([pte(foreign, writable=False)], [], ()),   # another owner's
+        ([pte(pgd)], [], ()),                       # writable PT frame
+        ([], [pte(c)], ()),                         # clear at n > 0 clamp
     ]
-    for installed, writable, cleared, retyped in declined:
-        assert not table.account_batch(installed, writable, cleared, 0,
-                                       retyped)
+    for installed, cleared, retyped in declined:
+        assert not table.account_batch(_words(*installed), _words(*cleared),
+                                       0, retyped)
         assert _columns(table) == before
     # a read-only mapping of a page-table frame is fine
-    assert table.account_batch([aspace.pgd_frame], [False], [], 0)
+    assert table.account_batch(_words(pte(pgd, writable=False)), _words(), 0)
 
 
 def test_account_batch_equals_the_per_entry_rules(guest):
@@ -226,8 +233,9 @@ def test_account_batch_equals_the_per_entry_rules(guest):
         write(0x30000 + i * 4096, pte(f, writable=i != 0))
     for i in range(3):
         write(0x10000 + i * 4096, None)
-    assert twin.account_batch(frames[3:], [False, True, True],
-                              frames[:3], 0)
+    assert twin.account_batch(
+        _words(*(pte(f, writable=i != 0) for i, f in enumerate(frames[3:]))),
+        _words(*map(pte, frames[:3])), 0)
     assert _columns(twin) == _columns(table)
     assert twin.type[frames[0]] == PageType.WRITABLE   # still mapped once
     assert twin.type[frames[1]] == PageType.NONE
